@@ -6,8 +6,10 @@ the smoothed field psi_eps(x) = int eta(z) psi(x + eps z) dz has
     grad psi_eps(x)       =  int eta(z)      grad psi(x + eps z) dz
     eps * hess psi_eps(x) = -int grad eta(z) (x) grad psi(x + eps z) dz
 
-and both are computed from these identities with the exact catalog gradient,
-never by differencing psi_eps.  The energies measured here are
+and both are computed from these identities with the exact catalog gradient
+sampled on the grid, never by differencing psi_eps.  The integrals become
+lattice sums over the offsets inside the eps-ball, evaluated as zero-padded
+FFT correlations.  The energies measured here are
 
     I_p(eps) = int eps^(p-1) |hess psi_eps|^p
              + int (1/eps) (1 - |grad psi_eps|^2)^(p/(p-1))
@@ -34,6 +36,7 @@ from .kernels import (
     PairKernelConfig,
     bbm_sweep,
     bbm_value,
+    lattice_offsets,
     resolve_radius,
     sweep_functional,
 )
@@ -93,49 +96,56 @@ def mollify(
     """Smooth a catalog eikonal field at scale eps over an eroded inner mask.
 
     ``psi.source`` must be the generating analytic field (attached by
-    ``sample_analytic``): the quadrature evaluates psi and its exact gradient
-    off-lattice.  ``inner`` defaults to the mask eroded by eps and may be any
-    mask eroded at least that much (fixed across a sweep, typically).
+    ``sample_analytic``): its exact gradient g is sampled on the grid.  Over
+    the lattice offsets v with |v|^2 <= m2 (the exact integer radius of eps)
+    and v = 0, with weights w_v = eta(v h/eps) scaled to unit sum and
+    gw_v = grad eta(v h/eps) (h/eps)^N,
+
+        psi_eps(x) = sum_v w_v psi(x + v h),   grad psi_eps(x) = sum_v w_v g(x + v h),
+        hess psi_eps(x)[a, b] = -(1/eps) sum_v gw_v[a] g_b(x + v h),
+
+    evaluated as FFT correlations zero-padded so nothing wraps around.
+    Samples outside ``psi.mask`` are zeroed first; no inner sample reads them.
+    ``inner`` defaults to the mask eroded by eps and may be any mask eroded
+    at least that much (fixed across a sweep, typically).
     """
     spec = psi.source
     if spec is None:
         raise ValueError("mollify needs the analytic source of the sampled field")
     h = psi.grid.spacing
-    _, eps_len = resolve_radius(eps, h)
+    m2, eps_len = resolve_radius(eps, h)
     if eps_len < kappa * h:
         raise RegimeError("mollification scale below kappa*h")
     if inner is None:
         inner = psi.mask.erode(eps_len)
     elif (inner.inside & ~(psi.mask.boundary_distance > eps_len)).any():
         raise ValueError("inner mask must keep distance > eps from the boundary")
-    nodes, weights = eta.ball_rule()
-    eta_w = weights * eta.value(nodes)
-    eta_w = eta_w / eta_w.sum()  # discrete unit mass, exactly
-    grad_w = weights[:, None] * eta.gradient(nodes)
-    pts = inner.points_inside()
     n = psi.grid.dim
-    npts = len(pts)
-    psi_vals = np.zeros(npts)
-    grad_vals = np.zeros((npts, n))
-    hess_vals = np.zeros((npts, n, n))
-    # accumulate in node chunks: one catalog evaluation per chunk
-    chunk = max(1, int(4e6 // max(npts, 1)))
-    for j0 in range(0, len(nodes), chunk):
-        blk = nodes[j0 : j0 + chunk]
-        shifted = (pts[None, :, :] + eps_len * blk[:, None, :]).reshape(-1, n)
-        vals, gpsi = spec.evaluate_with_gradient(shifted)
-        vals = vals.reshape(len(blk), npts)
-        gpsi = gpsi.reshape(len(blk), npts, n)
-        psi_vals += np.einsum("j,ji->i", eta_w[j0 : j0 + chunk], vals)
-        grad_vals += np.einsum("j,jia->ia", eta_w[j0 : j0 + chunk], gpsi)
-        hess_vals -= np.einsum("ja,jib->iab", grad_w[j0 : j0 + chunk], gpsi)
-    hess_vals /= eps_len
-    full_psi = np.zeros(psi.grid.extents)
-    full_grad = np.zeros(psi.grid.extents + (n,))
-    full_hess = np.zeros(psi.grid.extents + (n, n))
-    full_psi[inner.inside] = psi_vals
-    full_grad[inner.inside] = grad_vals
-    full_hess[inner.inside] = hess_vals
+    offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
+    z = offs * (h / eps_len)
+    w = eta.value(z)
+    weights = np.concatenate(
+        [(w / w.sum())[:, None], eta.gradient(z) * (h / eps_len) ** n], axis=1
+    )
+    # channel 0 is psi, channels 1..n the exact gradient
+    f = np.concatenate([psi.values[..., :1], sample_gradient(spec, psi.mask).values], axis=-1)
+    f[~psi.mask.inside] = 0.0
+    m = math.isqrt(m2)
+    shape = tuple(e + 2 * m for e in psi.grid.extents)
+    axes = tuple(range(n))
+    kern = np.zeros(shape + (1 + n,))
+    kern[tuple((-offs % shape).T)] = weights  # corr weight w_v sits at index -v
+    f_hat = np.fft.rfftn(f, s=shape, axes=axes)
+    k_hat = np.fft.rfftn(kern, axes=axes)
+    hess_hat = -k_hat[..., 1:, None] * f_hat[..., None, 1:]  # [a, b]: gw_a against g_b
+    prod = np.concatenate(
+        [f_hat * k_hat[..., :1], hess_hat.reshape(f_hat.shape[:-1] + (n * n,))], axis=-1
+    )
+    out = np.fft.irfftn(prod, s=shape, axes=axes)[tuple(slice(e) for e in psi.grid.extents)]
+    out[~inner.inside] = 0.0
+    full_psi = out[..., 0]
+    full_grad = out[..., 1 : 1 + n]
+    full_hess = out[..., 1 + n :].reshape(psi.grid.extents + (n, n)) / eps_len
     return MollifiedField(inner, eps_len, eta, full_psi, full_grad, full_hess)
 
 

@@ -431,7 +431,9 @@ def report_command(paths: list[str]) -> int:
             return EXIT_CONFIG
         try:
             entries = json.loads(path.read_text())
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            entries = None
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             print(f"corrupt report file: {p}", file=sys.stderr)
             return EXIT_CONFIG
         for e in entries:

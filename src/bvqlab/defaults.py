@@ -32,16 +32,3 @@ def direction_count(dim: int) -> int:
         return 2
     return 2 * dim + 16
 
-
-def as_table() -> dict:
-    return {
-        "kappa": KAPPA,
-        "tolerance": TOLERANCE,
-        "ag_slack": AG_SLACK,
-        "trend_slack": TREND_SLACK,
-        "fit_points": FIT_POINTS,
-        "cube_stride_divisor": CUBE_STRIDE_DIVISOR,
-        "mollifier_resolution": MOLLIFIER_RESOLUTION,
-        "workers_env": WORKERS_ENV,
-        "directions": "2 for dim 1, else 2*dim + 16",
-    }

@@ -158,8 +158,8 @@ class SampledField:
 
     ``values`` has shape extents + (d,), with zeros at outside cells.  The
     optional ``source`` keeps a handle on the analytic field the samples came
-    from, so downstream consumers can evaluate u (and, for the eikonal
-    catalog, its exact gradient) off the lattice.
+    from, so downstream consumers can re-evaluate u (and, for the eikonal
+    catalog, its exact gradient).
     """
 
     mask: DomainMask

@@ -178,12 +178,6 @@ class SmoothRationalPairCost:
         return self.from_sq(np.einsum("...k,...k->...", d, d))
 
 
-PAIR_COST_CATALOG = {
-    "power": PowerPairCost,
-    "smooth-rational": SmoothRationalPairCost,
-}
-
-
 def directional_w_limit(
     u: SampledField,
     w_cost,

@@ -364,7 +364,6 @@ def _shift_windows(u: SampledField, eps_len: float, k: np.ndarray, x_mask):
         if any(b <= a for a, b in zip(lo, hi)):
             raise RegimeError("shift leaves the grid entirely")
         sx = tuple(slice(a, b) for a, b in zip(lo, hi))
-        corners = [(0,)] * u.grid.dim
         corners = [(0, 1) if frac[a] > 0 else (0,) for a in range(u.grid.dim)]
         uy = 0.0
         valid = None

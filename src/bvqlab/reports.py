@@ -67,9 +67,3 @@ def leq(lhs, rhs, provenance, slack: float = 0.0, atol: float = 0.0, **details) 
     bound = rhs * (1.0 + slack) if rhs >= 0 else rhs
     passed = lhs <= bound + atol
     return ComparisonReport(lhs, rhs, "leq", slack, passed, provenance, details=details)
-
-
-def between(lhs, mid, rhs, provenance, slack: float = 0.0, extra_ok: bool = True, **details) -> ComparisonReport:
-    lhs, mid, rhs = float(lhs), float(mid), float(rhs)
-    passed = (lhs <= mid * (1.0 + slack)) and (mid <= rhs * (1.0 + slack)) and extra_ok
-    return ComparisonReport(lhs, rhs, "between", slack, passed, provenance, mid=mid, details=details)

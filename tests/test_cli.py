@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import bvqlab
 from bvqlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
@@ -206,3 +210,28 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{oops")
     assert main(["report", str(corrupt)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("payload", [
+    json.dumps({"a": 1}).encode(),
+    json.dumps([1, 2]).encode(),
+    json.dumps([{"passed": True}, "x"]).encode(),
+    json.dumps("text").encode(),
+    b"\xff\xfe[]",
+])
+def test_report_wrong_json_shape_is_config_error(tmp_path, capsys, payload):
+    bad = tmp_path / "shape.json"
+    bad.write_bytes(payload)
+    assert main(["report", str(bad)]) == EXIT_CONFIG
+    assert f"corrupt report file: {bad}" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # scipy.signal is slow to import and would add to the start-up of every CLI run
+    src = str(Path(bvqlab.__file__).resolve().parents[1])
+    code = "import sys, bvqlab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,122 @@
+"""mollify against a direct shift-and-add lattice sum on tiny grids."""
+
+import math
+
+import numpy as np
+import pytest
+
+from bvqlab import (
+    DomainMask,
+    Grid,
+    GridRadius,
+    SampledField,
+    build_mollifier,
+    make_field,
+    mollify,
+    sample_analytic,
+    sample_gradient,
+)
+from bvqlab.kernels import lattice_offsets, resolve_radius
+
+# float64 FFT rounding, relative to the largest magnitude of each output
+RTOL = 1e-12
+
+
+def _shift_add(f, weights, offs):
+    """out[x] = sum_v weights[v] * f[x + v], with f zero beyond the grid."""
+    out = np.zeros(f.shape[:-1] + weights.shape[1:] + f.shape[-1:])
+    for v, wv in zip(offs, weights):
+        sx, sy = [], []
+        for ext, o in zip(f.shape[:-1], v):
+            sx.append(slice(max(0, -o), min(ext, ext - o)))
+            sy.append(slice(max(0, o), min(ext, ext + o)))
+        out[tuple(sx)] += wv[..., None] * f[tuple(sy)][..., None, :]
+    return out
+
+
+def _oracle(psi, eta, eps):
+    grid = psi.grid
+    n, h = grid.dim, grid.spacing
+    m2, eps_len = resolve_radius(eps, h)
+    offs = [(0,) * n] + [tuple(int(c) for c in v) for v in lattice_offsets(n, m2)[0]]
+    z = np.asarray(offs, dtype=float) * (h / eps_len)
+    w = eta.value(z)
+    w = w / w.sum()
+    gw = eta.gradient(z) * (h / eps_len) ** n
+    outside = ~psi.mask.inside
+    vals = np.array(psi.values)
+    vals[outside] = 0.0
+    g = np.array(sample_gradient(psi.source, psi.mask).values)
+    g[outside] = 0.0
+    psi_eps = _shift_add(vals, w[:, None], offs)[..., 0, 0]
+    grad = _shift_add(g, w[:, None], offs)[..., 0, :]
+    hess = -_shift_add(g, gw, offs) / eps_len
+    return psi_eps, grad, hess
+
+
+def _disc(grid, radius):
+    c = 0.5 * (np.asarray(grid.origin) + np.asarray(grid.upper))
+    return DomainMask.from_predicate(grid, lambda p: np.linalg.norm(p - c, axis=-1) < radius)
+
+
+def _cases():
+    line = Grid.for_box([-1.0], [1.0], [64])
+    square = Grid.for_box([0.0, 0.0], [1.0, 1.0], [32, 32])
+    roof = make_field("pyramid-eikonal", lo=(-1.0,), hi=(1.0,))
+    pyramid = make_field("pyramid-eikonal")
+    cone = make_field("cone-eikonal")
+    h1, h2 = line.spacing, square.spacing
+    return {
+        "1d-full-int": (roof, DomainMask.full(line), 8 * h1),
+        "1d-full-frac": (roof, DomainMask.full(line), 9.4 * h1),
+        "1d-full-gridradius": (roof, DomainMask.full(line), GridRadius(90)),
+        "2d-full-int": (pyramid, DomainMask.full(square), 8 * h2),
+        "2d-disc-frac": (cone, _disc(square, 0.45), 8.6 * h2),
+        "2d-disc-gridradius": (pyramid, _disc(square, 0.48), GridRadius(70)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_cases()))
+def test_mollify_matches_shift_and_add(case):
+    spec, mask, eps = _cases()[case]
+    psi = sample_analytic(spec, mask)
+    eta = build_mollifier("polynomial-bump", mask.grid.dim, k=2)
+    mf = mollify(psi, eta, eps)
+    ins = mf.inner.inside
+    for got, ref in zip((mf.psi, mf.grad, mf.hess), _oracle(psi, eta, eps)):
+        scale = np.abs(ref[ins]).max()
+        assert scale > 0
+        assert np.abs(got[ins] - ref[ins]).max() <= RTOL * scale
+        assert not got[~ins].any()  # zero outside the inner mask
+
+
+class _PoisonedGradient:
+    """Delegates to a catalog field but returns ``bad`` as the gradient
+    wherever ``outside`` holds."""
+
+    def __init__(self, spec, outside, bad):
+        self.spec, self.outside, self.bad = spec, outside, bad
+        self.dim = spec.dim
+
+    def gradient(self, pts):
+        g = np.array(self.spec.gradient(pts))
+        g[self.outside.ravel()] = self.bad
+        return g
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e300])
+def test_values_outside_mask_never_reach_the_transform(bad):
+    grid = Grid.for_box([0.0, 0.0], [1.0, 1.0], [48, 48])
+    mask = _disc(grid, 0.45)
+    spec = make_field("cone-eikonal")
+    clean = sample_analytic(spec, mask)
+    vals = np.array(clean.values)
+    vals[~mask.inside] = bad
+    dirty = SampledField(mask, vals, source=_PoisonedGradient(spec, ~mask.inside, bad))
+    eta = build_mollifier("polynomial-bump", 2, k=2)
+    eps = 8 * grid.spacing
+    ref = mollify(clean, eta, eps)
+    got = mollify(dirty, eta, eps, inner=ref.inner)
+    for a, b in ((got.psi, ref.psi), (got.grad, ref.grad), (got.hess, ref.hess)):
+        assert np.isfinite(a).all()
+        assert np.array_equal(a, b)
