@@ -22,7 +22,6 @@ from .mollifier import Mollifier, build_mollifier, mollifier_d_eta
 from .kernels import (
     EpsSweep,
     GridRadius,
-    PairKernelConfig,
     bbm_sweep,
     bbm_value,
     besov_seminorm_pow,

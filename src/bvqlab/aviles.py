@@ -33,7 +33,6 @@ from .fields import JumpSpec, sample_gradient
 from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
-    PairKernelConfig,
     bbm_sweep,
     bbm_value,
     lattice_offsets,
@@ -195,7 +194,6 @@ def check_ag_upper_bound(
     *,
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Smoothed-energy upper bound against moment-weighted gradient sweeps.
 
@@ -221,11 +219,11 @@ def check_ag_upper_bound(
     for e in eps_list:
         mf = mollify(psi, eta, e, inner, kappa=kappa)
         lhs_vals.append(_energy_pair_lhs(mf, q, p))
-    sweep_q = bbm_sweep(grad_field, q, eps_list, fit_model, inner, kappa=kappa, config=config)
+    sweep_q = bbm_sweep(grad_field, q, eps_list, fit_model, inner, kappa=kappa)
     sweep_p = (
         sweep_q
         if p == q
-        else bbm_sweep(grad_field, p, eps_list, fit_model, inner, kappa=kappa, config=config)
+        else bbm_sweep(grad_field, p, eps_list, fit_model, inner, kappa=kappa)
     )
     rhs = _moment_bound(eta, q, p, sweep_q.limit, sweep_p.limit)
     trend_ok = all(
@@ -261,7 +259,6 @@ def check_ag_chain(
     *,
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Cubic energy chain: pointwise Young step, then the moment bound.
 
@@ -303,7 +300,7 @@ def check_ag_chain(
         lhs_pt = e_len**2 * hl**3 + dl**1.5 / e_len
         rhs_pt = np.longdouble(YOUNG_CONSTANT) * hl * dl
         young_ok = young_ok and bool((lhs_pt >= rhs_pt).all())
-        a3 = bbm_value(grad_field, 3.0, e, inner, kappa=kappa, config=config)
+        a3 = bbm_value(grad_field, 3.0, e, inner, kappa=kappa)
         kernel_cache[float(e_len)] = a3
         matched_bounds.append(_moment_bound(eta, 3.0, 3.0, a3, a3))
     sweep3 = sweep_functional(
@@ -355,7 +352,6 @@ def verify_gamma_consistency(
     *,
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Analytic ridge energy against the normalized cubic kernel sweep.
 
@@ -370,7 +366,7 @@ def verify_gamma_consistency(
     jump = spec.jump_spec(psi.grid)
     lhs = gamma_limit_value(jump)
     grad_field = sample_gradient(spec, psi.mask)
-    sweep = bbm_sweep(grad_field, 3.0, eps_list, fit_model, kappa=kappa, config=config)
+    sweep = bbm_sweep(grad_field, 3.0, eps_list, fit_model, kappa=kappa)
     cn = dimensional_constant(psi.grid.dim)
     rhs = sweep.limit / (3.0 * cn)
     return equal_within(

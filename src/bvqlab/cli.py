@@ -12,7 +12,6 @@ Experiments are described by a JSON config file:
       "tolerance": null,                       # null -> defaults table
       "fit_model": "constant",
       "mollifier": {"profile": "polynomial-bump", "k": 2, "resolution": 64},
-      "workers": null,
       "out_dir": "out/step"
     }
 
@@ -36,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import defaults
-from .cubes import check_b_bound, cube_functional
+from .cubes import check_b_bound
 from .errors import ConfigError, EmptyMaskError, RegimeError, UnknownFieldError
 from .fields import list_fields, make_field, sample_analytic
 from .grid import DomainMask, Grid
@@ -48,8 +47,8 @@ from .jumps import (
     verify_two_sided,
 )
 from .kernels import (
+    FIT_MODELS,
     GridRadius,
-    PairKernelConfig,
     bbm_sweep,
     besov_seminorm_pow,
     directional_sup,
@@ -84,7 +83,6 @@ class ExperimentConfig:
     tolerance: float
     fit_model: str
     mollifier: dict
-    workers: int | None
     directions: int | None
     out_dir: Path
     raw: dict = field(default_factory=dict)
@@ -95,16 +93,22 @@ class ExperimentConfig:
     def make_mask(self) -> DomainMask:
         return DomainMask.full(self.make_grid())
 
-    def ladder(self, h: float) -> list[GridRadius]:
+    def ladder(self) -> list[GridRadius]:
         return [GridRadius.from_cells(m) for m in self.ladder_cells]
-
-    def kernel_config(self) -> PairKernelConfig:
-        return PairKernelConfig(workers=self.workers, directions=self.directions)
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _object(raw: dict, key: str, where: str = "") -> dict:
+    """``raw[key]`` when it is a JSON object, {} when absent or null."""
+    value = raw.get(key)
+    if value is None:
+        return {}
+    _require(isinstance(value, dict), f"{where}{key} must be a JSON object")
+    return value
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -116,8 +120,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     _require(isinstance(raw, dict), "config must be a JSON object")
     exp = raw.get("experiment")
     _require(exp in EXPERIMENTS, f"unknown experiment {exp!r}")
-    fld = raw.get("field") or {}
-    grid = raw.get("grid") or {}
+    fld = _object(raw, "field")
+    field_params = _object(fld, "params", "field.")
+    grid = _object(raw, "grid")
     _require("lo" in grid and "hi" in grid and "n" in grid, "grid needs lo/hi/n")
     lo, hi, n = grid["lo"], grid["hi"], grid["n"]
     _require(len(lo) == len(hi) == len(n), "grid lo/hi/n lengths differ")
@@ -126,7 +131,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"bad grid: {exc}") from exc
 
-    ladder_raw = raw.get("eps_ladder") or {}
+    ladder_raw = _object(raw, "eps_ladder")
     kappa = float(raw.get("kappa", defaults.KAPPA))
     count = int(ladder_raw.get("count", 4))
     ratio = float(ladder_raw.get("ratio", 0.5))
@@ -145,11 +150,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
             cells.append(m)
     _require(bool(cells), "eps ladder is empty after snapping to the grid")
 
+    fit_model = str(raw.get("fit_model", "linear-in-eps"))
+    _require(fit_model in FIT_MODELS, f"unknown fit model {fit_model!r}")
     tol = raw.get("tolerance")
     cfg = ExperimentConfig(
         experiment=exp,
         field_kind=fld.get("kind"),
-        field_params=dict(fld.get("params") or {}),
+        field_params=dict(field_params),
         grid_lo=tuple(lo),
         grid_hi=tuple(hi),
         grid_n=tuple(n),
@@ -158,9 +165,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         ladder_cells=tuple(cells),
         kappa=kappa,
         tolerance=float(tol) if tol is not None else defaults.TOLERANCE,
-        fit_model=str(raw.get("fit_model", "linear-in-eps")),
-        mollifier=dict(raw.get("mollifier") or {"profile": "polynomial-bump", "k": 2}),
-        workers=(int(raw["workers"]) if raw.get("workers") is not None else None),
+        fit_model=fit_model,
+        mollifier=dict(_object(raw, "mollifier") or {"profile": "polynomial-bump", "k": 2}),
         directions=(int(raw["directions"]) if raw.get("directions") is not None else None),
         out_dir=Path(raw.get("out_dir", "out")),
         raw=raw,
@@ -235,10 +241,8 @@ def _exp_constants(cfg):
 
 def _exp_bbm_sweep(cfg):
     spec, mask, u = _sample(cfg)
-    ladder = cfg.ladder(mask.grid.spacing)
-    sweep = bbm_sweep(
-        u, cfg.q, ladder, cfg.fit_model, kappa=cfg.kappa, config=cfg.kernel_config()
-    )
+    ladder = cfg.ladder()
+    sweep = bbm_sweep(u, cfg.q, ladder, cfg.fit_model, kappa=cfg.kappa)
     rows = list(zip(sweep.eps, sweep.values))
     rows.append((0.0, sweep.limit))
     reports = []
@@ -257,11 +261,11 @@ def _exp_bbm_sweep(cfg):
 
 def _exp_jump_verify(cfg):
     spec, mask, _ = _sample(cfg)
-    ladder = cfg.ladder(mask.grid.spacing)
+    ladder = cfg.ladder()
     fit = cfg.fit_model if "fit_model" in cfg.raw else "constant"
     rep = verify_jump_formula(
         spec, mask, cfg.q, ladder, fit_model=fit,
-        tolerance=cfg.tolerance, kappa=cfg.kappa, config=cfg.kernel_config(),
+        tolerance=cfg.tolerance, kappa=cfg.kappa,
     )
     rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
     return ["eps", "value"], rows, [rep]
@@ -269,10 +273,10 @@ def _exp_jump_verify(cfg):
 
 def _exp_q1_bv(cfg):
     spec, mask, _ = _sample(cfg)
-    ladder = cfg.ladder(mask.grid.spacing)
+    ladder = cfg.ladder()
     rep = verify_q1_full_bv(
         spec, mask, ladder, fit_model=cfg.fit_model,
-        tolerance=cfg.tolerance, kappa=cfg.kappa, config=cfg.kernel_config(),
+        tolerance=cfg.tolerance, kappa=cfg.kappa,
     )
     rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
     return ["eps", "value"], rows, [rep]
@@ -282,8 +286,8 @@ def _exp_two_sided(cfg):
     spec, mask, u = _sample(cfg)
     h = mask.grid.spacing
     rows, reports = [], []
-    for eps in cfg.ladder(h):
-        rep = verify_two_sided(u, cfg.q, eps, kappa=cfg.kappa, config=cfg.kernel_config())
+    for eps in cfg.ladder():
+        rep = verify_two_sided(u, cfg.q, eps, kappa=cfg.kappa)
         rows.append((eps.length(h), rep.lhs, rep.mid, rep.rhs))
         reports.append(rep)
     return ["eps", "lower", "directional_sup", "upper"], rows, reports
@@ -291,7 +295,7 @@ def _exp_two_sided(cfg):
 
 def _exp_besov(cfg):
     spec, mask, u = _sample(cfg)
-    ladder = cfg.ladder(mask.grid.spacing)
+    ladder = cfg.ladder()
     rows = []
     for eps in ladder:
         rows.append(
@@ -306,10 +310,8 @@ def _exp_besov(cfg):
 def _exp_gagliardo(cfg):
     spec, mask, u = _sample(cfg)
     rows, reports = [], []
-    for eps in cfg.ladder(mask.grid.spacing):
-        bbm, gag, ok = gagliardo_dominates_bbm(
-            u, cfg.q, eps, kappa=cfg.kappa, config=cfg.kernel_config()
-        )
+    for eps in cfg.ladder():
+        bbm, gag, ok = gagliardo_dominates_bbm(u, cfg.q, eps, kappa=cfg.kappa)
         rows.append((eps.length(mask.grid.spacing), bbm, gag))
         reports.append(
             ComparisonReport(
@@ -325,10 +327,7 @@ def _exp_vq(cfg):
     _require(mask.grid.dim == 1, "vq experiment needs a 1D field")
     sig = Signal1D(mask.grid.axis_centers(0), u.values[:, 0])
     vq = q_variation_pow(sig, cfg.q)
-    rep = check_vq_embedding(
-        sig, cfg.q, cfg.ladder(mask.grid.spacing), kappa=cfg.kappa,
-        config=cfg.kernel_config(),
-    )
+    rep = check_vq_embedding(sig, cfg.q, cfg.ladder(), kappa=cfg.kappa)
     rows = [(vq, rep.lhs, rep.rhs)]
     return ["q_variation_pow", "kernel_sup", "bound"], rows, [rep]
 
@@ -336,10 +335,9 @@ def _exp_vq(cfg):
 def _exp_b_space(cfg):
     spec, mask, u = _sample(cfg)
     rows, reports = [], []
-    for eps in cfg.ladder(mask.grid.spacing):
-        val, packing = cube_functional(u, eps, kappa=cfg.kappa)
-        rep = check_b_bound(u, cfg.q, eps, kappa=cfg.kappa, config=cfg.kernel_config())
-        rows.append((eps.length(mask.grid.spacing), val, rep.rhs, packing.count))
+    for eps in cfg.ladder():
+        rep = check_b_bound(u, cfg.q, eps, kappa=cfg.kappa)
+        rows.append((eps.length(mask.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"]))
         reports.append(rep)
     return ["eps", "cube_value", "bound", "cubes"], rows, reports
 
@@ -357,10 +355,9 @@ def _make_mollifier(cfg, dim):
 def _exp_ag_upper(cfg):
     spec, mask, u = _sample(cfg)
     eta = _make_mollifier(cfg, mask.grid.dim)
-    ladder = cfg.ladder(mask.grid.spacing)
+    ladder = cfg.ladder()
     rep = check_ag_upper_bound(
-        u, eta, cfg.q, cfg.p, ladder, kappa=cfg.kappa,
-        fit_model=cfg.fit_model, config=cfg.kernel_config(),
+        u, eta, cfg.q, cfg.p, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
     rows = list(zip(rep.details["eps"], rep.details["lhs_values"]))
     return ["eps", "lhs_energy"], rows, [rep]
@@ -369,19 +366,15 @@ def _exp_ag_upper(cfg):
 def _exp_ag_chain(cfg):
     spec, mask, u = _sample(cfg)
     eta = _make_mollifier(cfg, mask.grid.dim)
-    ladder = cfg.ladder(mask.grid.spacing)
-    rep = check_ag_chain(
-        u, eta, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model,
-        config=cfg.kernel_config(),
-    )
+    ladder = cfg.ladder()
+    rep = check_ag_chain(u, eta, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
     reports = [rep]
     d = rep.details
     rows = list(zip(d["eps"], d["young_lhs"], d["middle_energy"], d["matched_bounds"]))
     if spec.jump_spec(mask.grid) is not None:
         reports.append(
             verify_gamma_consistency(
-                u, ladder, cfg.tolerance, kappa=cfg.kappa,
-                fit_model=cfg.fit_model, config=cfg.kernel_config(),
+                u, ladder, cfg.tolerance, kappa=cfg.kappa, fit_model=cfg.fit_model,
             )
         )
     return ["eps", "young_lhs", "middle", "bound"], rows, reports
@@ -452,7 +445,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument("--workers", type=int, help="override worker count")
+    p_run.add_argument("--workers", type=int, help="accepted and ignored: pair sums run serially")
     p_rep = sub.add_parser("report", help="aggregate report.json files")
     p_rep.add_argument("paths", nargs="*")
     sub.add_parser("constants", help="print the dimensional constants table")
@@ -475,8 +468,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = Path(args.out)
-        if args.workers is not None:
-            cfg.workers = args.workers
         return run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

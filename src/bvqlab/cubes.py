@@ -21,7 +21,7 @@ import numpy as np
 from . import defaults
 from .errors import RegimeError
 from .grid import DomainMask, SampledField
-from .kernels import GridRadius, PairKernelConfig, bbm_value, resolve_radius
+from .kernels import GridRadius, bbm_value, resolve_radius
 from .reports import ComparisonReport, leq
 
 
@@ -203,7 +203,6 @@ def check_b_bound(
     stride_cells: int | None = None,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Packing value <= N^((N+1)/(2q)) * (kernel sum at eps*sqrt(N))^(1/q).
 
@@ -219,7 +218,7 @@ def check_b_bound(
     value, packing = cube_functional(u, eps, "greedy", stride_cells, kappa=kappa)
     n = u.grid.dim
     wide = GridRadius.from_cells(side).scaled_sqrt_dim(n)
-    kernel = bbm_value(u, q, wide, kappa=kappa, config=config)
+    kernel = bbm_value(u, q, wide, kappa=kappa)
     rhs = n ** ((n + 1) / (2.0 * q)) * kernel ** (1.0 / q)
     return leq(
         value,

@@ -22,9 +22,6 @@ CUBE_STRIDE_DIVISOR = 4
 # Radial quadrature nodes per axis for mollifier integrals.
 MOLLIFIER_RESOLUTION = 64
 
-# Environment variable capping the worker count.
-WORKERS_ENV = "BVQLAB_WORKERS"
-
 
 def direction_count(dim: int) -> int:
     """Default size of the unit-direction set: the +/- axes plus 16 extras."""

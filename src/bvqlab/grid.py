@@ -2,7 +2,7 @@
 
 Sampling follows the cell-center convention: along axis ``a`` the i-th sample
 sits at ``origin[a] + (i + 1/2) * spacing``.  All containers are immutable
-after construction and safe to share across worker threads.
+after construction.
 """
 
 from __future__ import annotations

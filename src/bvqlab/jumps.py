@@ -21,7 +21,6 @@ from .errors import RegimeError
 from .fields import AnalyticField, JumpSpec, sample_analytic, warn_if_jump_free
 from .grid import DomainMask, SampledField
 from .kernels import (
-    PairKernelConfig,
     _directional_sum,
     _power_from_sq,
     bbm_sweep,
@@ -90,13 +89,12 @@ def verify_jump_formula(
     tolerance: float = defaults.TOLERANCE,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Extrapolated kernel sweep against the analytic jump energy (q > 1)."""
     if not q > 1:
         raise ValueError("the jump-energy identity needs q > 1")
     u = sample_analytic(spec, mask)
-    sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa, config=config)
+    sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa)
     rhs = jump_energy_rhs(spec.jump_spec(mask.grid), q, mask.grid.dim)
     return equal_within(
         sweep.limit,
@@ -118,7 +116,6 @@ def verify_q1_full_bv(
     tolerance: float = defaults.TOLERANCE,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """At q = 1 the kernel sweep sees the full gradient mass: limit should be
     C_N * integral of |grad u| for a smooth catalog field."""
@@ -129,7 +126,7 @@ def verify_q1_full_bv(
             "pick a smooth catalog entry"
         )
     u = sample_analytic(spec, mask)
-    sweep = bbm_sweep(u, 1.0, eps_list, fit_model, kappa=kappa, config=config)
+    sweep = bbm_sweep(u, 1.0, eps_list, fit_model, kappa=kappa)
     rhs = dimensional_constant(mask.grid.dim) * mass
     return equal_within(
         sweep.limit,
@@ -229,7 +226,6 @@ def verify_two_sided(
     eps,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """Nested-domain two-sided bound between the kernel sum and the
     directional sup at scale eps:
@@ -253,8 +249,8 @@ def verify_two_sided(
     offs, r2 = lattice_offsets(n, m2)
     dist = h * np.sqrt(r2)
     scale = h**n
-    c1 = pair_power_sums(u, offs, q, inner1, config) * scale / dist
-    c2 = pair_power_sums(u, offs, q, inner2, config) * scale / dist
+    c1 = pair_power_sums(u, offs, q, inner1) * scale / dist
+    c2 = pair_power_sums(u, offs, q, inner2) * scale / dist
     count = len(offs)
     vol_disc = count * h**n / eps_len**n
     a1 = math.fsum(c1) * h**n / eps_len**n

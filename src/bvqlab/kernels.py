@@ -12,17 +12,16 @@ offset v with 0 < |v| <= eps the inner sum over x is one vectorized pass, and
 displacement inclusion is decided on exact integer squared radii, so a radius
 like eps*sqrt(N) never suffers a floating-point boundary tie.
 
-Reductions are ordered and worker-count independent: per-displacement sums
-are always combined with ``math.fsum`` in lexicographic displacement order,
-which makes repeated runs bit-identical and keeps the sample-wise
-inequalities asserted elsewhere exact in floating point.
+Reductions are ordered: per-displacement sums are always combined with
+``math.fsum`` in lexicographic displacement order, which makes repeated runs
+bit-identical and keeps the sample-wise inequalities asserted elsewhere exact
+in floating point.  Without an outer sub-mask the sum for -v repeats the sum
+for v bit for bit, so only half of a symmetric offset list is computed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,32 +57,6 @@ class GridRadius:
     def scaled_sqrt_dim(self, dim: int) -> "GridRadius":
         """The radius times sqrt(dim), still exactly representable."""
         return GridRadius(self.m2 * dim)
-
-
-@dataclass(frozen=True)
-class PairKernelConfig:
-    """Execution knobs for the pair kernels.
-
-    The diagonal pair y = x is always excluded.  ``block`` is the number of
-    displacement vectors handed to one worker task; the reduction order is
-    fixed regardless of ``workers``.
-    """
-
-    workers: int | None = None
-    block: int = 64
-    directions: int | None = None  # direction-set size for the sup kernels
-
-
-def worker_count(config: PairKernelConfig | None) -> int:
-    if config is not None and config.workers is not None:
-        return max(1, int(config.workers))
-    env = os.environ.get(defaults.WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 def resolve_radius(eps, h: float) -> tuple[int, float]:
@@ -164,9 +137,15 @@ def pair_power_sums(
     offsets: np.ndarray,
     q: float,
     x_mask: DomainMask | None = None,
-    config: PairKernelConfig | None = None,
 ) -> np.ndarray:
-    """Per-displacement sums of |u(x+v) - u(x)|^q, in offset order."""
+    """Per-displacement sums of |u(x+v) - u(x)|^q, in offset order.
+
+    Without ``x_mask`` the -v windows are the v windows swapped: the same
+    differences, negated, over the same validity mask and in the same C
+    order.  So when the offset list is symmetric (``offsets[::-1] ==
+    -offsets``, true for every ``lattice_offsets`` result) only its first
+    half is summed and the rest is filled by reversal, bit for bit.
+    """
     x_inside = None
     if x_mask is not None:
         if x_mask.grid != field.grid:
@@ -175,25 +154,13 @@ def pair_power_sums(
             raise EmptyMaskError("x_mask is empty")
         x_inside = x_mask.inside
     n = len(offsets)
+    half = n
+    if x_inside is None and np.array_equal(offsets[::-1], -offsets):
+        half = (n + 1) // 2
     out = np.empty(n, dtype=np.float64)
-    workers = worker_count(config)
-    block = (config.block if config else PairKernelConfig.block) or 64
-    if workers <= 1 or n <= block:
-        for i in range(n):
-            out[i] = _pair_power_sum(field, x_inside, offsets[i], q)
-        return out
-
-    def run(chunk_start: int) -> tuple[int, list[float]]:
-        end = min(chunk_start + block, n)
-        vals = [
-            _pair_power_sum(field, x_inside, offsets[i], q)
-            for i in range(chunk_start, end)
-        ]
-        return chunk_start, vals
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start, vals in pool.map(run, range(0, n, block)):
-            out[start : start + len(vals)] = vals
+    for i in range(half):
+        out[i] = _pair_power_sum(field, x_inside, offsets[i], q)
+    out[half:] = out[: n - half][::-1]
     return out
 
 
@@ -214,7 +181,6 @@ def bbm_value(
     x_mask: DomainMask | None = None,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> float:
     """Kernel double sum at scale eps (see module docstring).
 
@@ -232,7 +198,7 @@ def bbm_value(
     m2max, eps_len = resolve_radius(eps, h)
     _check_regime(eps_len, h, kappa, u.grid.diameter)
     offs, r2 = lattice_offsets(u.grid.dim, m2max)
-    sums = pair_power_sums(u, offs, q, x_mask, config)
+    sums = pair_power_sums(u, offs, q, x_mask)
     dist = h * np.sqrt(r2)
     terms = sums / dist
     n = u.grid.dim
@@ -261,6 +227,9 @@ class EpsSweep:
             raise ValueError("eps values must be strictly decreasing")
         if any(v < -1e-300 for v in self.values):
             raise ValueError("functional values must be nonnegative")
+
+
+FIT_MODELS = ("constant", "linear-in-eps")
 
 
 def _fit_limit(eps: np.ndarray, vals: np.ndarray, model: str, points: int):
@@ -319,11 +288,10 @@ def bbm_sweep(
     x_mask: DomainMask | None = None,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> EpsSweep:
     """bbm_value along a decreasing eps ladder plus an extrapolated limit."""
     return sweep_functional(
-        lambda e: bbm_value(u, q, e, x_mask, kappa=kappa, config=config),
+        lambda e: bbm_value(u, q, e, x_mask, kappa=kappa),
         eps_list,
         u.grid.spacing,
         fit_model,
@@ -502,8 +470,6 @@ def besov_seminorm_pow(
 def gagliardo_seminorm_pow(
     u: SampledField,
     q: float,
-    *,
-    config: PairKernelConfig | None = None,
 ) -> float:
     """Discrete double sum of |u(x)-u(y)|^q / |x-y|^{N+1} over distinct pairs.
 
@@ -517,7 +483,7 @@ def gagliardo_seminorm_pow(
     g = u.grid
     m2max = sum((e - 1) ** 2 for e in g.extents)
     offs, r2 = lattice_offsets(g.dim, m2max)
-    sums = pair_power_sums(u, offs, q, None, config)
+    sums = pair_power_sums(u, offs, q)
     dist_pow = (g.spacing * np.sqrt(r2)) ** (g.dim + 1)
     return math.fsum(sums / dist_pow) * g.spacing ** (2 * g.dim)
 
@@ -528,7 +494,6 @@ def gagliardo_dominates_bbm(
     eps,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> tuple[float, float, bool]:
     """(bbm value, gagliardo value, bbm <= gagliardo) with shared pair sums.
 
@@ -542,7 +507,7 @@ def gagliardo_dominates_bbm(
     _check_regime(eps_len, h, kappa, g.diameter)
     m2max = sum((e - 1) ** 2 for e in g.extents)
     offs, r2 = lattice_offsets(g.dim, m2max)
-    sums = pair_power_sums(u, offs, q, None, config)
+    sums = pair_power_sums(u, offs, q)
     dist = h * np.sqrt(r2)
     gag = math.fsum(sums / dist ** (g.dim + 1)) * h ** (2 * g.dim)
     near = r2 <= m2eps
@@ -562,7 +527,6 @@ def q_monotonicity_holds(
     eps,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> tuple[float, float, bool]:
     """Check bbm(u, q2, eps) <= (2 sup|u|)^(q2-q1) * bbm(u, q1, eps).
 
@@ -571,8 +535,8 @@ def q_monotonicity_holds(
     """
     if not q2 > q1 >= 1:
         raise ValueError("need q2 > q1 >= 1")
-    lhs = bbm_value(u, q2, eps, kappa=kappa, config=config)
-    rhs = bbm_value(u, q1, eps, kappa=kappa, config=config)
+    lhs = bbm_value(u, q2, eps, kappa=kappa)
+    rhs = bbm_value(u, q1, eps, kappa=kappa)
     factor = (2.0 * u.sup_norm()) ** (q2 - q1)
     return lhs, factor * rhs, bool(lhs <= factor * rhs)
 

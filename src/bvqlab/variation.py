@@ -8,7 +8,7 @@ import numpy as np
 
 from . import defaults
 from .grid import DomainMask, Grid, SampledField
-from .kernels import PairKernelConfig, _power_from_sq, bbm_value, sweep_functional
+from .kernels import _power_from_sq, bbm_value, sweep_functional
 from .reports import ComparisonReport, leq
 
 
@@ -84,7 +84,6 @@ def check_vq_embedding(
     eps_list,
     *,
     kappa: float = defaults.KAPPA,
-    config: PairKernelConfig | None = None,
 ) -> ComparisonReport:
     """sup over the sweep of the kernel sum <= 4 * q_variation_pow.
 
@@ -93,7 +92,7 @@ def check_vq_embedding(
     """
     field = signal_as_field(sig)
     sweep = sweep_functional(
-        lambda e: bbm_value(field, q, e, kappa=kappa, config=config),
+        lambda e: bbm_value(field, q, e, kappa=kappa),
         eps_list,
         field.grid.spacing,
         fit_model="constant",

@@ -212,6 +212,22 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     assert main(["report", str(corrupt)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    {"field": "x"},
+    {"field": {"kind": "step-1d", "params": "x"}},
+    {"grid": "x"},
+    {"eps_ladder": "x"},
+    {"mollifier": "x"},
+    {"fit_model": "quadratic"},
+], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model"])
+def test_malformed_config_is_config_error(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, "malformed.json", **override)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    # rejected while loading, before the experiment creates its output directory
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("payload", [
     json.dumps({"a": 1}).encode(),
     json.dumps([1, 2]).encode(),

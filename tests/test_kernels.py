@@ -9,7 +9,6 @@ from bvqlab import (
     DomainMask,
     Grid,
     GridRadius,
-    PairKernelConfig,
     RegimeError,
     SampledField,
     bbm_sweep,
@@ -60,16 +59,36 @@ def test_homogeneity(line_mask):
         assert gb == pytest.approx(abs(lam) ** q * ga, rel=1e-12)
 
 
-def test_pair_symmetry_per_displacement(line_mask):
-    # each unordered pair enters twice with the same contribution
-    from bvqlab.kernels import lattice_offsets, pair_power_sums
+def _disc_field(seed: int) -> SampledField:
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [40, 40])
+    mask = DomainMask.from_predicate(g, lambda p: ((p - 0.5) ** 2).sum(axis=-1) <= 0.16)
+    vals = np.random.default_rng(seed).normal(size=(40, 40, 2))
+    return SampledField(mask, np.where(mask.inside[..., None], vals, 0.0), d=2)
 
-    u = random_block_field(line_mask, seed=11)
-    offs, r2 = lattice_offsets(1, 24 * 24)
-    sums = pair_power_sums(u, offs, 2.0, None, None)
-    idx = {int(o): i for i, (o,) in enumerate(offs)}
-    for m in range(1, 25):
-        assert sums[idx[m]] == pytest.approx(sums[idx[-m]], rel=1e-13)
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["line", "disc", "asymmetric-slice", "x-mask"])
+def test_pair_symmetry_per_displacement(line_mask, case, q):
+    # mirror reuse fills -v from v; the result must equal summing every offset
+    from bvqlab.kernels import _pair_power_sum, lattice_offsets, pair_power_sums
+
+    x_mask = None
+    if case == "line":
+        u = random_block_field(line_mask, seed=11)
+        offs, _ = lattice_offsets(1, 24 * 24)
+    else:
+        u = _disc_field(seed=3)
+        offs, _ = lattice_offsets(2, 7 * 7)
+        if case == "asymmetric-slice":
+            offs = offs[: len(offs) // 3]
+        elif case == "x-mask":
+            x_mask = u.mask.erode(4 * u.grid.spacing)
+    sums = pair_power_sums(u, offs, q, x_mask)
+    x_inside = None if x_mask is None else x_mask.inside
+    loop = [_pair_power_sum(u, x_inside, off, q) for off in offs]
+    assert sums.tolist() == loop
+    if case in ("line", "disc"):
+        assert (sums == sums[::-1]).all()
 
 
 def test_translation_equivariance_bit_identical():
@@ -256,14 +275,6 @@ def test_gagliardo_dominates_every_eps():
         assert ok and bbm <= gag
 
 
-def test_worker_count_bit_identical(square_mask):
-    u = random_block_field(square_mask, seed=42)
-    h = square_mask.grid.spacing
-    a = bbm_value(u, 2.0, 12 * h, config=PairKernelConfig(workers=1))
-    b = bbm_value(u, 2.0, 12 * h, config=PairKernelConfig(workers=8, block=7))
-    assert a == b
-
-
 def test_grid_radius_validation():
     with pytest.raises(ValueError):
         GridRadius(0)
@@ -276,16 +287,6 @@ def test_directional_sup_and_besov_constant_zero(line_mask):
     h = line_mask.grid.spacing
     assert directional_sup(u, 2.0, 16 * h) == 0.0
     assert besov_seminorm_pow(u, 2.0, [16 * h, 8 * h]) == 0.0
-
-
-def test_worker_env_cap(monkeypatch):
-    from bvqlab.kernels import worker_count
-
-    monkeypatch.setenv("BVQLAB_WORKERS", "3")
-    assert worker_count(None) == 3
-    monkeypatch.setenv("BVQLAB_WORKERS", "junk")
-    assert worker_count(None) >= 1
-    assert worker_count(PairKernelConfig(workers=2)) == 2
 
 
 def test_interpolation_reproduces_linear_fields(square_mask):
