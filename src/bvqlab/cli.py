@@ -152,6 +152,12 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     fit_model = str(raw.get("fit_model", "linear-in-eps"))
     _require(fit_model in FIT_MODELS, f"unknown fit model {fit_model!r}")
+    directions = raw.get("directions")
+    _require(
+        directions is None
+        or (isinstance(directions, int) and not isinstance(directions, bool) and directions >= 1),
+        "directions must be an integer >= 1",
+    )
     tol = raw.get("tolerance")
     cfg = ExperimentConfig(
         experiment=exp,
@@ -167,7 +173,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         tolerance=float(tol) if tol is not None else defaults.TOLERANCE,
         fit_model=fit_model,
         mollifier=dict(_object(raw, "mollifier") or {"profile": "polynomial-bump", "k": 2}),
-        directions=(int(raw["directions"]) if raw.get("directions") is not None else None),
+        directions=directions,
         out_dir=Path(raw.get("out_dir", "out")),
         raw=raw,
     )
@@ -310,8 +316,9 @@ def _exp_besov(cfg):
 def _exp_gagliardo(cfg):
     spec, mask, u = _sample(cfg)
     rows, reports = [], []
-    for eps in cfg.ladder():
-        bbm, gag, ok = gagliardo_dominates_bbm(u, cfg.q, eps, kappa=cfg.kappa)
+    ladder = cfg.ladder()
+    triples = gagliardo_dominates_bbm(u, cfg.q, ladder, kappa=cfg.kappa)
+    for eps, (bbm, gag, ok) in zip(ladder, triples):
         rows.append((eps.length(mask.grid.spacing), bbm, gag))
         reports.append(
             ComparisonReport(

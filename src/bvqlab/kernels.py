@@ -17,6 +17,12 @@ Reductions are ordered: per-displacement sums are always combined with
 bit-identical and keeps the sample-wise inequalities asserted elsewhere exact
 in floating point.  Without an outer sub-mask the sum for -v repeats the sum
 for v bit for bit, so only half of a symmetric offset list is computed.
+
+An eps ladder is one pass: ``bbm_sweep`` and ``gagliardo_dominates_bbm``
+compute the per-displacement sums once, at the largest radius they need, and
+every smaller rung reduces the subset |v|^2 <= m2 of that table.  The subset
+holds the same per-offset floats as the rung's own pass, and ``math.fsum`` is
+correctly rounded, so each rung reads its ``bbm_value`` bit for bit.
 """
 
 from __future__ import annotations
@@ -192,17 +198,31 @@ def bbm_value(
     Zero for constant fields; homogeneous of degree q in u; symmetric in the
     pair (x, y) because every displacement is enumerated with both signs.
     """
+    m2max, eps_len = _bbm_rung(u, q, eps, kappa)
+    r2, terms = _bbm_terms(u, q, m2max, x_mask)
+    return _bbm_total(u, terms, eps_len)
+
+
+def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]:
+    """Validate q and the regime of one eps; return its (m2, length)."""
     if q < 1:
         raise ValueError("q must be >= 1")
     h = u.grid.spacing
     m2max, eps_len = resolve_radius(eps, h)
     _check_regime(eps_len, h, kappa, u.grid.diameter)
+    return m2max, eps_len
+
+
+def _bbm_terms(u: SampledField, q: float, m2max: int, x_mask) -> tuple[np.ndarray, np.ndarray]:
+    """Squared offset radii and per-offset terms sum_x |u(x+v)-u(x)|^q / |v|."""
     offs, r2 = lattice_offsets(u.grid.dim, m2max)
     sums = pair_power_sums(u, offs, q, x_mask)
-    dist = h * np.sqrt(r2)
-    terms = sums / dist
+    return r2, sums / (u.grid.spacing * np.sqrt(r2))
+
+
+def _bbm_total(u: SampledField, terms: np.ndarray, eps_len: float) -> float:
     n = u.grid.dim
-    return math.fsum(terms) * h ** (2 * n) / eps_len**n
+    return math.fsum(terms) * u.grid.spacing ** (2 * n) / eps_len**n
 
 
 @dataclass(frozen=True)
@@ -289,9 +309,26 @@ def bbm_sweep(
     *,
     kappa: float = defaults.KAPPA,
 ) -> EpsSweep:
-    """bbm_value along a decreasing eps ladder plus an extrapolated limit."""
+    """bbm_value along a decreasing eps ladder plus an extrapolated limit.
+
+    The pair sums are computed once, at the first (largest) rung; every rung
+    then reduces the subset of offsets with |v|^2 <= its own m2.  That subset
+    is the rung's own ``lattice_offsets`` list with the same per-offset
+    terms, and ``math.fsum`` is correctly rounded, so each value equals
+    ``bbm_value(u, q, eps, x_mask)`` bit for bit.
+    """
+    m2_top, r2, terms = 0, None, None
+
+    def value(eps):
+        nonlocal m2_top, r2, terms
+        m2, eps_len = _bbm_rung(u, q, eps, kappa)
+        if m2 > m2_top:  # only the first rung of a decreasing ladder
+            m2_top = m2
+            r2, terms = _bbm_terms(u, q, m2, x_mask)
+        return _bbm_total(u, terms[r2 <= m2], eps_len)
+
     return sweep_functional(
-        lambda e: bbm_value(u, q, e, x_mask, kappa=kappa),
+        value,
         eps_list,
         u.grid.spacing,
         fit_model,
@@ -491,28 +528,35 @@ def gagliardo_seminorm_pow(
 def gagliardo_dominates_bbm(
     u: SampledField,
     q: float,
-    eps,
+    eps_list,
     *,
     kappa: float = defaults.KAPPA,
-) -> tuple[float, float, bool]:
-    """(bbm value, gagliardo value, bbm <= gagliardo) with shared pair sums.
+) -> list[tuple[float, float, bool]]:
+    """(bbm value, gagliardo value, bbm <= gagliardo) for every eps in the list.
+
+    One ``pair_power_sums`` pass up to the grid diameter serves every rung:
+    the gagliardo value reduces all of it, and each bbm value reduces the
+    offsets with |v| <= eps, which equals ``bbm_value(u, q, eps)`` bit for
+    bit.  Every rung is validated before the pass runs.
 
     The domination holds term by term: for |v| <= eps the bbm kernel weight
     1/(eps^N |v|) never exceeds 1/|v|^{N+1}, and the gagliardo sum contains
     every bbm pair plus the tail |v| > eps.
     """
+    rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
     g = u.grid
     h = g.spacing
-    m2eps, eps_len = resolve_radius(eps, h)
-    _check_regime(eps_len, h, kappa, g.diameter)
     m2max = sum((e - 1) ** 2 for e in g.extents)
     offs, r2 = lattice_offsets(g.dim, m2max)
     sums = pair_power_sums(u, offs, q)
     dist = h * np.sqrt(r2)
     gag = math.fsum(sums / dist ** (g.dim + 1)) * h ** (2 * g.dim)
-    near = r2 <= m2eps
-    bbm = math.fsum(sums[near] / dist[near]) * h ** (2 * g.dim) / eps_len**g.dim
-    return bbm, gag, bool(bbm <= gag)
+    terms = sums / dist
+    out = []
+    for m2eps, eps_len in rungs:
+        bbm = _bbm_total(u, terms[r2 <= m2eps], eps_len)
+        out.append((bbm, gag, bool(bbm <= gag)))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -219,7 +219,10 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     {"eps_ladder": "x"},
     {"mollifier": "x"},
     {"fit_model": "quadratic"},
-], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model"])
+    {"directions": 0},
+    {"directions": 2.5},
+], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
+        "directions-zero", "directions-float"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG

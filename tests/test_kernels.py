@@ -270,9 +270,114 @@ def test_gagliardo_linear_unit_value():
 def test_gagliardo_dominates_every_eps():
     g = Grid.for_box([0.0], [1.0], [2048])
     u = sample_analytic(make_field("hoelder", s=0.75), DomainMask.full(g))
-    for m in (16, 64, 256):
-        bbm, gag, ok = gagliardo_dominates_bbm(u, 2.0, GridRadius.from_cells(m))
+    ladder = [GridRadius.from_cells(m) for m in (256, 64, 16)]
+    triples = gagliardo_dominates_bbm(u, 2.0, ladder)
+    assert len(triples) == len(ladder)
+    for bbm, gag, ok in triples:
         assert ok and bbm <= gag
+
+
+def _ladder_field(line_mask, case):
+    """(field, x_mask, cells) for the one-pass ladder tests."""
+    if case.startswith("line"):
+        u = random_block_field(line_mask, seed=11)
+        cells = (64.4, 31.7, 16.05, 9.05, 9.02, 8.2)
+    else:
+        u = _disc_field(seed=3)
+        cells = (12.3, 10.7, 9.05, 9.02, 8.2)
+    x_mask = u.mask.erode(4 * u.grid.spacing) if case.endswith("x-mask") else None
+    return u, x_mask, cells
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("rungs", ["grid-radius", "float"])
+@pytest.mark.parametrize("case", ["line", "line-x-mask", "disc", "disc-x-mask"])
+def test_bbm_sweep_reads_every_rung_bit_exact(line_mask, case, rungs, q):
+    # one pass at the largest rung, every smaller rung read from it: each
+    # value must equal a fresh bbm_value at that rung, bit for bit
+    u, x_mask, cells = _ladder_field(line_mask, case)
+    h = u.grid.spacing
+    if rungs == "grid-radius":
+        ladder = [GridRadius.from_cells(m) for m in sorted({int(c) for c in cells}, reverse=True)]
+    else:
+        ladder = [c * h for c in cells]  # 9.05 and 9.02 cells share m2 = 81
+    sweep = bbm_sweep(u, q, ladder, "constant", x_mask)
+    assert sweep.values == tuple(bbm_value(u, q, e, x_mask) for e in ladder)
+
+
+def test_ladder_runs_one_pair_pass(line_mask, monkeypatch):
+    from bvqlab import kernels
+    from bvqlab.kernels import lattice_offsets
+
+    calls = []
+    real = kernels.pair_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pair_power_sums", counted)
+    u = random_block_field(line_mask, seed=11)
+    bbm_sweep(u, 2.0, [GridRadius.from_cells(m) for m in (64, 32, 16, 8)], "constant")
+    assert calls == [len(lattice_offsets(1, 64 * 64)[0])]
+    calls.clear()
+    g = Grid.for_box([0.0], [1.0], [256])
+    v = random_block_field(DomainMask.full(g), seed=2)
+    gagliardo_dominates_bbm(v, 2.0, [GridRadius.from_cells(m) for m in (64, 32, 16, 8)])
+    assert calls == [len(lattice_offsets(1, 255 * 255)[0])]
+
+
+def _gagliardo_reference(u, q, ladder):
+    # the pre-ladder computation: one full pair_power_sums, one rung at a time
+    from bvqlab.kernels import lattice_offsets, pair_power_sums, resolve_radius
+
+    g = u.grid
+    h = g.spacing
+    offs, r2 = lattice_offsets(g.dim, sum((e - 1) ** 2 for e in g.extents))
+    sums = pair_power_sums(u, offs, q)
+    dist = h * np.sqrt(r2)
+    gag = math.fsum(sums / dist ** (g.dim + 1)) * h ** (2 * g.dim)
+    out = []
+    for eps in ladder:
+        m2, eps_len = resolve_radius(eps, h)
+        near = r2 <= m2
+        bbm = math.fsum(sums[near] / dist[near]) * h ** (2 * g.dim) / eps_len**g.dim
+        out.append((bbm, gag, bool(bbm <= gag)))
+    return out
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("case", ["line", "disc"])
+def test_gagliardo_ladder_bit_exact(line_mask, case, q):
+    u, _, cells = _ladder_field(line_mask, case)
+    ladder = [c * u.grid.spacing for c in cells]
+    triples = gagliardo_dominates_bbm(u, q, ladder)
+    assert triples == _gagliardo_reference(u, q, ladder)
+    assert [t[0] for t in triples] == [bbm_value(u, q, e) for e in ladder]
+    assert triples[0][1] == gagliardo_seminorm_pow(u, q)
+
+
+def test_ladder_errors_before_any_pair_pass(line_mask, monkeypatch):
+    from bvqlab import kernels
+
+    def boom(*args, **kwargs):
+        raise AssertionError("pair sums ran before the ladder was validated")
+
+    monkeypatch.setattr(kernels, "pair_power_sums", boom)
+    u = random_block_field(line_mask, seed=11)
+    h = u.grid.spacing
+    with pytest.raises(ValueError):
+        bbm_sweep(u, 2.0, [16 * h, 32 * h, 8 * h], "constant")  # not decreasing
+    with pytest.raises(RegimeError):
+        bbm_sweep(u, 2.0, [u.grid.diameter, 16 * h, 8 * h], "constant")
+    with pytest.raises(ValueError):
+        bbm_sweep(u, 0.5, [32 * h, 16 * h, 8 * h], "constant")  # q < 1
+    with pytest.raises(RegimeError):
+        gagliardo_dominates_bbm(u, 2.0, [16 * h, u.grid.diameter])
+    with pytest.raises(RegimeError):
+        gagliardo_dominates_bbm(u, 2.0, [16 * h, 4 * h])  # below kappa*h
+    with pytest.raises(ValueError):
+        gagliardo_dominates_bbm(u, 0.5, [16 * h])
 
 
 def test_grid_radius_validation():
