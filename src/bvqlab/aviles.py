@@ -34,10 +34,9 @@ from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
     bbm_sweep,
-    bbm_value,
+    bbm_value,  # unused here; bench/tests/test_bench.py pins aviles.bbm_value
     lattice_offsets,
     resolve_radius,
-    sweep_functional,
 )
 from .mollifier import Mollifier, energy_bound_coefficients
 from .reports import ComparisonReport, equal_within, leq
@@ -284,8 +283,7 @@ def check_ag_chain(
     grad_field = sample_gradient(spec, psi.mask)
     cell = h**psi.grid.dim
 
-    young_lhs, mids, matched_bounds, young_ok = [], [], [], True
-    kernel_cache: dict[float, float] = {}
+    young_lhs, mids, young_ok = [], [], True
     for e, e_len in zip(eps_list, eps_lens):
         mf = mollify(psi, eta, e, inner, kappa=kappa)
         hn = mf.hessian_frobenius()
@@ -300,16 +298,8 @@ def check_ag_chain(
         lhs_pt = e_len**2 * hl**3 + dl**1.5 / e_len
         rhs_pt = np.longdouble(YOUNG_CONSTANT) * hl * dl
         young_ok = young_ok and bool((lhs_pt >= rhs_pt).all())
-        a3 = bbm_value(grad_field, 3.0, e, inner, kappa=kappa)
-        kernel_cache[float(e_len)] = a3
-        matched_bounds.append(_moment_bound(eta, 3.0, 3.0, a3, a3))
-    sweep3 = sweep_functional(
-        lambda e: kernel_cache[float(resolve_radius(e, h)[1])],
-        eps_list,
-        h,
-        fit_model,
-        kappa=kappa,
-    )
+    sweep3 = bbm_sweep(grad_field, 3.0, eps_list, fit_model, inner, kappa=kappa)
+    matched_bounds = [_moment_bound(eta, 3.0, 3.0, a3, a3) for a3 in sweep3.values]
     limit_bound = _moment_bound(eta, 3.0, 3.0, sweep3.limit, sweep3.limit)
     matched_ok = all(
         m <= b * (1.0 + slack) + ZERO_ATOL for m, b in list(zip(mids, matched_bounds))[-2:]

@@ -5,6 +5,10 @@ descriptions in the field catalog, and the dimensional constant is a sphere
 quadrature cross-checked against its Gamma-function closed form.  The left
 sides are kernel measurements from :mod:`bvqlab.kernels`; comparison reports
 tie the two together.
+
+No scipy here: the closed forms need Gamma only at half-integers n/2 with
+n <= 5, which ``_half_gamma`` builds by recurrence, so importing this module
+(and ``bvqlab.cli``) loads numpy only.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import defaults
 from .errors import RegimeError
@@ -31,15 +34,29 @@ from .kernels import (
 from .reports import ComparisonReport, equal_within
 
 
+def _half_gamma(n: int) -> float:
+    """Gamma(n/2) for an integer n >= 1, by Gamma(x + 1) = x Gamma(x).
+
+    Starts from Gamma(1/2) = sqrt(pi) or Gamma(1) = 1.  For n <= 6 the
+    result equals ``scipy.special.gamma(n / 2)`` bit for bit; ``math.gamma``
+    does not (its Gamma(3/2) is one ulp high).
+    """
+    g, k = (math.sqrt(math.pi), 1) if n % 2 else (1.0, 2)
+    while k < n:
+        g *= k / 2.0
+        k += 2
+    return g
+
+
 def unit_ball_volume(dim: int) -> float:
-    return float(math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0 + 1.0))
+    return float(math.pi ** (dim / 2.0) / _half_gamma(dim + 2))
 
 
 def dimensional_constant_closed_form(dim: int) -> float:
     """(2/N) * pi^((N-1)/2) / Gamma((N+1)/2)."""
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
-    return float(2.0 / dim * math.pi ** ((dim - 1) / 2.0) / gamma_fn((dim + 1) / 2.0))
+    return float(2.0 / dim * math.pi ** ((dim - 1) / 2.0) / _half_gamma(dim + 1))
 
 
 @lru_cache(maxsize=8)

@@ -471,7 +471,9 @@ def directional_sup(
     A lower bound for the true supremum over the unit sphere; callers treat
     it as such.
     """
-    count = n_directions or defaults.direction_count(u.grid.dim)
+    if n_directions is not None and n_directions < 1:
+        raise ValueError("n_directions must be at least 1")
+    count = defaults.direction_count(u.grid.dim) if n_directions is None else n_directions
     if count < 2 * u.grid.dim and u.grid.dim > 1:
         raise ValueError("need at least the 2*dim axis directions")
     best = 0.0
@@ -541,7 +543,12 @@ def gagliardo_dominates_bbm(
 
     The domination holds term by term: for |v| <= eps the bbm kernel weight
     1/(eps^N |v|) never exceeds 1/|v|^{N+1}, and the gagliardo sum contains
-    every bbm pair plus the tail |v| > eps.
+    every bbm pair plus the tail |v| > eps.  The verdict is decided that way
+    too, not by comparing the two totals, which are rounded differently and
+    can swap order by an ulp where they are equal in exact arithmetic: it is
+    the sign of the ``fsum`` of sums_v * (weight difference) over the rung
+    plus the tail.  Both weights come from the same operations on |v| and
+    eps, so each difference is >= 0 whenever |v| <= eps in floating point.
     """
     rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
     g = u.grid
@@ -552,10 +559,21 @@ def gagliardo_dominates_bbm(
     dist = h * np.sqrt(r2)
     gag = math.fsum(sums / dist ** (g.dim + 1)) * h ** (2 * g.dim)
     terms = sums / dist
+    w_gag = 1.0 / (_int_power(dist, g.dim) * dist)
     out = []
     for m2eps, eps_len in rungs:
-        bbm = _bbm_total(u, terms[r2 <= m2eps], eps_len)
-        out.append((bbm, gag, bool(bbm <= gag)))
+        near = r2 <= m2eps
+        bbm = _bbm_total(u, terms[near], eps_len)
+        w_bbm = np.where(near, 1.0 / (_int_power(eps_len, g.dim) * dist), 0.0)
+        out.append((bbm, gag, math.fsum(sums * (w_gag - w_bbm)) >= 0.0))
+    return out
+
+
+def _int_power(x, n: int):
+    """x**n by repeated multiplication: monotone in x >= 0, scalar or array."""
+    out = x
+    for _ in range(n - 1):
+        out = out * x
     return out
 
 

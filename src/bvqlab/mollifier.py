@@ -11,6 +11,12 @@ rules that absorb the endpoint powers into the weight; for the polynomial
 profile every moment also has a Beta-function closed form used as an
 independent cross-check.  Ball quadratures are tensor products of a radial
 rule and a uniform angular rule in polar/spherical form.
+
+``scipy.special`` is imported inside the four functions that use it
+(``sphere_surface``, ``_radial_rule``, ``build_mollifier`` and
+``polynomial_moment_closed_form``), so importing this module loads numpy
+only; scipy loads when the first mollifier is built or the first radial
+quadrature runs.
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import roots_jacobi
 
 from . import defaults
 
 
 def sphere_surface(dim: int) -> float:
     """Surface measure of S^{dim-1} (2 points for dim = 1)."""
+    from scipy.special import gamma as gamma_fn
+
     return float(2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0))
 
 
@@ -38,6 +44,8 @@ def _radial_rule(n: int, gamma: float, beta: float):
     Gauss-Jacobi on [-1, 1] with weight (1-x)^beta (1+x)^gamma, mapped by
     x = 2r - 1.
     """
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(n, beta, gamma)
     r = 0.5 * (x + 1.0)
     scale = 0.5 ** (gamma + beta + 1.0)
@@ -207,6 +215,8 @@ def build_mollifier(
     both cases an independent evaluation at doubled resolution must agree to
     1e-10, otherwise construction fails.
     """
+    from scipy.special import gamma as gamma_fn
+
     if resolution < 64:
         raise ValueError("quadrature resolution must be at least 64 per axis")
     if dim not in (1, 2, 3):
@@ -239,6 +249,8 @@ def polynomial_moment_closed_form(
     eta: Mollifier, alpha: float, s: float, of_gradient: bool
 ) -> float:
     """Beta-function value of a radial moment (polynomial profile only)."""
+    from scipy.special import gamma as gamma_fn
+
     if eta.profile != "polynomial-bump":
         raise ValueError("closed form only for the polynomial bump")
     c, k, dim = eta.normalization, eta.k, eta.dim

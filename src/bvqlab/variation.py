@@ -8,7 +8,8 @@ import numpy as np
 
 from . import defaults
 from .grid import DomainMask, Grid, SampledField
-from .kernels import _power_from_sq, bbm_value, sweep_functional
+# bbm_value is unused here; bench/tests/test_bench.py pins variation.bbm_value
+from .kernels import _power_from_sq, bbm_sweep, bbm_value
 from .reports import ComparisonReport, leq
 
 
@@ -91,13 +92,7 @@ def check_vq_embedding(
     piecewise-constant representative the kernel sum measures.
     """
     field = signal_as_field(sig)
-    sweep = sweep_functional(
-        lambda e: bbm_value(field, q, e, kappa=kappa),
-        eps_list,
-        field.grid.spacing,
-        fit_model="constant",
-        kappa=kappa,
-    )
+    sweep = bbm_sweep(field, q, eps_list, "constant", kappa=kappa)
     lhs = max(sweep.values)
     rhs = 4.0 * q_variation_pow(sig, q)
     return leq(

@@ -8,6 +8,7 @@ from bvqlab import (
     Grid,
     GridRadius,
     ag_energy,
+    bbm_value,
     build_mollifier,
     check_ag_chain,
     check_ag_upper_bound,
@@ -191,6 +192,36 @@ def test_chain_pyramid_and_upper_bound_bit_identity(pyramid_setup):
     upper = check_ag_upper_bound(psi, eta, 3.0, 3.0, ladder)
     assert chain.passed
     assert chain.details["limit_bound"] == upper.rhs  # same code path, bit for bit
+
+
+def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
+    from bvqlab import kernels
+    from bvqlab.fields import sample_gradient
+
+    g, mask, psi, eta = roof_setup
+    ladder = [GridRadius.from_cells(m) for m in (64, 48, 32, 16)]
+    calls = []
+    real = kernels.pair_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pair_power_sums", counted)
+    rep = check_ag_chain(psi, eta, ladder)
+    assert calls == [len(kernels.lattice_offsets(1, 64 * 64)[0])]
+    monkeypatch.undo()
+    grad = sample_gradient(psi.source, mask)
+    inner = mask.erode(64 * g.spacing)
+    per_rung = [bbm_value(grad, 3.0, e, inner) for e in ladder]
+    assert rep.details["gradient_sweep"] == per_rung
+    assert rep.details["matched_bounds"] == [_moment_bound(eta, 3.0, 3.0, a, a) for a in per_rung]
+
+
+def test_chain_rejects_bad_ladder(roof_setup):
+    g, mask, psi, eta = roof_setup
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        check_ag_chain(psi, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
 
 
 def test_chain_rejects_3d():

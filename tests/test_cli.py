@@ -245,12 +245,54 @@ def test_report_wrong_json_shape_is_config_error(tmp_path, capsys, payload):
     assert f"corrupt report file: {bad}" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_signal():
-    # scipy.signal is slow to import and would add to the start-up of every CLI run
+def _run_python(code: str, cwd: Path | None = None) -> str:
     src = str(Path(bvqlab.__file__).resolve().parents[1])
-    code = "import sys, bvqlab.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    # importing scipy.special about doubled the start-up of every CLI run;
+    # no scipy module at all may load on import
+    code = "import sys, bvqlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _run_python(code) == "[]"
+
+
+@pytest.mark.parametrize("experiment", ["bbm-sweep", "constants"])
+def test_run_without_mollifier_does_not_load_scipy_special(tmp_path, experiment):
+    # scipy.special loads only when a mollifier quadrature runs
+    cfg = write_config(
+        tmp_path, "cold.json", experiment=experiment,
+        grid={"lo": [-1.0], "hi": [1.0], "n": [512]},
+        eps_ladder={"start_cells": 32, "ratio": 0.5, "count": 3},
+        fit_model="constant", out_dir=str(tmp_path / "out_cold"),
+    )
+    code = (
+        "import sys; from bvqlab.cli import main; "
+        f"rc = main(['run', {str(cfg)!r}]); "
+        "print(rc, 'scipy.special' in sys.modules)"
+    )
+    assert _run_python(code, cwd=tmp_path).splitlines()[-1] == f"{EXIT_OK} False"
+    assert (tmp_path / "out_cold" / "report.json").exists()
+
+
+@pytest.mark.parametrize("ladder,fit_model,code,message", [
+    # two rungs are too few for the linear fit of the gradient sweep
+    ({"start_cells": 32, "ratio": 0.5, "count": 2}, "linear-in-eps", EXIT_CONFIG,
+     "config error: linear-in-eps extrapolation needs >= 3 eps values"),
+    # the largest rung erodes the whole domain
+    ({"start_cells": 512, "ratio": 0.5, "count": 3}, "constant", EXIT_REGIME,
+     "regime guard: erosion by 2.0 emptied the mask"),
+], ids=["short-for-fit", "at-diameter"])
+def test_ag_chain_bad_ladder_exit_code(tmp_path, capsys, ladder, fit_model, code, message):
+    cfg = write_config(
+        tmp_path, "bad_chain.json", experiment="ag-chain",
+        field={"kind": "pyramid-eikonal", "params": {"lo": [-1.0], "hi": [1.0]}},
+        grid={"lo": [-1.0], "hi": [1.0], "n": [512]},
+        eps_ladder=ladder, fit_model=fit_model, out_dir=str(tmp_path / "out_bad"),
+    )
+    assert main(["run", str(cfg)]) == code
+    assert capsys.readouterr().err.strip() == message

@@ -36,6 +36,22 @@ def test_dimensional_constants_exact_values():
         dimensional_constant(4)
 
 
+def test_half_gamma_matches_scipy_bit_for_bit():
+    # the closed forms used scipy.special.gamma; the recurrence keeps every bit
+    from scipy.special import gamma
+
+    from bvqlab.jumps import _half_gamma
+
+    for n in range(1, 7):
+        assert _half_gamma(n) == gamma(n / 2.0), n
+    for dim in (1, 2, 3):
+        assert unit_ball_volume(dim) == float(math.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0))
+        assert dimensional_constant_closed_form(dim) == float(
+            2.0 / dim * math.pi ** ((dim - 1) / 2.0) / gamma((dim + 1) / 2.0)
+        )
+    assert dimensional_constant_closed_form(2) == 2.0  # math.gamma(1.5) would give 1.9999999999999998
+
+
 def test_jump_energy_rhs_examples(line_mask, square_mask):
     step = make_field("step-1d", position=0.0)
     assert jump_energy_rhs(step.jump_spec(line_mask.grid), 3.0, 1) == pytest.approx(2.0)

@@ -387,6 +387,29 @@ def test_grid_radius_validation():
     assert r.m2 == 50
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_direction_count_below_one_rejected(square_mask, count):
+    u = sample_analytic(make_field("half-plane-indicator"), square_mask)
+    h = square_mask.grid.spacing
+    with pytest.raises(ValueError, match="n_directions"):
+        directional_sup(u, 2.0, 12 * h, n_directions=count)
+    with pytest.raises(ValueError, match="n_directions"):
+        besov_seminorm_pow(u, 2.0, [12 * h, 8 * h], n_directions=count)
+
+
+def test_gagliardo_domination_tie_is_ok():
+    # inside cells 0 and 2 of four: at eps = 2 cells the two sides are equal
+    # in exact arithmetic, and their computed totals differ by one ulp
+    g = Grid.for_box([0.0], [0.3], [4])
+    inside = np.array([True, False, True, False])
+    u = SampledField(DomainMask(g, inside), np.array([0.0, 0.0, 1.0, 0.0]))
+    (bbm, gag, ok), = gagliardo_dominates_bbm(u, 1.5, [GridRadius(4)], kappa=2.0)
+    assert ok
+    assert bbm == 0.5 and gag == 0.49999999999999994  # bbm > gag by one ulp
+    assert bbm == bbm_value(u, 1.5, GridRadius(4), kappa=2.0)
+    assert gag == gagliardo_seminorm_pow(u, 1.5)
+
+
 def test_directional_sup_and_besov_constant_zero(line_mask):
     u = sample_analytic(make_field("constant", value=(2.0,)), line_mask)
     h = line_mask.grid.spacing

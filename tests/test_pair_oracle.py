@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bvqlab import (
@@ -108,6 +108,7 @@ def _check(u, q, cells, x_mask):
     seed=st.integers(0, 10_000),
     use_x_mask=st.booleans(),
 )
+@example(n=4, d=1, q=1.5, seed=1, use_x_mask=False)  # bbm == gagliardo at 2 cells
 def test_oracle_1d(n, d, q, seed, use_x_mask):
     u = _random_field([n], d, seed)
     x_mask = _x_mask(u, seed) if use_x_mask else None

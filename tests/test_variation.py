@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvqlab import GridRadius, Signal1D, check_vq_embedding, q_variation_pow, signal_as_field
+from bvqlab import (
+    GridRadius,
+    Signal1D,
+    bbm_value,
+    check_vq_embedding,
+    q_variation_pow,
+    signal_as_field,
+)
 
 
 def exhaustive_q_variation_pow(values: np.ndarray, q: float) -> float:
@@ -129,3 +136,26 @@ def test_embedding_random_signals_all_q():
         for q in (1.5, 2.0, 3.0):
             rep = check_vq_embedding(sig, q, ladder)
             assert rep.passed, (trial, q)
+
+
+def test_embedding_sweep_is_one_pass(monkeypatch):
+    from bvqlab import kernels
+
+    rng = np.random.default_rng(7)
+    sig = Signal1D(np.linspace(0.0, 1.0, 256), rng.normal(size=(256, 2)))
+    ladder = [GridRadius.from_cells(m) for m in (32, 16, 8)]
+    calls = []
+    real = kernels.pair_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pair_power_sums", counted)
+    rep = check_vq_embedding(sig, 1.5, ladder)
+    assert calls == [len(kernels.lattice_offsets(1, 32 * 32)[0])]
+    monkeypatch.undo()
+    field = signal_as_field(sig)
+    assert rep.details["sweep_values"] == [bbm_value(field, 1.5, e) for e in ladder]
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        check_vq_embedding(sig, 1.5, ladder[::-1])
