@@ -341,11 +341,12 @@ def _exp_vq(cfg):
 
 def _exp_b_space(cfg):
     spec, mask, u = _sample(cfg)
-    rows, reports = [], []
-    for eps in cfg.ladder():
-        rep = check_b_bound(u, cfg.q, eps, kappa=cfg.kappa)
-        rows.append((eps.length(mask.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"]))
-        reports.append(rep)
+    ladder = cfg.ladder()
+    reports = check_b_bound(u, cfg.q, ladder, kappa=cfg.kappa)
+    rows = [
+        (eps.length(mask.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"])
+        for eps, rep in zip(ladder, reports)
+    ]
     return ["eps", "cube_value", "bound", "cubes"], rows, reports
 
 

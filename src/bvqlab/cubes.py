@@ -9,6 +9,20 @@ The packing search is a greedy selection over a shifted candidate lattice
 (stride eps/4 by default), so the returned functional value is a feasible
 lower bound of the true sup; every check that consumes it is stated so that
 a lower bound keeps the check sound.
+
+Scoring is batched.  One ``sliding_window_view`` of the inside flags finds
+every candidate cube of the stride lattice at once.  The value windows of
+the candidates are then gathered in chunks of whole cubes, at most
+``_CHUNK_FLOATS`` (2^17) values per chunk, so memory stays bounded.  A
+scalar chunk is sorted row by row with one ``np.sort`` and each row keeps
+its own dot product with the prefix coefficients: the operations
+``cube_score`` applies to one cube, so every batched score equals it bit for
+bit.  (One matrix-vector product over the chunk would be faster but rounds
+differently.)  Vector fields score cube by cube and never split one cube's
+pair sum.
+
+``check_b_bound`` takes an eps ladder and gets the kernel side of every rung
+from one pair-sum pass at the widest radius eps*sqrt(N).
 """
 
 from __future__ import annotations
@@ -17,12 +31,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
 from .errors import RegimeError
 from .grid import DomainMask, SampledField
-from .kernels import GridRadius, bbm_value, resolve_radius
+from .kernels import (
+    GridRadius,
+    _bbm_rung,
+    _bbm_terms,
+    _bbm_total,
+    bbm_value,  # unused here; bench/tests/test_bench.py pins cubes.bbm_value
+    resolve_radius,
+)
 from .reports import ComparisonReport, leq
+
+# Values gathered per scoring chunk, whole cubes only (1 MiB of float64).
+_CHUNK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -60,16 +85,49 @@ def packing_cap(eps: float, dim: int) -> int:
     return int(math.floor(eps ** (-(dim - 1)) + 1e-12)) if dim > 1 else 1
 
 
-def _pair_abs_sum(vals: np.ndarray) -> float:
-    """sum over ordered pairs (i, j) of |v_i - v_j| for a flat value block."""
-    if vals.shape[1] == 1:
-        # sorted prefix trick: sum_{i<j} (s_j - s_i) = sum_j s_j (2j - (k-1))
-        s = np.sort(vals[:, 0])
-        k = len(s)
+def _pair_abs_sums(blocks: np.ndarray) -> list[float]:
+    """sum over ordered pairs (i, j) of |v_i - v_j| for each (k, d) value block.
+
+    ``blocks`` has shape (cubes, k, d).  Scalar blocks are sorted row by row
+    in one call and each row takes the sorted prefix trick
+    sum_{i<j} (s_j - s_i) = sum_j s_j (2j - (k-1)) as its own dot product;
+    vector blocks sum their k x k pair norms one block at a time.
+    """
+    k = blocks.shape[1]
+    if blocks.shape[2] == 1:
+        s = np.sort(blocks[:, :, 0], axis=-1)
         coef = 2.0 * np.arange(k) - (k - 1.0)
-        return 2.0 * float(s @ coef)
-    diff = vals[:, None, :] - vals[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum())
+        return [2.0 * float(row @ coef) for row in s]
+    out = []
+    for vals in blocks:
+        diff = vals[:, None, :] - vals[None, :, :]
+        out.append(float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()))
+    return out
+
+
+def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> list[float]:
+    """Scores of the side^N cubes with the given lower corners, in order.
+
+    Value windows are gathered in chunks of whole cubes, at most
+    ``_CHUNK_FLOATS`` values per chunk, so memory stays bounded whatever the
+    grid, the scale and the number of candidates.
+    """
+    if not len(origins):
+        return []  # also when the cube is wider than the grid
+    g = u.grid
+    h = g.spacing
+    eps = side * h
+    norm = eps ** (g.dim - 1) / eps ** (2 * g.dim)
+    h2n = h ** (2 * g.dim)
+    windows = sliding_window_view(u.values, (side,) * g.dim, axis=tuple(range(g.dim)))
+    k = side**g.dim
+    per_chunk = max(1, _CHUNK_FLOATS // (k * u.d))
+    scores = []
+    for start in range(0, len(origins), per_chunk):
+        chunk = windows[tuple(origins[start : start + per_chunk].T)]
+        blocks = chunk.reshape(len(chunk), u.d, k).transpose(0, 2, 1)
+        scores += [norm * (pair * h2n) for pair in _pair_abs_sums(blocks)]
+    return scores
 
 
 def cube_score(u: SampledField, origin_cells, side_cells: int) -> float:
@@ -82,26 +140,38 @@ def cube_score(u: SampledField, origin_cells, side_cells: int) -> float:
     block = tuple(slice(a, a + m) for a in o)
     if not u.mask.inside[block].all():
         raise ValueError("cube leaves the domain mask")
-    vals = u.values[block].reshape(-1, u.d)
-    h = g.spacing
-    eps = m * h
-    double_int = _pair_abs_sum(vals) * h ** (2 * g.dim)
-    return eps ** (g.dim - 1) / eps ** (2 * g.dim) * double_int
+    return _cube_scores(u, np.array([o]), m)[0]
 
 
-def _candidate_origins(mask: DomainMask, side_cells: int, stride_cells: int):
-    ranges = []
-    for e in mask.grid.extents:
-        last = e - side_cells
-        if last < 0:
-            return []
-        ranges.append(range(0, last + 1, stride_cells))
-    out = []
-    for o in np.stack(np.meshgrid(*[np.asarray(r) for r in ranges], indexing="ij"), axis=-1).reshape(-1, mask.grid.dim):
-        block = tuple(slice(int(a), int(a) + side_cells) for a in o)
-        if mask.inside[block].all():
-            out.append(tuple(int(a) for a in o))
-    return out
+def _candidates(mask: DomainMask, side: int, stride: int) -> np.ndarray:
+    """Lower corners on the stride lattice whose cube lies inside, in C order."""
+    dim = mask.grid.dim
+    if any(e < side for e in mask.grid.extents):
+        return np.empty((0, dim), dtype=np.intp)
+    lattice = (slice(None, None, stride),) * dim
+    windows = sliding_window_view(mask.inside, (side,) * dim)[lattice]
+    fits = windows.all(axis=tuple(range(dim, 2 * dim)))
+    return np.argwhere(fits) * stride
+
+
+def _cube_side(eps, h: float, kappa: float) -> tuple[int, float]:
+    """Validate one eps as a cube scale; return its side in cells and length."""
+    m2, eps_len = resolve_radius(eps, h)
+    side = math.isqrt(m2)
+    if side * side != m2:
+        raise ValueError("cube side must be a whole number of cells")
+    if eps_len < kappa * h:
+        raise RegimeError("eps below kappa*h")
+    return side, eps_len
+
+
+def _stride(stride_cells, side: int):
+    """The candidate lattice stride: eps/4 by default, else at least one cell."""
+    if stride_cells is None:
+        return max(1, side // defaults.CUBE_STRIDE_DIVISOR)
+    if stride_cells < 1:
+        raise ValueError(f"stride_cells must be at least 1, got {stride_cells}")
+    return stride_cells
 
 
 def _greedy_select(scored, side_cells: int, cap: int):
@@ -166,19 +236,18 @@ def cube_functional(
     top disjoint cubes (lexicographic tie-break); ``exact-small`` enumerates
     packings and needs at most 20 candidates.  Either way the value is a
     feasible packing score, i.e. a lower bound for the supremum over all
-    packings.
+    packings.  ``stride_cells`` below 1 is refused; a cube wider than the
+    grid leaves no candidate and gives the empty packing.
+
+    All candidates are found and scored in one batch (see the module
+    docstring); each score equals ``cube_score`` at that origin bit for bit.
     """
     h = u.grid.spacing
-    m2, eps_len = resolve_radius(eps, h)
-    side = math.isqrt(m2)
-    if side * side != m2:
-        raise ValueError("cube side must be a whole number of cells")
-    if eps_len < kappa * h:
-        raise RegimeError("eps below kappa*h")
-    stride = stride_cells or max(1, side // defaults.CUBE_STRIDE_DIVISOR)
-    cands = _candidate_origins(u.mask, side, stride)
+    side, eps_len = _cube_side(eps, h, kappa)
+    stride = _stride(stride_cells, side)
+    origins = _candidates(u.mask, side, stride)
     scored = sorted(
-        ((cube_score(u, o, side), o) for o in cands),
+        zip(_cube_scores(u, origins, side), zip(*origins.T.tolist())),
         key=lambda t: (-t[0], t[1]),
     )
     cap = packing_cap(eps_len, u.grid.dim)
@@ -199,33 +268,49 @@ def cube_functional(
 def check_b_bound(
     u: SampledField,
     q: float,
-    eps,
+    eps_list,
     stride_cells: int | None = None,
     *,
     kappa: float = defaults.KAPPA,
-) -> ComparisonReport:
-    """Packing value <= N^((N+1)/(2q)) * (kernel sum at eps*sqrt(N))^(1/q).
+) -> list[ComparisonReport]:
+    """Packing value <= N^((N+1)/(2q)) * (kernel sum at eps*sqrt(N))^(1/q),
+    one report per eps of the ladder.
 
     Untoleranced: the chain behind it (per-cube Hoelder, kernel domination
     by the cube diameter, the packing cap) holds term by term on the grid,
     and any feasible packing value only lowers the left side.
+
+    Every rung is validated first (whole-cell cube side, eps >= kappa*h, the
+    stride, q, and eps*sqrt(N) below the domain diameter).  Then one
+    ``pair_power_sums`` pass at the widest radius eps*sqrt(N) serves the
+    whole ladder: each rung reduces the offsets within its own radius, which
+    equals ``bbm_value(u, q, eps*sqrt(N))`` bit for bit.
     """
     h = u.grid.spacing
-    m2, eps_len = resolve_radius(eps, h)
-    side = math.isqrt(m2)
-    if side * side != m2:
-        raise ValueError("cube side must be a whole number of cells")
-    value, packing = cube_functional(u, eps, "greedy", stride_cells, kappa=kappa)
     n = u.grid.dim
-    wide = GridRadius.from_cells(side).scaled_sqrt_dim(n)
-    kernel = bbm_value(u, q, wide, kappa=kappa)
-    rhs = n ** ((n + 1) / (2.0 * q)) * kernel ** (1.0 / q)
-    return leq(
-        value,
-        rhs,
-        f"cube-packing vs kernel bound (q={q:g}, eps={eps_len:g})",
-        cubes=packing.count,
-        kernel_at_sqrtN=kernel,
-        eps_wide=wide.length(h),
-        lhs_is_feasible_lower_bound=True,
-    )
+    rungs = []
+    for eps in eps_list:
+        side, eps_len = _cube_side(eps, h, kappa)
+        _stride(stride_cells, side)
+        wide = GridRadius.from_cells(side).scaled_sqrt_dim(n)
+        rungs.append((eps, eps_len, _bbm_rung(u, q, wide, kappa)))
+    if not rungs:
+        raise ValueError("need at least one eps")
+    r2, terms = _bbm_terms(u, q, max(m2 for _, _, (m2, _) in rungs), None)
+    reports = []
+    for eps, eps_len, (m2, wide_len) in rungs:
+        value, packing = cube_functional(u, eps, "greedy", stride_cells, kappa=kappa)
+        kernel = _bbm_total(u, terms[r2 <= m2], wide_len)
+        rhs = n ** ((n + 1) / (2.0 * q)) * kernel ** (1.0 / q)
+        reports.append(
+            leq(
+                value,
+                rhs,
+                f"cube-packing vs kernel bound (q={q:g}, eps={eps_len:g})",
+                cubes=packing.count,
+                kernel_at_sqrtN=kernel,
+                eps_wide=wide_len,
+                lhs_is_feasible_lower_bound=True,
+            )
+        )
+    return reports

@@ -188,14 +188,6 @@ class SampledField:
         ss = np.einsum("...k,...k->...", self.values, self.values)
         return float(np.sqrt(np.max(ss[self.mask.inside])))
 
-    def restricted(self, mask: DomainMask) -> "SampledField":
-        """Same values viewed through a smaller mask on the same grid."""
-        if mask.grid is not self.grid and mask.grid != self.grid:
-            raise ValueError("mask must live on the same grid")
-        if (mask.inside & ~self.mask.inside).any():
-            raise ValueError("restriction mask reaches outside the field mask")
-        return SampledField(mask, self.values, self.d, self.source)
-
     def translated(self, offset_cells) -> "SampledField":
         """Shift mask and values by whole cells (used by equivariance checks)."""
         off = np.asarray(offset_cells, dtype=int)

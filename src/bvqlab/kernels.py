@@ -18,11 +18,12 @@ bit-identical and keeps the sample-wise inequalities asserted elsewhere exact
 in floating point.  Without an outer sub-mask the sum for -v repeats the sum
 for v bit for bit, so only half of a symmetric offset list is computed.
 
-An eps ladder is one pass: ``bbm_sweep`` and ``gagliardo_dominates_bbm``
-compute the per-displacement sums once, at the largest radius they need, and
-every smaller rung reduces the subset |v|^2 <= m2 of that table.  The subset
-holds the same per-offset floats as the rung's own pass, and ``math.fsum`` is
-correctly rounded, so each rung reads its ``bbm_value`` bit for bit.
+An eps ladder is one pass: ``bbm_sweep``, ``gagliardo_dominates_bbm`` and
+``cubes.check_b_bound`` compute the per-displacement sums once, at the
+largest radius they need, and every smaller rung reduces the subset
+|v|^2 <= m2 of that table.  The subset holds the same per-offset floats as
+the rung's own pass, and ``math.fsum`` is correctly rounded, so each rung
+reads its ``bbm_value`` bit for bit.
 """
 
 from __future__ import annotations
@@ -109,12 +110,16 @@ def _power_from_sq(ss: np.ndarray, q: float) -> np.ndarray:
     return ss ** (0.5 * q)
 
 
-def _offset_slices(extents, off):
+def _offset_slices(extents, off, box=None):
+    """x and y = x + off windows; x is also kept in ``box``, per-axis [lo, hi)."""
     sx, sy = [], []
-    for ext, o in zip(extents, off):
+    for a, (ext, o) in enumerate(zip(extents, off)):
         o = int(o)
         lo = max(0, -o)
         hi = min(ext, ext - o)
+        if box is not None:
+            lo = max(lo, box[a][0])
+            hi = min(hi, box[a][1])
         if hi <= lo:
             return None, None
         sx.append(slice(lo, hi))
@@ -122,10 +127,26 @@ def _offset_slices(extents, off):
     return tuple(sx), tuple(sy)
 
 
-def _pair_power_sum(field: SampledField, x_inside, off, q: float) -> float:
-    """sum over x of |u(x+off) - u(x)|^q with x in x_inside, x+off inside."""
+def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Per-axis [lo, hi) index range of the True cells of a non-empty mask."""
+    box = []
+    for a in range(inside.ndim):
+        others = tuple(b for b in range(inside.ndim) if b != a)
+        hit = np.flatnonzero(inside.any(axis=others))
+        box.append((int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
+def _pair_power_sum(field: SampledField, x_inside, off, q: float, box=None) -> float:
+    """sum over x of |u(x+off) - u(x)|^q with x in x_inside, x+off inside.
+
+    ``box``, the bounding box of ``x_inside``, crops the x window to it.
+    A window whose samples are all valid is summed whole: ``t`` is C
+    contiguous, so ``t.sum()`` adds the elements of ``t[valid]`` in the same
+    order and pairing, bit for bit, without the copy.
+    """
     inside = field.mask.inside
-    sx, sy = _offset_slices(field.grid.extents, off)
+    sx, sy = _offset_slices(field.grid.extents, off, box)
     if sx is None:
         return 0.0
     dv = field.values[sy] - field.values[sx]
@@ -135,6 +156,8 @@ def _pair_power_sum(field: SampledField, x_inside, off, q: float) -> float:
         return float(t.sum())
     xin = (x_inside if x_inside is not None else inside)[sx]
     valid = xin & inside[sy] if not field.mask.all_inside else xin
+    if valid.all():  # e.g. a rectangular x_mask cropped to its box
+        return float(t.sum())
     return float(t[valid].sum())
 
 
@@ -151,21 +174,28 @@ def pair_power_sums(
     order.  So when the offset list is symmetric (``offsets[::-1] ==
     -offsets``, true for every ``lattice_offsets`` result) only its first
     half is summed and the rest is filled by reversal, bit for bit.
+
+    With ``x_mask`` every x window is cropped to the bounding box of
+    ``x_mask.inside``.  Every x the mask keeps lies in that box, and the
+    cropped window is a sub-block of the full one, so ``t[valid]`` holds the
+    same elements in the same C order and its sum is unchanged, bit for bit;
+    only samples the mask would discard are no longer computed.
     """
-    x_inside = None
+    x_inside = box = None
     if x_mask is not None:
         if x_mask.grid != field.grid:
             raise ValueError("x_mask must share the field grid")
         if not x_mask.count:
             raise EmptyMaskError("x_mask is empty")
         x_inside = x_mask.inside
+        box = _bounding_box(x_inside)
     n = len(offsets)
     half = n
     if x_inside is None and np.array_equal(offsets[::-1], -offsets):
         half = (n + 1) // 2
     out = np.empty(n, dtype=np.float64)
     for i in range(half):
-        out[i] = _pair_power_sum(field, x_inside, offsets[i], q)
+        out[i] = _pair_power_sum(field, x_inside, offsets[i], q, box)
     out[half:] = out[: n - half][::-1]
     return out
 

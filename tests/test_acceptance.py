@@ -221,7 +221,7 @@ def test_criterion_09_variation_embedding():
 def test_criterion_10_cube_packing_bound():
     for kind, u in _catalog_fields():
         m = 16 if u.grid.dim == 1 else 12
-        rep = check_b_bound(u, 2.0, GridRadius.from_cells(m))
+        (rep,) = check_b_bound(u, 2.0, [GridRadius.from_cells(m)])
         assert rep.passed, f"criterion 10: {kind}"
     g = Grid.for_box([-1.0], [1.0], [1024])
     step = sample_analytic(make_field("step-1d", position=0.0), DomainMask.full(g))

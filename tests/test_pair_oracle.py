@@ -5,6 +5,10 @@ inclusion on exact integer squared offsets, and ``math.fsum``s the weighted
 terms.  The fast path sums each displacement with numpy's pairwise summation
 before ``fsum`` combines the displacements, so the two agree to rounding, not
 bit for bit: the comparison is at 1e-12 relative.
+
+The cropped masked pair sums are compared bit for bit with the uncropped
+per-offset loop instead, because cropping changes no operation on a kept
+sample.
 """
 
 import itertools
@@ -97,7 +101,9 @@ def _check(u, q, cells, x_mask):
     for (bbm, g_val, ok), ref in zip(gagliardo_dominates_bbm(u, q, ladder, kappa=KAPPA), full):
         assert bbm == pytest.approx(ref, rel=REL, abs=0.0)
         assert g_val == pytest.approx(gag, rel=REL, abs=0.0)
-        assert ok and ref <= gag
+        # the two oracle totals are rounded separately: where they are equal
+        # in exact arithmetic either may come out an ulp above the other
+        assert ok and (ref <= gag or ref == pytest.approx(gag, rel=REL, abs=0.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,6 +115,7 @@ def _check(u, q, cells, x_mask):
     use_x_mask=st.booleans(),
 )
 @example(n=4, d=1, q=1.5, seed=1, use_x_mask=False)  # bbm == gagliardo at 2 cells
+@example(n=4, d=1, q=1.5, seed=2048, use_x_mask=False)  # the same tie, oracle bbm an ulp high
 def test_oracle_1d(n, d, q, seed, use_x_mask):
     u = _random_field([n], d, seed)
     x_mask = _x_mask(u, seed) if use_x_mask else None
@@ -137,3 +144,51 @@ def test_oracle_3d(q, use_x_mask):
     u = _random_field([6, 5, 7], 2, seed=31)
     x_mask = _x_mask(u, 31) if use_x_mask else None
     _check(u, q, [27, 11, 6, 4], x_mask)
+
+
+# --------------------------------------------------------------------------
+# Cropping to the x_mask bounding box is exact: the same per-offset floats as
+# the uncropped per-offset sums, bit for bit.
+# --------------------------------------------------------------------------
+
+
+def _x_mask_kind(u, kind):
+    g = u.grid
+    idx = np.indices(g.extents)
+    c = [(e - 1) / 2.0 for e in g.extents]
+    r2 = sum((i - ci) ** 2 for i, ci in zip(idx, c))
+    rad2 = (min(g.extents) / 3.0) ** 2
+    if kind == "disc":
+        sub = r2 < rad2
+    elif kind == "holed":
+        rng = np.random.default_rng(7)
+        sub = (r2 < 2.0 * rad2) & (r2 > 0.2 * rad2) & (rng.random(g.extents) > 0.2)
+    elif kind == "rect":  # on a full field most cropped windows are whole
+        sub = np.zeros(g.extents, dtype=bool)
+        sub[tuple(slice(e // 4, e - e // 4) for e in g.extents)] = True
+    elif kind == "edge":  # a half-disc on the low face of axis 0
+        sub = idx[0] ** 2 + sum((i - ci) ** 2 for i, ci in zip(idx[1:], c[1:])) < rad2
+    else:  # a single cell
+        sub = np.zeros(g.extents, dtype=bool)
+        sub[tuple(e // 3 for e in g.extents)] = True
+    sub &= u.mask.inside
+    assert sub.any()
+    return DomainMask(g, sub)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["rect", "disc", "holed", "edge", "cell"])
+@pytest.mark.parametrize(
+    "extents, m2, inside_p", [([23], 49, 1.0), ([14, 11], 26, 1.0), ([14, 11], 26, 0.8), ([7, 6, 8], 11, 0.9)]
+)
+def test_cropped_pair_sums_match_uncropped_bit_for_bit(extents, m2, inside_p, kind, q):
+    from bvqlab.kernels import _pair_power_sum, lattice_offsets, pair_power_sums
+
+    u = _random_field(extents, 2 if len(extents) == 2 else 1, seed=len(extents), inside_p=inside_p)
+    if inside_p == 1.0:
+        assert u.mask.all_inside
+    x_mask = _x_mask_kind(u, kind)
+    offs, _ = lattice_offsets(u.grid.dim, m2)
+    cropped = pair_power_sums(u, offs, q, x_mask)
+    uncropped = np.array([_pair_power_sum(u, x_mask.inside, o, q) for o in offs])
+    assert cropped.tobytes() == uncropped.tobytes()
