@@ -22,6 +22,7 @@ from .mollifier import Mollifier, build_mollifier, mollifier_d_eta
 from .kernels import (
     EpsSweep,
     GridRadius,
+    bbm_ladder,
     bbm_sweep,
     bbm_value,
     besov_seminorm_pow,

@@ -22,7 +22,7 @@ differently.)  Vector fields score cube by cube and never split one cube's
 pair sum.
 
 ``check_b_bound`` takes an eps ladder and gets the kernel side of every rung
-from one pair-sum pass at the widest radius eps*sqrt(N).
+from one ``kernels.bbm_ladder`` pass at the radii eps*sqrt(N).
 """
 
 from __future__ import annotations
@@ -38,9 +38,7 @@ from .errors import RegimeError
 from .grid import DomainMask, SampledField
 from .kernels import (
     GridRadius,
-    _bbm_rung,
-    _bbm_terms,
-    _bbm_total,
+    bbm_ladder,
     bbm_value,  # unused here; bench/tests/test_bench.py pins cubes.bbm_value
     resolve_radius,
 )
@@ -280,11 +278,10 @@ def check_b_bound(
     by the cube diameter, the packing cap) holds term by term on the grid,
     and any feasible packing value only lowers the left side.
 
-    Every rung is validated first (whole-cell cube side, eps >= kappa*h, the
-    stride, q, and eps*sqrt(N) below the domain diameter).  Then one
-    ``pair_power_sums`` pass at the widest radius eps*sqrt(N) serves the
-    whole ladder: each rung reduces the offsets within its own radius, which
-    equals ``bbm_value(u, q, eps*sqrt(N))`` bit for bit.
+    Every cube side and the stride are validated first; then one
+    ``bbm_ladder`` pass at the sqrt(N)-scaled radii validates q and the
+    regime of every eps*sqrt(N) and gives each rung's kernel side, equal to
+    ``bbm_value(u, q, eps*sqrt(N))`` bit for bit.
     """
     h = u.grid.spacing
     n = u.grid.dim
@@ -292,15 +289,11 @@ def check_b_bound(
     for eps in eps_list:
         side, eps_len = _cube_side(eps, h, kappa)
         _stride(stride_cells, side)
-        wide = GridRadius.from_cells(side).scaled_sqrt_dim(n)
-        rungs.append((eps, eps_len, _bbm_rung(u, q, wide, kappa)))
-    if not rungs:
-        raise ValueError("need at least one eps")
-    r2, terms = _bbm_terms(u, q, max(m2 for _, _, (m2, _) in rungs), None)
+        rungs.append((eps, eps_len, GridRadius.from_cells(side).scaled_sqrt_dim(n)))
+    kernel_sides = bbm_ladder(u, q, [wide for _, _, wide in rungs], kappa=kappa)
     reports = []
-    for eps, eps_len, (m2, wide_len) in rungs:
+    for (eps, eps_len, wide), kernel in zip(rungs, kernel_sides):
         value, packing = cube_functional(u, eps, "greedy", stride_cells, kappa=kappa)
-        kernel = _bbm_total(u, terms[r2 <= m2], wide_len)
         rhs = n ** ((n + 1) / (2.0 * q)) * kernel ** (1.0 / q)
         reports.append(
             leq(
@@ -309,7 +302,7 @@ def check_b_bound(
                 f"cube-packing vs kernel bound (q={q:g}, eps={eps_len:g})",
                 cubes=packing.count,
                 kernel_at_sqrtN=kernel,
-                eps_wide=wide_len,
+                eps_wide=wide.length(h),
                 lhs_is_feasible_lower_bound=True,
             )
         )

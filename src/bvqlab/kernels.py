@@ -18,12 +18,12 @@ bit-identical and keeps the sample-wise inequalities asserted elsewhere exact
 in floating point.  Without an outer sub-mask the sum for -v repeats the sum
 for v bit for bit, so only half of a symmetric offset list is computed.
 
-An eps ladder is one pass: ``bbm_sweep``, ``gagliardo_dominates_bbm`` and
-``cubes.check_b_bound`` compute the per-displacement sums once, at the
-largest radius they need, and every smaller rung reduces the subset
-|v|^2 <= m2 of that table.  The subset holds the same per-offset floats as
-the rung's own pass, and ``math.fsum`` is correctly rounded, so each rung
-reads its ``bbm_value`` bit for bit.
+An eps ladder is one pass: ``bbm_ladder`` (behind ``bbm_value`` and
+``bbm_sweep``) and ``gagliardo_dominates_bbm`` compute the per-displacement
+sums once, at the largest radius they need, and every smaller rung reduces
+the subset |v|^2 <= m2 of that table.  The subset holds the same per-offset
+floats as the rung's own pass, and ``math.fsum`` is correctly rounded, so
+each rung reads its ``bbm_value`` bit for bit.
 """
 
 from __future__ import annotations
@@ -141,9 +141,6 @@ def _pair_power_sum(field: SampledField, x_inside, off, q: float, box=None) -> f
     """sum over x of |u(x+off) - u(x)|^q with x in x_inside, x+off inside.
 
     ``box``, the bounding box of ``x_inside``, crops the x window to it.
-    A window whose samples are all valid is summed whole: ``t`` is C
-    contiguous, so ``t.sum()`` adds the elements of ``t[valid]`` in the same
-    order and pairing, bit for bit, without the copy.
     """
     inside = field.mask.inside
     sx, sy = _offset_slices(field.grid.extents, off, box)
@@ -156,8 +153,6 @@ def _pair_power_sum(field: SampledField, x_inside, off, q: float, box=None) -> f
         return float(t.sum())
     xin = (x_inside if x_inside is not None else inside)[sx]
     valid = xin & inside[sy] if not field.mask.all_inside else xin
-    if valid.all():  # e.g. a rectangular x_mask cropped to its box
-        return float(t.sum())
     return float(t[valid].sum())
 
 
@@ -228,9 +223,32 @@ def bbm_value(
     Zero for constant fields; homogeneous of degree q in u; symmetric in the
     pair (x, y) because every displacement is enumerated with both signs.
     """
-    m2max, eps_len = _bbm_rung(u, q, eps, kappa)
-    r2, terms = _bbm_terms(u, q, m2max, x_mask)
-    return _bbm_total(u, terms, eps_len)
+    return bbm_ladder(u, q, [eps], x_mask, kappa=kappa)[0]
+
+
+def bbm_ladder(
+    u: SampledField,
+    q: float,
+    eps_list,
+    x_mask: DomainMask | None = None,
+    *,
+    kappa: float = defaults.KAPPA,
+) -> list[float]:
+    """``bbm_value`` at every eps of the list, from one pair-sum pass.
+
+    Every rung is validated first.  The pair sums are then computed once, at
+    the largest rung, and each rung reduces the offsets with |v|^2 <= its
+    own m2: its own ``lattice_offsets`` list with the same per-offset terms,
+    so, ``math.fsum`` being correctly rounded, each value is the rung's
+    single-scale value bit for bit.  The list may come in any order.
+    """
+    rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
+    if not rungs:
+        raise ValueError("need at least one eps")
+    offs, r2 = lattice_offsets(u.grid.dim, max(m2 for m2, _ in rungs))
+    sums = pair_power_sums(u, offs, q, x_mask)
+    terms = sums / (u.grid.spacing * np.sqrt(r2))
+    return [_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs]
 
 
 def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]:
@@ -241,13 +259,6 @@ def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]
     m2max, eps_len = resolve_radius(eps, h)
     _check_regime(eps_len, h, kappa, u.grid.diameter)
     return m2max, eps_len
-
-
-def _bbm_terms(u: SampledField, q: float, m2max: int, x_mask) -> tuple[np.ndarray, np.ndarray]:
-    """Squared offset radii and per-offset terms sum_x |u(x+v)-u(x)|^q / |v|."""
-    offs, r2 = lattice_offsets(u.grid.dim, m2max)
-    sums = pair_power_sums(u, offs, q, x_mask)
-    return r2, sums / (u.grid.spacing * np.sqrt(r2))
 
 
 def _bbm_total(u: SampledField, terms: np.ndarray, eps_len: float) -> float:
@@ -341,21 +352,19 @@ def bbm_sweep(
 ) -> EpsSweep:
     """bbm_value along a decreasing eps ladder plus an extrapolated limit.
 
-    The pair sums are computed once, at the first (largest) rung; every rung
-    then reduces the subset of offsets with |v|^2 <= its own m2.  That subset
-    is the rung's own ``lattice_offsets`` list with the same per-offset
-    terms, and ``math.fsum`` is correctly rounded, so each value equals
+    The values come from one ``bbm_ladder`` pass, so each equals
     ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
-    m2_top, r2, terms = 0, None, None
+    eps_list = list(eps_list)
+    values = None
 
-    def value(eps):
-        nonlocal m2_top, r2, terms
-        m2, eps_len = _bbm_rung(u, q, eps, kappa)
-        if m2 > m2_top:  # only the first rung of a decreasing ladder
-            m2_top = m2
-            r2, terms = _bbm_terms(u, q, m2, x_mask)
-        return _bbm_total(u, terms[r2 <= m2], eps_len)
+    def value(_eps):
+        # sweep_functional has checked the ladder by the first call and asks
+        # for the rungs in order
+        nonlocal values
+        if values is None:
+            values = iter(bbm_ladder(u, q, eps_list, x_mask, kappa=kappa))
+        return next(values)
 
     return sweep_functional(
         value,

@@ -11,6 +11,7 @@ from bvqlab import (
     GridRadius,
     RegimeError,
     SampledField,
+    bbm_ladder,
     bbm_sweep,
     bbm_value,
     besov_seminorm_pow,
@@ -325,6 +326,28 @@ def test_ladder_runs_one_pair_pass(line_mask, monkeypatch):
     v = random_block_field(DomainMask.full(g), seed=2)
     gagliardo_dominates_bbm(v, 2.0, [GridRadius.from_cells(m) for m in (64, 32, 16, 8)])
     assert calls == [len(lattice_offsets(1, 255 * 255)[0])]
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+def test_bbm_ladder_any_order_is_one_pass(line_mask, monkeypatch, q):
+    from bvqlab import kernels
+
+    u, x_mask, cells = _ladder_field(line_mask, "disc-x-mask")
+    ladder = [c * u.grid.spacing for c in (cells[2], cells[0], cells[4], cells[1])]
+    calls = []
+    real = kernels.pair_power_sums
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pair_power_sums", counted)
+    values = bbm_ladder(u, q, ladder, x_mask)
+    assert calls == [len(kernels.lattice_offsets(2, kernels.resolve_radius(ladder[1], u.grid.spacing)[0])[0])]
+    monkeypatch.setattr(kernels, "pair_power_sums", real)
+    assert values == [bbm_value(u, q, e, x_mask) for e in ladder]
+    with pytest.raises(ValueError, match="at least one eps"):
+        bbm_ladder(u, q, [])
 
 
 def _gagliardo_reference(u, q, ladder):
