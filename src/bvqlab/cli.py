@@ -453,7 +453,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run one experiment from a JSON config")
     p_run.add_argument("config")
     p_run.add_argument("--out", help="override output directory")
-    p_run.add_argument("--workers", type=int, help="accepted and ignored: pair sums run serially")
     p_rep = sub.add_parser("report", help="aggregate report.json files")
     p_rep.add_argument("paths", nargs="*")
     sub.add_parser("constants", help="print the dimensional constants table")

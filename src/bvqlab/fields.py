@@ -78,7 +78,6 @@ class AnalyticField:
     dim: int = 1
     d: int = 1
     is_indicator: bool = False
-    is_eikonal: bool = False
 
     def evaluate(self, pts: np.ndarray, h: float | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -489,7 +488,6 @@ class PyramidField(AnalyticField):
     lo: tuple[float, ...] = (0.0, 0.0)
     hi: tuple[float, ...] = (1.0, 1.0)
     kind: str = "pyramid-eikonal"
-    is_eikonal: bool = True
 
     def __post_init__(self):
         sides = [b - a for a, b in zip(self.lo, self.hi)]
@@ -565,7 +563,6 @@ class ConeField(AnalyticField):
     center: tuple[float, ...] = (0.5 + _IRR1, 0.5 + _IRR2)
     radius0: float = 0.5
     kind: str = "cone-eikonal"
-    is_eikonal: bool = True
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -606,7 +603,6 @@ class ZigzagField(AnalyticField):
     offset: float = _IRR1
     dim: int = 2
     kind: str = "zigzag-eikonal"
-    is_eikonal: bool = True
 
     def __post_init__(self):
         if not self.halfwidth > 0:
@@ -694,7 +690,7 @@ def make_field(kind: str, **params) -> AnalyticField:
 
 def list_fields() -> dict[str, tuple[str, ...]]:
     """Catalog kinds with their parameter names."""
-    skip = {"kind", "is_indicator", "is_eikonal"}
+    skip = {"kind", "is_indicator"}
     out = {}
     for name, cls in FIELD_REGISTRY.items():
         out[name] = tuple(

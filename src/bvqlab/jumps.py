@@ -20,16 +20,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import defaults
-from .errors import RegimeError
 from .fields import AnalyticField, JumpSpec, sample_analytic, warn_if_jump_free
 from .grid import DomainMask, SampledField
 from .kernels import (
+    _bbm_rung,
+    _check_shift,
     _directional_sum,
     _power_from_sq,
     bbm_sweep,
     lattice_offsets,
     pair_power_sums,
-    resolve_radius,
 )
 from .reports import ComparisonReport, equal_within
 
@@ -203,16 +203,13 @@ def directional_w_limit(
 ) -> float:
     """(1/t) * h^N * sum_x W(u(x + t k), u(x)) over valid samples.
 
-    With ``w_cost = PowerPairCost(q)`` this is bit-identical to
+    ``k`` and ``t`` pass the checks of ``directional_value``: a unit vector
+    of the grid's dimension, and the kappa*h and diameter guards.  With
+    ``w_cost = PowerPairCost(q)`` this is bit-identical to
     ``directional_value`` (same accumulation path).  As t -> 0 the sum
     concentrates on the jump set weighted by |k . normal|.
     """
-    k = np.asarray(k, dtype=float).reshape(-1)
-    if abs(np.linalg.norm(k) - 1.0) > 1e-12:
-        raise ValueError("direction must have unit length")
-    _, t_len = resolve_radius(t, u.grid.spacing)
-    if t_len < kappa * u.grid.spacing:
-        raise RegimeError("shift t below kappa*h")
+    k, t_len = _check_shift(u, t, k, kappa)
     return _directional_sum(u, t_len, k, x_mask, w_cost.from_sq)
 
 
@@ -255,12 +252,12 @@ def verify_two_sided(
     eps^N, the measure the kernel sum itself uses, which makes the left
     inequality an average-vs-max identity that holds exactly; the continuum
     ball volume is reported alongside.  Both comparisons are untoleranced.
+    q and eps are checked as for ``bbm_value``: q >= 1, and eps between
+    kappa*h and the domain diameter.
     """
     h = u.grid.spacing
     n = u.grid.dim
-    m2, eps_len = resolve_radius(eps, h)
-    if eps_len < kappa * h:
-        raise RegimeError("eps below kappa*h")
+    m2, eps_len = _bbm_rung(u, q, eps, kappa)
     inner1 = u.mask.erode(2.0 * eps_len)   # domain of the directional sums
     inner2 = u.mask.erode(eps_len)         # domain of the wider kernel sum
     offs, r2 = lattice_offsets(n, m2)

@@ -24,13 +24,23 @@ sums once, at the largest radius they need, and every smaller rung reduces
 the subset |v|^2 <= m2 of that table.  The subset holds the same per-offset
 floats as the rung's own pass, and ``math.fsum`` is correctly rounded, so
 each rung reads its ``bbm_value`` bit for bit.
+
+Every sum of shifted differences has one path.  ``_offset_slices`` is the
+only code that computes window bounds: the x window where every x + v of a
+list of integer offsets stays on the grid, and one y window per offset.
+``_window_sum`` sums cost(|sum_c w_c u(x + v_c) - u(x)|^2) over the valid x
+of such a window.  A pair sum is its one-corner case; a directional shift
+(``directional_value`` and ``jumps.directional_w_limit``, which share one
+direction and regime check) is one exact corner on a lattice vector and the
+multilinear corners otherwise; the splitting check takes its three windows
+from ``_offset_slices`` too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -110,21 +120,27 @@ def _power_from_sq(ss: np.ndarray, q: float) -> np.ndarray:
     return ss ** (0.5 * q)
 
 
-def _offset_slices(extents, off, box=None):
-    """x and y = x + off windows; x is also kept in ``box``, per-axis [lo, hi)."""
-    sx, sy = [], []
-    for a, (ext, o) in enumerate(zip(extents, off)):
-        o = int(o)
-        lo = max(0, -o)
-        hi = min(ext, ext - o)
+def _offset_slices(extents, offsets, box=None):
+    """The x window where every x + v stays on the grid, and one y = x + v
+    window per offset v.
+
+    ``box``, per-axis [lo, hi), crops the x window further.  Returns
+    ``(None, None)`` when the window is empty.  This is the one place window
+    bounds are computed.
+    """
+    sx = []
+    for a, (ext, col) in enumerate(zip(extents, zip(*offsets))):
+        lo = max(0, -min(col))
+        hi = min(ext, ext - max(col))
         if box is not None:
             lo = max(lo, box[a][0])
             hi = min(hi, box[a][1])
         if hi <= lo:
             return None, None
         sx.append(slice(lo, hi))
-        sy.append(slice(lo + o, hi + o))
-    return tuple(sx), tuple(sy)
+    return tuple(sx), [
+        tuple([slice(s.start + o, s.stop + o) for s, o in zip(sx, v)]) for v in offsets
+    ]
 
 
 def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -137,22 +153,32 @@ def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(box)
 
 
-def _pair_power_sum(field: SampledField, x_inside, off, q: float, box=None) -> float:
-    """sum over x of |u(x+off) - u(x)|^q with x in x_inside, x+off inside.
+def _window_sum(field: SampledField, x_inside, stencil, cost, box=None) -> float | None:
+    """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2).
 
-    ``box``, the bounding box of ``x_inside``, crops the x window to it.
+    ``stencil`` lists the corners (v_c, w_c), v_c integer offsets.  x is
+    valid when it lies in ``x_inside`` (the field mask when ``None``) and
+    every x + v_c lies inside the field mask.  ``box``, the bounding box of
+    ``x_inside``, crops the x window to it.  ``None`` when the x window is
+    empty.  A one-corner stencil reads u(x + v) as is: pair sums and exact
+    shifts never multiply by the weight.
     """
-    inside = field.mask.inside
-    sx, sy = _offset_slices(field.grid.extents, off, box)
+    sx, sys_ = _offset_slices(field.grid.extents, [v for v, _ in stencil], box)
     if sx is None:
-        return 0.0
-    dv = field.values[sy] - field.values[sx]
-    ss = np.einsum("...k,...k->...", dv, dv)
-    t = _power_from_sq(ss, q)
+        return None
+    values, inside = field.values, field.mask.inside
+    if len(stencil) == 1:
+        uy = values[sys_[0]]
+    else:
+        uy = sum(w * values[sy] for (_, w), sy in zip(stencil, sys_))
+    dv = uy - values[sx]
+    t = cost(np.einsum("...k,...k->...", dv, dv))
     if x_inside is None and field.mask.all_inside:
         return float(t.sum())
-    xin = (x_inside if x_inside is not None else inside)[sx]
-    valid = xin & inside[sy] if not field.mask.all_inside else xin
+    valid = (inside if x_inside is None else x_inside)[sx]
+    if not field.mask.all_inside:
+        for sy in sys_:
+            valid = valid & inside[sy]
     return float(t[valid].sum())
 
 
@@ -163,6 +189,9 @@ def pair_power_sums(
     x_mask: DomainMask | None = None,
 ) -> np.ndarray:
     """Per-displacement sums of |u(x+v) - u(x)|^q, in offset order.
+
+    Each sum is the one-corner ``_window_sum`` over x with x and x+v inside
+    (x in ``x_mask`` when given); a displacement with no such x sums to 0.
 
     Without ``x_mask`` the -v windows are the v windows swapped: the same
     differences, negated, over the same validity mask and in the same C
@@ -188,9 +217,11 @@ def pair_power_sums(
     half = n
     if x_inside is None and np.array_equal(offsets[::-1], -offsets):
         half = (n + 1) // 2
+    cost = partial(_power_from_sq, q=q)
     out = np.empty(n, dtype=np.float64)
-    for i in range(half):
-        out[i] = _pair_power_sum(field, x_inside, offsets[i], q, box)
+    for i, off in enumerate(offsets[:half]):
+        total = _window_sum(field, x_inside, [(off.tolist(), 1.0)], cost, box)
+        out[i] = 0.0 if total is None else total
     out[half:] = out[: n - half][::-1]
     return out
 
@@ -293,46 +324,29 @@ class EpsSweep:
 FIT_MODELS = ("constant", "linear-in-eps")
 
 
-def _fit_limit(eps: np.ndarray, vals: np.ndarray, model: str, points: int):
-    k = min(points, len(eps))
-    e = eps[-k:]
-    v = vals[-k:]
-    if model == "constant":
+def sweep_functional(eps_lengths, values, fit_model: str = "linear-in-eps") -> EpsSweep:
+    """Extrapolate a functional's values along a checked eps ladder.
+
+    ``eps_lengths`` is strictly decreasing, ``fit_model`` one of
+    ``FIT_MODELS``, and ``linear-in-eps`` has at least three fit points;
+    ``bbm_sweep`` checks all three before any value is computed.  The fit
+    uses the ``defaults.FIT_POINTS`` smallest scales.
+    """
+    vals = np.array(values, dtype=float)
+    e = np.asarray(eps_lengths)[-defaults.FIT_POINTS:]
+    v = vals[-defaults.FIT_POINTS:]
+    if fit_model == "constant":
         limit = float(v.mean())
         resid = float(np.sqrt(np.mean((v - limit) ** 2)))
-        return limit, resid
-    if model == "linear-in-eps":
-        if len(e) < 3:
-            raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
+    else:
         coef = np.polyfit(e, v, 1)
         limit = float(coef[1])
         resid = float(np.sqrt(np.mean((np.polyval(coef, e) - v) ** 2)))
-        return limit, resid
-    raise ValueError(f"unknown fit model {model!r}")
-
-
-def sweep_functional(
-    values_fn,
-    eps_list,
-    h: float,
-    fit_model: str = "linear-in-eps",
-    *,
-    kappa: float = defaults.KAPPA,
-    fit_points: int = defaults.FIT_POINTS,
-) -> EpsSweep:
-    """Evaluate ``values_fn(eps)`` along a decreasing ladder and extrapolate."""
-    eps_arr = [resolve_radius(e, h)[1] for e in eps_list]
-    if any(b >= a for a, b in zip(eps_arr, eps_arr[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    if any(e < kappa * h for e in eps_arr):
-        raise RegimeError("eps ladder dips below kappa*h")
-    vals = np.array([values_fn(e) for e in eps_list], dtype=float)
-    limit, resid = _fit_limit(np.asarray(eps_arr), vals, fit_model, fit_points)
     diffs = np.diff(vals)
     span = max(abs(vals).max(), 1e-300)
     monotone = bool((diffs <= 0.01 * span).all() or (diffs >= -0.01 * span).all())
     return EpsSweep(
-        eps=tuple(eps_arr),
+        eps=tuple(eps_lengths),
         values=tuple(float(v) for v in vals),
         limit=float(limit),
         fit_model=fit_model,
@@ -352,27 +366,20 @@ def bbm_sweep(
 ) -> EpsSweep:
     """bbm_value along a decreasing eps ladder plus an extrapolated limit.
 
-    The values come from one ``bbm_ladder`` pass, so each equals
-    ``bbm_value(u, q, eps, x_mask)`` bit for bit.
+    The ladder order and the fit model are checked first; the values then
+    come from one ``bbm_ladder`` pass, which checks every rung's regime, so
+    each equals ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
     eps_list = list(eps_list)
-    values = None
-
-    def value(_eps):
-        # sweep_functional has checked the ladder by the first call and asks
-        # for the rungs in order
-        nonlocal values
-        if values is None:
-            values = iter(bbm_ladder(u, q, eps_list, x_mask, kappa=kappa))
-        return next(values)
-
-    return sweep_functional(
-        value,
-        eps_list,
-        u.grid.spacing,
-        fit_model,
-        kappa=kappa,
-    )
+    eps_lengths = [resolve_radius(e, u.grid.spacing)[1] for e in eps_list]
+    if any(b >= a for a, b in zip(eps_lengths, eps_lengths[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
+    if fit_model not in FIT_MODELS:
+        raise ValueError(f"unknown fit model {fit_model!r}")
+    if fit_model == "linear-in-eps" and min(defaults.FIT_POINTS, len(eps_lengths)) < 3:
+        raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
+    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
+    return sweep_functional(eps_lengths, values, fit_model)
 
 
 # --------------------------------------------------------------------------
@@ -380,65 +387,59 @@ def bbm_sweep(
 # --------------------------------------------------------------------------
 
 
-def _shift_windows(u: SampledField, eps_len: float, k: np.ndarray, x_mask):
-    """Common x-window, shifted values u(x + eps*k), and validity mask.
+def _shift_stencil(t: np.ndarray) -> list[tuple[list[int], float]]:
+    """Corners (v_c, w_c) with u(x + t*h) = sum_c w_c u(x + v_c).
 
-    Integer shifts are evaluated exactly; fractional ones by multilinear
-    interpolation of inside values, with a sample dropped as soon as any
-    stencil corner leaves the mask.
+    A shift within 1e-9 of a lattice vector is one exact corner; any other is
+    multilinear interpolation, with the corners in ``np.ndindex`` order and
+    each weight the product, in axis order, of frac or 1 - frac per
+    fractional axis.
     """
-    h = u.grid.spacing
-    t = eps_len * k / h
     t_round = np.rint(t)
     if np.max(np.abs(t - t_round)) < 1e-9:
-        off = t_round.astype(int)
-        sx, sy = _offset_slices(u.grid.extents, off)
-        if sx is None:
-            raise RegimeError("shift leaves the grid entirely")
-        uy = u.values[sy]
-        valid = u.mask.inside[sy]
-    else:
-        base = np.floor(t).astype(int)
-        frac = t - base
-        lo, hi = [], []
-        for ext, b, fr in zip(u.grid.extents, base, frac):
-            extra = 1 if fr > 0 else 0
-            lo.append(max(0, -b))
-            hi.append(min(ext, ext - b - extra))
-        if any(b <= a for a, b in zip(lo, hi)):
-            raise RegimeError("shift leaves the grid entirely")
-        sx = tuple(slice(a, b) for a, b in zip(lo, hi))
-        corners = [(0, 1) if frac[a] > 0 else (0,) for a in range(u.grid.dim)]
-        uy = 0.0
-        valid = None
-        for corner in np.ndindex(*[len(c) for c in corners]):
-            cvec = [corners[a][corner[a]] for a in range(u.grid.dim)]
-            w = 1.0
-            for a, c in enumerate(cvec):
-                w *= frac[a] if c else (1.0 - frac[a]) if corners[a] == (0, 1) else 1.0
-            sy = tuple(
-                slice(a + int(b0) + c, b + int(b0) + c)
-                for (a, b), b0, c in zip(zip(lo, hi), base, cvec)
-            )
-            uy = uy + w * u.values[sy]
-            v = u.mask.inside[sy]
-            valid = v if valid is None else (valid & v)
-    ux = u.values[sx]
-    xin = (x_mask.inside if x_mask is not None else u.mask.inside)[sx]
-    if not u.mask.all_inside or x_mask is not None:
-        valid = valid & xin
-    else:
-        valid = None  # everything valid
-    return ux, uy, valid
+        return [(t_round.astype(int).tolist(), 1.0)]
+    base = np.floor(t).astype(int)
+    legs = [
+        ((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),)
+        for b, f in zip(base.tolist(), (t - base).tolist())
+    ]
+    stencil = []
+    for corner in np.ndindex(*[len(leg) for leg in legs]):
+        v, w = [], 1.0
+        for leg, c in zip(legs, corner):
+            v.append(leg[c][0])
+            w *= leg[c][1]
+        stencil.append((v, w))
+    return stencil
 
 
-def _directional_sum(u, eps_len, k, x_mask, cost_from_sq) -> float:
-    ux, uy, valid = _shift_windows(u, eps_len, k, x_mask)
-    dv = uy - ux
-    ss = np.einsum("...k,...k->...", dv, dv)
-    t = cost_from_sq(ss)
-    total = float(t.sum()) if valid is None else float(t[valid].sum())
-    return total * u.grid.spacing ** u.grid.dim / eps_len
+def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
+    """(1/eps) * h^N * sum_x cost(|u(x + eps k) - u(x)|^2) over valid x.
+
+    A sample is dropped as soon as one stencil corner leaves the mask.
+    """
+    h = u.grid.spacing
+    x_inside = None if x_mask is None else x_mask.inside
+    total = _window_sum(u, x_inside, _shift_stencil(eps_len * k / h), cost)
+    if total is None:
+        raise RegimeError("shift leaves the grid entirely")
+    return total * h**u.grid.dim / eps_len
+
+
+def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[np.ndarray, float]:
+    """Validate a shift eps along the direction k; return (k, eps length).
+
+    k must have the grid's dimension and unit length (tolerance 1e-12), and
+    eps must pass the kappa*h and diameter guards.
+    """
+    k = np.asarray(k, dtype=float).reshape(-1)
+    if k.size != u.grid.dim:
+        raise ValueError("direction dimension mismatch")
+    if abs(np.linalg.norm(k) - 1.0) > 1e-12:
+        raise ValueError("direction must have unit length")
+    _, eps_len = resolve_radius(eps, u.grid.spacing)
+    _check_regime(eps_len, u.grid.spacing, kappa, u.grid.diameter)
+    return k, eps_len
 
 
 def directional_value(
@@ -456,16 +457,10 @@ def directional_value(
     point cannot be interpolated from inside values are dropped, matching the
     convention that both endpoints live in Omega.
     """
-    k = np.asarray(k, dtype=float).reshape(-1)
-    if k.size != u.grid.dim:
-        raise ValueError("direction dimension mismatch")
-    if abs(np.linalg.norm(k) - 1.0) > 1e-12:
-        raise ValueError("direction must have unit length")
     if q < 1:
         raise ValueError("q must be >= 1")
-    _, eps_len = resolve_radius(eps, u.grid.spacing)
-    _check_regime(eps_len, u.grid.spacing, kappa, u.grid.diameter)
-    return _directional_sum(u, eps_len, k, x_mask, lambda ss: _power_from_sq(ss, q))
+    k, eps_len = _check_shift(u, eps, k, kappa)
+    return _directional_sum(u, eps_len, k, x_mask, partial(_power_from_sq, q=q))
 
 
 @lru_cache(maxsize=32)
@@ -659,20 +654,12 @@ def splitting_inequality_holds(
 
     Exact-equality samples (the two legs coincide) are accepted as equality.
     """
-    off1 = np.asarray(off1, dtype=int)
-    off2 = np.asarray(off2, dtype=int)
-    off = off1 + off2
-    sx, s_mid, sy = [], [], []
-    for ext, o1, o in zip(u.grid.extents, off1, off):
-        o1, o = int(o1), int(o)
-        lo = max(0, -o1, -o)
-        hi = min(ext, ext - o1, ext - o)
-        if hi <= lo:
-            raise RegimeError("splitting offsets leave the grid entirely")
-        sx.append(slice(lo, hi))
-        s_mid.append(slice(lo + o1, hi + o1))
-        sy.append(slice(lo + o, hi + o))
-    sx, s_mid, sy = tuple(sx), tuple(s_mid), tuple(sy)
+    off1 = np.asarray(off1, dtype=int).tolist()
+    off = (np.asarray(off2, dtype=int) + off1).tolist()
+    sx, ys = _offset_slices(u.grid.extents, [off1, off])
+    if sx is None:
+        raise RegimeError("splitting offsets leave the grid entirely")
+    s_mid, sy = ys
     u0 = u.values[sx]
     u1 = u.values[s_mid]
     u2 = u.values[sy]

@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from bvqlab import DomainMask, Grid, SampledField, make_field, sample_analytic
+from bvqlab.kernels import _power_from_sq, _window_sum
 
 
 @pytest.fixture
@@ -41,3 +44,11 @@ def random_block_field(mask: DomainMask, seed: int, blocks: int = 6, lo=0.0, hi=
         shape[a] = -1
         idx.append(np.broadcast_to(cells.reshape(shape), g.extents))
     return SampledField(mask, vals[tuple(idx)][..., None])
+
+
+def single_pair_sum(u: SampledField, x_inside, off, q: float) -> float:
+    """One displacement's pair sum, summed on its own and uncropped: the
+    reference for the mirrored and cropped ``pair_power_sums`` loop."""
+    cost = partial(_power_from_sq, q=q)
+    total = _window_sum(u, x_inside, [(np.asarray(off).tolist(), 1.0)], cost)
+    return 0.0 if total is None else total

@@ -9,6 +9,8 @@ from bvqlab import (
     Grid,
     GridRadius,
     PowerPairCost,
+    RegimeError,
+    SampledField,
     SmoothRationalPairCost,
     dimensional_constant,
     dimensional_constant_closed_form,
@@ -125,13 +127,37 @@ def test_q1_constant_zero(line_mask):
 
 
 def test_w_power_bit_identical_to_directional(square_mask):
-    u = random_block_field(square_mask, seed=3)
     h = square_mask.grid.spacing
-    k = np.array([math.cos(1.1), math.sin(1.1)])
-    for q in (2.0, 3.0):
-        a = directional_w_limit(u, PowerPairCost(q), k, 12 * h)
-        b = directional_value(u, q, 12 * h, k)
-        assert a == b  # same accumulation path, bit for bit
+    full = random_block_field(square_mask, seed=3)
+    disc = DomainMask.from_predicate(
+        square_mask.grid, lambda p: ((p - 0.5) ** 2).sum(axis=-1) <= 0.16
+    )
+    on_disc = SampledField(disc, np.where(disc.inside[..., None], full.values, 0.0))
+    cases = [(full, None), (on_disc, None), (on_disc, disc.erode(6 * h))]
+    # one lattice shift (eps k = 12h along axis 0) and five fractional ones
+    for u, x_mask in cases:
+        for k in ([1.0, 0.0], [math.cos(1.1), math.sin(1.1)], [-0.6, -0.8]):
+            for eps in (12 * h, 12.3 * h):
+                for q in (2.0, 3.0):
+                    a = directional_w_limit(u, PowerPairCost(q), k, eps, x_mask)
+                    b = directional_value(u, q, eps, k, x_mask)
+                    assert a == b  # same accumulation path, bit for bit
+
+
+def test_w_limit_checks_direction_and_diameter():
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
+    u = sample_analytic(make_field("ball-indicator"), DomainMask.full(g))
+    h = g.spacing
+    cost = PowerPairCost(2.0)
+    for k in ([0.0, 0.0, 1.0], [1.0]):  # zip used to drop or ignore axes here
+        with pytest.raises(ValueError, match="dimension"):
+            directional_w_limit(u, cost, k, 16 * h)
+        with pytest.raises(ValueError, match="dimension"):
+            directional_value(u, 2.0, 16 * h, k)
+    with pytest.raises(RegimeError, match="diameter"):
+        directional_w_limit(u, cost, [1.0, 0.0], g.diameter)
+    with pytest.raises(RegimeError, match="kappa"):
+        directional_w_limit(u, cost, [1.0, 0.0], 4 * h)
 
 
 def test_power_cost_requires_q2():
@@ -178,6 +204,17 @@ def test_two_sided_step_numbers(step_field):
     assert rep.mid == pytest.approx(1.0, rel=1e-12)   # directional sup
     assert rep.rhs == pytest.approx(2.0 ** (1 + 2), rel=1e-12)
     assert rep.details["ball_measure_discrete"] == pytest.approx(2.0)
+
+
+def test_two_sided_checks_q_and_diameter():
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
+    u = sample_analytic(make_field("ball-indicator"), DomainMask.full(g))
+    with pytest.raises(ValueError, match="q must be"):
+        verify_two_sided(u, 0.5, GridRadius.from_cells(8))  # bbm_value refuses it too
+    with pytest.raises(RegimeError, match="diameter"):
+        verify_two_sided(u, 2.0, g.diameter)
+    with pytest.raises(RegimeError, match="kappa"):
+        verify_two_sided(u, 2.0, GridRadius.from_cells(4))
 
 
 def test_two_sided_constant(line_mask):

@@ -24,7 +24,7 @@ from bvqlab import (
     sample_analytic,
     splitting_inequality_holds,
 )
-from conftest import random_block_field
+from conftest import random_block_field, single_pair_sum
 
 
 def test_constant_field_zero(line_mask):
@@ -71,7 +71,7 @@ def _disc_field(seed: int) -> SampledField:
 @pytest.mark.parametrize("case", ["line", "disc", "asymmetric-slice", "x-mask"])
 def test_pair_symmetry_per_displacement(line_mask, case, q):
     # mirror reuse fills -v from v; the result must equal summing every offset
-    from bvqlab.kernels import _pair_power_sum, lattice_offsets, pair_power_sums
+    from bvqlab.kernels import lattice_offsets, pair_power_sums
 
     x_mask = None
     if case == "line":
@@ -86,7 +86,7 @@ def test_pair_symmetry_per_displacement(line_mask, case, q):
             x_mask = u.mask.erode(4 * u.grid.spacing)
     sums = pair_power_sums(u, offs, q, x_mask)
     x_inside = None if x_mask is None else x_mask.inside
-    loop = [_pair_power_sum(u, x_inside, off, q) for off in offs]
+    loop = [single_pair_sum(u, x_inside, off, q) for off in offs]
     assert sums.tolist() == loop
     if case in ("line", "disc"):
         assert (sums == sums[::-1]).all()
@@ -395,6 +395,10 @@ def test_ladder_errors_before_any_pair_pass(line_mask, monkeypatch):
         bbm_sweep(u, 2.0, [u.grid.diameter, 16 * h, 8 * h], "constant")
     with pytest.raises(ValueError):
         bbm_sweep(u, 0.5, [32 * h, 16 * h, 8 * h], "constant")  # q < 1
+    with pytest.raises(ValueError, match=">= 3 eps values"):
+        bbm_sweep(u, 2.0, [32 * h, 16 * h], "linear-in-eps")  # too few to fit
+    with pytest.raises(ValueError, match="unknown fit model"):
+        bbm_sweep(u, 2.0, [32 * h, 16 * h, 8 * h], "quadratic")
     with pytest.raises(RegimeError):
         gagliardo_dominates_bbm(u, 2.0, [16 * h, u.grid.diameter])
     with pytest.raises(RegimeError):
@@ -449,11 +453,13 @@ def test_interpolation_reproduces_linear_fields(square_mask):
     for ang in (0.0, 0.37, 1.2):
         k = np.array([math.cos(ang), math.sin(ang)])
         v = directional_value(u, 2.0, eps, k)
-        # (1/eps) * |grad.k|^2 eps^2 * (valid area)
-        from bvqlab.kernels import _shift_windows
-
-        ux, _, valid = _shift_windows(u, eps, k, None)
-        count = int(valid.sum()) if valid is not None else ux[..., 0].size
+        # (1/eps) * |grad.k|^2 eps^2 * (valid area); on the full mask x is
+        # valid when its shift stencil stays on the grid, which loses |t|
+        # samples per axis for a lattice shift t and ceil(|t|) otherwise
+        t = eps * k / h
+        lattice = np.max(np.abs(t - np.rint(t))) < 1e-9
+        widths = np.abs(np.rint(t)) if lattice else np.ceil(np.abs(t))
+        count = int(np.prod(np.array(square_mask.grid.extents) - widths))
         expect = eps * (0.8 * k[0] - 0.6 * k[1]) ** 2 * count * h**2
         assert v == pytest.approx(expect, rel=1e-9)
 

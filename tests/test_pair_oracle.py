@@ -29,6 +29,7 @@ from bvqlab import (
     gagliardo_dominates_bbm,
 )
 from bvqlab.kernels import resolve_radius
+from conftest import single_pair_sum
 
 REL = 1e-12
 KAPPA = 2.0  # tiny grids need radii of a few cells
@@ -203,7 +204,7 @@ def _x_mask_kind(u, kind):
     "extents, m2, inside_p", [([23], 49, 1.0), ([14, 11], 26, 1.0), ([14, 11], 26, 0.8), ([7, 6, 8], 11, 0.9)]
 )
 def test_cropped_pair_sums_match_uncropped_bit_for_bit(extents, m2, inside_p, kind, q):
-    from bvqlab.kernels import _pair_power_sum, lattice_offsets, pair_power_sums
+    from bvqlab.kernels import lattice_offsets, pair_power_sums
 
     u = _random_field(extents, 2 if len(extents) == 2 else 1, seed=len(extents), inside_p=inside_p)
     if inside_p == 1.0:
@@ -211,5 +212,5 @@ def test_cropped_pair_sums_match_uncropped_bit_for_bit(extents, m2, inside_p, ki
     x_mask = _x_mask_kind(u, kind)
     offs, _ = lattice_offsets(u.grid.dim, m2)
     cropped = pair_power_sums(u, offs, q, x_mask)
-    uncropped = np.array([_pair_power_sum(u, x_mask.inside, o, q) for o in offs])
+    uncropped = np.array([single_pair_sum(u, x_mask.inside, o, q) for o in offs])
     assert cropped.tobytes() == uncropped.tobytes()

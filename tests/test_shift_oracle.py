@@ -1,4 +1,5 @@
-"""Differential tests of the fractional shifts against a per-sample oracle.
+"""Differential tests of the shifted-difference sums against per-sample
+oracles, and bit-for-bit pins between the consumers of the one window path.
 
 ``directional_value`` evaluates u(x + eps k) for a whole window at once: by
 exact shifts when eps*k/h is a lattice vector, and by multilinear
@@ -15,7 +16,15 @@ import math
 import numpy as np
 import pytest
 
-from bvqlab import DomainMask, Grid, SampledField, directional_value
+from bvqlab import (
+    DomainMask,
+    Grid,
+    RegimeError,
+    SampledField,
+    directional_value,
+    splitting_inequality_holds,
+)
+from bvqlab.kernels import pair_power_sums
 
 REL = 1e-12
 KAPPA = 2.0  # tiny grids need shifts of a few cells
@@ -105,3 +114,79 @@ def test_fractional_shifts_with_x_mask_match_the_oracle(extents, cells):
         fast = directional_value(u, 2.0, eps, k, x_mask, kappa=KAPPA)
         slow = oracle_directional(u, 2.0, eps, k, x_mask)
         assert fast == pytest.approx(slow, rel=REL, abs=0.0), k
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("x_mask_kind", [None, "eroded", "random"])
+@pytest.mark.parametrize("mask_kind", ["full", "disc"])
+@pytest.mark.parametrize("extents, d", [((37,), 1), ((21, 18), 2), ((11, 10, 12), 1)])
+def test_lattice_shift_equals_the_pair_sum_term(extents, d, mask_kind, x_mask_kind, q):
+    # a shift eps*k/h on the lattice is one exact corner: the directional sum
+    # is the single-offset pair sum times h^N/eps, bit for bit
+    u = _field(extents, d, mask_kind, seed=len(extents) + d)
+    g = u.grid
+    h = g.spacing
+    x_mask = None
+    if x_mask_kind == "eroded":
+        x_mask = u.mask.erode(2 * h)
+    elif x_mask_kind == "random":
+        rng = np.random.default_rng(len(extents))
+        x_mask = DomainMask(g, (rng.random(g.extents) < 0.5) & u.mask.inside)
+    shifts = {1: [(3,), (-4,)], 2: [(3, 0), (0, -4), (3, 4), (-3, 4)], 3: [(2, 0, 0), (0, -3, 0), (1, 2, 2)]}
+    for off in shifts[g.dim]:
+        norm = math.sqrt(sum(o * o for o in off))
+        k = [o / norm for o in off]
+        eps = norm * h
+        pair = pair_power_sums(u, np.array([off]), q, x_mask)[0]
+        shifted = directional_value(u, q, eps, k, x_mask, kappa=KAPPA)
+        assert shifted == pair * h**g.dim / eps, off
+
+
+def oracle_splitting(u, q, v1, v2, x_mask=None):
+    """Per-sample verdict of the splitting check; ``None`` when no x has x,
+    x+v1 and x+v1+v2 on the grid."""
+    ext = u.grid.extents
+    inside = u.mask.inside
+    xs = np.ones(ext, dtype=bool) if x_mask is None else x_mask.inside
+    on_grid = False
+    ok = True
+    for x in np.ndindex(*ext):
+        m = tuple(a + b for a, b in zip(x, v1))
+        y = tuple(a + b for a, b in zip(m, v2))
+        if any(not 0 <= c < e for p in (m, y) for c, e in zip(p, ext)):
+            continue
+        on_grid = True
+        if not (xs[x] and inside[x] and inside[m] and inside[y]):
+            continue
+        ssa, ssb, ssc = (
+            float(np.sum((u.values[p1] - u.values[p0]) ** 2)) for p1, p0 in ((y, m), (m, x), (y, x))
+        )
+        lhs = ssc ** (0.5 * q)
+        rhs = 2.0 ** (q - 1.0) * (ssa ** (0.5 * q) + ssb ** (0.5 * q))
+        ok = ok and (lhs <= rhs or ssa == ssb)
+    return ok if on_grid else None
+
+
+@pytest.mark.parametrize("extents", [(13,), (9, 8), (5, 6, 4)])
+def test_splitting_check_matches_the_oracle(extents):
+    # q = 1/2 breaks the convexity bound wherever one leg is flat and the
+    # other is not, so on a sparse field the verdict depends on exactly which
+    # samples are valid; offsets reach past the grid edges
+    g = Grid.for_box([0.0] * len(extents), [float(e) for e in extents], extents)
+    rng = np.random.default_rng(len(extents))
+    verdicts = []
+    for _ in range(40):
+        inside = rng.random(extents) < 0.85
+        vals = np.where(rng.random(extents) < 0.08, rng.normal(size=extents), 0.0)
+        u = SampledField(DomainMask(g, inside), vals[..., None] * inside[..., None])
+        x_mask = DomainMask(g, rng.random(extents) < 0.6) if rng.random() < 0.5 else None
+        v1 = [int(rng.integers(1 - e, e)) for e in extents]
+        v2 = [int(rng.integers(1 - e, e)) for e in extents]
+        expect = oracle_splitting(u, 0.5, v1, v2, x_mask)
+        if expect is None:
+            with pytest.raises(RegimeError):
+                splitting_inequality_holds(u, 0.5, v1, v2, x_mask)
+        else:
+            assert splitting_inequality_holds(u, 0.5, v1, v2, x_mask) == expect, (v1, v2)
+        verdicts.append(expect)
+    assert {True, False, None} <= set(verdicts)
