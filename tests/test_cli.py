@@ -96,11 +96,6 @@ def test_exit_codes(tmp_path):
     )
     assert main(["run", str(low_q)]) == EXIT_CONFIG
 
-    # --workers is no longer an option
-    with pytest.raises(SystemExit) as exc:
-        main(["run", str(regime), "--workers", "1"])
-    assert exc.value.code == EXIT_CONFIG
-
 
 def test_failed_check_exit(tmp_path):
     # impossible tolerance forces a failed identity
@@ -132,6 +127,25 @@ def test_list_fields_and_constants_commands(capsys):
     assert main(["constants"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[1].startswith("1,2,")
+
+
+def test_worker_override_bit_identical(tmp_path):
+    cfg = write_config(
+        tmp_path, "w.json", experiment="two-sided",
+        field={"kind": "block-random", "params": {"seed": 5, "dim": 2}},
+        grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [96, 96]},
+        eps_ladder={"start_cells": 16, "ratio": 0.5, "count": 2},
+        out_dir=str(tmp_path / "out_w1"),
+    )
+    # a worker count is no longer an option: the run is single-path
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg), "--workers", "8"])
+    assert exc.value.code == EXIT_CONFIG
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out_w2")]) == EXIT_OK
+    a = (tmp_path / "out_w1" / "sweep.csv").read_bytes()
+    b = (tmp_path / "out_w2" / "sweep.csv").read_bytes()
+    assert a == b
 
 
 @pytest.mark.parametrize("experiment,field,grid,extra", [
