@@ -6,10 +6,11 @@ the smoothed field psi_eps(x) = int eta(z) psi(x + eps z) dz has
     grad psi_eps(x)       =  int eta(z)      grad psi(x + eps z) dz
     eps * hess psi_eps(x) = -int grad eta(z) (x) grad psi(x + eps z) dz
 
-and both are computed from these identities with the exact catalog gradient
-sampled on the grid, never by differencing psi_eps.  The integrals become
-lattice sums over the offsets inside the eps-ball, evaluated as zero-padded
-FFT correlations.  The energies measured here are
+and both are computed from these identities with the exact gradient of psi,
+which the caller samples once on the grid and passes in as a field, never by
+differencing psi_eps.  Nothing here reads the analytic catalog.  The
+integrals become lattice sums over the offsets inside the eps-ball,
+evaluated as zero-padded FFT correlations.  The energies measured here are
 
     I_p(eps) = int eps^(p-1) |hess psi_eps|^p
              + int (1/eps) (1 - |grad psi_eps|^2)^(p/(p-1))
@@ -23,13 +24,13 @@ lower inequality with constant 3/cbrt(4) that holds sample by sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import defaults
 from .errors import RegimeError
-from .fields import JumpSpec, sample_gradient
+from .fields import JumpSpec
 from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
@@ -85,19 +86,19 @@ class MollifiedField:
 
 def mollify(
     psi: SampledField,
+    grad: SampledField,
     eta: Mollifier,
     eps,
     inner: DomainMask | None = None,
     *,
     kappa: float = defaults.KAPPA,
 ) -> MollifiedField:
-    """Smooth a catalog eikonal field at scale eps over an eroded inner mask.
+    """Smooth a sampled eikonal field at scale eps over an eroded inner mask.
 
-    ``psi.source`` must be the generating analytic field (attached by
-    ``sample_analytic``): its exact gradient g is sampled on the grid.  Over
-    the lattice offsets v with |v|^2 <= m2 (the exact integer radius of eps)
-    and v = 0, with weights w_v = eta(v h/eps) scaled to unit sum and
-    gw_v = grad eta(v h/eps) (h/eps)^N,
+    ``grad`` holds the exact gradient g of psi, sampled as a d = dim field on
+    psi's grid and mask.  Over the lattice offsets v with |v|^2 <= m2 (the
+    exact integer radius of eps) and v = 0, with weights w_v = eta(v h/eps)
+    scaled to unit sum and gw_v = grad eta(v h/eps) (h/eps)^N,
 
         psi_eps(x) = sum_v w_v psi(x + v h),   grad psi_eps(x) = sum_v w_v g(x + v h),
         hess psi_eps(x)[a, b] = -(1/eps) sum_v gw_v[a] g_b(x + v h),
@@ -107,9 +108,13 @@ def mollify(
     ``inner`` defaults to the mask eroded by eps and may be any mask eroded
     at least that much (fixed across a sweep, typically).
     """
-    spec = psi.source
-    if spec is None:
-        raise ValueError("mollify needs the analytic source of the sampled field")
+    n = psi.grid.dim
+    if (
+        grad.d != n
+        or grad.grid != psi.grid
+        or not np.array_equal(grad.mask.inside, psi.mask.inside)
+    ):
+        raise ValueError("grad must be a d = dim field on the grid and mask of psi")
     h = psi.grid.spacing
     m2, eps_len = resolve_radius(eps, h)
     if eps_len < kappa * h:
@@ -118,7 +123,6 @@ def mollify(
         inner = psi.mask.erode(eps_len)
     elif (inner.inside & ~(psi.mask.boundary_distance > eps_len)).any():
         raise ValueError("inner mask must keep distance > eps from the boundary")
-    n = psi.grid.dim
     offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
     z = offs * (h / eps_len)
     w = eta.value(z)
@@ -126,7 +130,7 @@ def mollify(
         [(w / w.sum())[:, None], eta.gradient(z) * (h / eps_len) ** n], axis=1
     )
     # channel 0 is psi, channels 1..n the exact gradient
-    f = np.concatenate([psi.values[..., :1], sample_gradient(spec, psi.mask).values], axis=-1)
+    f = np.concatenate([psi.values[..., :1], grad.values], axis=-1)
     f[~psi.mask.inside] = 0.0
     m = math.isqrt(m2)
     shape = tuple(e + 2 * m for e in psi.grid.extents)
@@ -147,6 +151,28 @@ def mollify(
     return MollifiedField(inner, eps_len, eta, full_psi, full_grad, full_hess)
 
 
+def _mollified_ladder(psi, grad, eta, eps_list, kappa):
+    """Yield (mollified field, |hess|, defect) per eps, one rung at a time.
+
+    Every rung shares the mask eroded by the largest eps, so the energies of
+    a sweep are integrated over one region; only one rung is held at once.
+    """
+    h = psi.grid.spacing
+    inner = psi.mask.erode(max(resolve_radius(e, h)[1] for e in eps_list))
+    for e in eps_list:
+        mf = mollify(psi, grad, eta, e, inner, kappa=kappa)
+        yield mf, mf.hessian_frobenius(), mf.eikonal_defect()
+
+
+def _energy(mf: MollifiedField, hn, defect, a: float, b: float) -> tuple[float, float]:
+    """(eps^(a-1) int |hess|^a, (1/eps) int defect^b) over the inner mask."""
+    cell = mf.grid.spacing**mf.grid.dim
+    return (
+        mf.eps ** (a - 1.0) * cell * math.fsum(hn**a),
+        cell / mf.eps * math.fsum(defect**b),
+    )
+
+
 def ag_energy(mf: MollifiedField, p: float) -> tuple[float, float]:
     """(hessian term, eikonal-defect term) of I_p(eps) for the smoothed field.
 
@@ -154,26 +180,7 @@ def ag_energy(mf: MollifiedField, p: float) -> tuple[float, float]:
     """
     if not p > 1:
         raise ValueError("p must exceed 1")
-    h = mf.grid.spacing
-    cell = h**mf.grid.dim
-    eps = mf.eps
-    hn = mf.hessian_frobenius()
-    defect = mf.eikonal_defect()
-    t1 = eps ** (p - 1.0) * cell * math.fsum(hn**p)
-    t2 = cell / eps * math.fsum(defect ** (p / (p - 1.0)))
-    return t1, t2
-
-
-def _energy_pair_lhs(mf: MollifiedField, q: float, p: float) -> float:
-    """int eps^(q-1)|hess|^q + (1/eps)(1-|grad|^2)^(p/2) on the inner mask."""
-    h = mf.grid.spacing
-    cell = h**mf.grid.dim
-    eps = mf.eps
-    hn = mf.hessian_frobenius()
-    defect = mf.eikonal_defect()
-    return eps ** (q - 1.0) * cell * math.fsum(hn**q) + cell / eps * math.fsum(
-        defect ** (p / 2.0)
-    )
+    return _energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), p, p / (p - 1.0))
 
 
 def _moment_bound(eta: Mollifier, q: float, p: float, a_q: float, a_p: float) -> float:
@@ -184,22 +191,23 @@ def _moment_bound(eta: Mollifier, q: float, p: float, a_q: float, a_p: float) ->
 
 def check_ag_upper_bound(
     psi: SampledField,
+    grad: SampledField,
     eta: Mollifier,
     q: float,
     p: float,
     eps_list,
-    slack: float = defaults.AG_SLACK,
-    trend_slack: float = defaults.TREND_SLACK,
     *,
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
 ) -> ComparisonReport:
     """Smoothed-energy upper bound against moment-weighted gradient sweeps.
 
-    The limit inequality is checked at finite scale: the left side at the
-    smallest eps must stay under the bound with 10% slack and must not
-    increase along the sweep (within ``trend_slack``).  p = 2 is rejected:
-    the defect-moment exponent degenerates there.
+    The left side int eps^(q-1)|hess|^q + (1/eps)(1-|grad|^2)^(p/2) is
+    checked at finite scale: at the smallest eps it must stay under the
+    bound built from the kernel sweeps of ``grad`` with ``defaults.AG_SLACK``
+    slack, and it must not increase along the sweep (within
+    ``defaults.TREND_SLACK``).  p = 2 is rejected: the defect-moment exponent
+    degenerates there.
     """
     if not q > 1:
         raise ValueError("q must exceed 1")
@@ -207,32 +215,27 @@ def check_ag_upper_bound(
         raise ValueError(
             "p must exceed 2: the defect moment exponent p/(p-2) degenerates at p = 2"
         )
-    spec = psi.source
-    if spec is None:
-        raise ValueError("needs the analytic source field")
-    h = psi.grid.spacing
-    eps_lens = [resolve_radius(e, h)[1] for e in eps_list]
-    inner = psi.mask.erode(max(eps_lens))
-    grad_field = sample_gradient(spec, psi.mask)
-    lhs_vals = []
-    for e in eps_list:
-        mf = mollify(psi, eta, e, inner, kappa=kappa)
-        lhs_vals.append(_energy_pair_lhs(mf, q, p))
-    sweep_q = bbm_sweep(grad_field, q, eps_list, fit_model, inner, kappa=kappa)
+    lhs_vals, eps_lens = [], []
+    for mf, hn, defect in _mollified_ladder(psi, grad, eta, eps_list, kappa):
+        lhs_vals.append(sum(_energy(mf, hn, defect, q, p / 2.0)))
+        eps_lens.append(mf.eps)
+    inner = mf.inner  # the last rung's inner mask is shared by every rung
+    sweep_q = bbm_sweep(grad, q, eps_list, fit_model, inner, kappa=kappa)
     sweep_p = (
         sweep_q
         if p == q
-        else bbm_sweep(grad_field, p, eps_list, fit_model, inner, kappa=kappa)
+        else bbm_sweep(grad, p, eps_list, fit_model, inner, kappa=kappa)
     )
     rhs = _moment_bound(eta, q, p, sweep_q.limit, sweep_p.limit)
     trend_ok = all(
-        b <= a * (1.0 + trend_slack) + ZERO_ATOL for a, b in zip(lhs_vals, lhs_vals[1:])
+        b <= a * (1.0 + defaults.TREND_SLACK) + ZERO_ATOL
+        for a, b in zip(lhs_vals, lhs_vals[1:])
     )
     rep = leq(
         lhs_vals[-1],
         rhs,
         f"smoothed-energy upper bound (q={q:g}, p={p:g})",
-        slack=slack,
+        slack=defaults.AG_SLACK,
         atol=ZERO_ATOL,
         eps=eps_lens,
         lhs_values=lhs_vals,
@@ -242,19 +245,14 @@ def check_ag_upper_bound(
         gradient_limit_p=sweep_p.limit,
         trend_ok=trend_ok,
     )
-    if not trend_ok:
-        rep = ComparisonReport(
-            rep.lhs, rep.rhs, rep.relation, rep.tolerance, False, rep.provenance,
-            rep.mid, rep.details,
-        )
-    return rep
+    return rep if trend_ok else replace(rep, passed=False)
 
 
 def check_ag_chain(
     psi: SampledField,
+    grad: SampledField,
     eta: Mollifier,
     eps_list,
-    slack: float = defaults.AG_SLACK,
     *,
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
@@ -267,38 +265,29 @@ def check_ag_chain(
 
     (H = |hess psi_eps|, d = |1 - |grad psi_eps|^2|) is verified exactly in
     extended precision.  The middle quantity I_3(eps) is then compared, with
-    slack, against the moment bound at the matching scale (two smallest eps)
-    and against the bound built from the extrapolated gradient sweep.  The
-    q = p = 3 bound values are computed by the same code path as
-    ``check_ag_upper_bound``, so the two instances agree bit for bit.
+    ``defaults.AG_SLACK`` slack, against the moment bound at the matching
+    scale (two smallest eps) and against the bound built from the
+    extrapolated sweep of ``grad``.  The energies and the q = p = 3 bound
+    values come from the same code path as ``check_ag_upper_bound``, so the
+    two instances agree bit for bit.
     """
     if psi.grid.dim not in (1, 2):
         raise ValueError("the cubic chain check runs in dimension 1 or 2")
-    spec = psi.source
-    if spec is None:
-        raise ValueError("needs the analytic source field")
-    h = psi.grid.spacing
-    eps_lens = [resolve_radius(e, h)[1] for e in eps_list]
-    inner = psi.mask.erode(max(eps_lens))
-    grad_field = sample_gradient(spec, psi.mask)
-    cell = h**psi.grid.dim
-
-    young_lhs, mids, young_ok = [], [], True
-    for e, e_len in zip(eps_list, eps_lens):
-        mf = mollify(psi, eta, e, inner, kappa=kappa)
-        hn = mf.hessian_frobenius()
-        defect = mf.eikonal_defect()
+    slack = defaults.AG_SLACK
+    cell = psi.grid.spacing**psi.grid.dim
+    young_lhs, mids, eps_lens, young_ok = [], [], [], True
+    for mf, hn, defect in _mollified_ladder(psi, grad, eta, eps_list, kappa):
+        e_len = mf.eps
         young_lhs.append(YOUNG_CONSTANT * cell * math.fsum(hn * defect))
-        mids.append(
-            e_len**2 * cell * math.fsum(hn**3)
-            + cell / e_len * math.fsum(defect**1.5)
-        )
+        mids.append(sum(_energy(mf, hn, defect, 3.0, 1.5)))
+        eps_lens.append(e_len)
         hl = hn.astype(np.longdouble)
         dl = defect.astype(np.longdouble)
         lhs_pt = e_len**2 * hl**3 + dl**1.5 / e_len
         rhs_pt = np.longdouble(YOUNG_CONSTANT) * hl * dl
         young_ok = young_ok and bool((lhs_pt >= rhs_pt).all())
-    sweep3 = bbm_sweep(grad_field, 3.0, eps_list, fit_model, inner, kappa=kappa)
+    # the last rung's inner mask is shared by every rung
+    sweep3 = bbm_sweep(grad, 3.0, eps_list, fit_model, mf.inner, kappa=kappa)
     matched_bounds = [_moment_bound(eta, 3.0, 3.0, a3, a3) for a3 in sweep3.values]
     limit_bound = _moment_bound(eta, 3.0, 3.0, sweep3.limit, sweep3.limit)
     matched_ok = all(
@@ -336,7 +325,8 @@ def gamma_limit_value(jump: JumpSpec | None) -> float:
 
 
 def verify_gamma_consistency(
-    psi: SampledField,
+    grad: SampledField,
+    jump: JumpSpec | None,
     eps_list,
     tolerance: float = defaults.TOLERANCE,
     *,
@@ -345,19 +335,15 @@ def verify_gamma_consistency(
 ) -> ComparisonReport:
     """Analytic ridge energy against the normalized cubic kernel sweep.
 
-    lhs = (1/3) int over gradient jumps of |jump|^3; rhs = extrapolated
-    kernel limit of the gradient field divided by 3 C_N.  The alternative
-    normalization by 3 C_3 (the three-dimensional constant) is reported in
-    the details for side-by-side comparison but not asserted.
+    lhs = (1/3) int over the gradient jumps ``jump`` of |jump|^3; rhs =
+    extrapolated kernel limit of the sampled gradient ``grad`` divided by
+    3 C_N.  The alternative normalization by 3 C_3 (the three-dimensional
+    constant) is reported in the details for side-by-side comparison but not
+    asserted.
     """
-    spec = psi.source
-    if spec is None:
-        raise ValueError("needs the analytic source field")
-    jump = spec.jump_spec(psi.grid)
     lhs = gamma_limit_value(jump)
-    grad_field = sample_gradient(spec, psi.mask)
-    sweep = bbm_sweep(grad_field, 3.0, eps_list, fit_model, kappa=kappa)
-    cn = dimensional_constant(psi.grid.dim)
+    sweep = bbm_sweep(grad, 3.0, eps_list, fit_model, kappa=kappa)
+    cn = dimensional_constant(grad.grid.dim)
     rhs = sweep.limit / (3.0 * cn)
     return equal_within(
         lhs,

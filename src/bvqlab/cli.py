@@ -37,7 +37,7 @@ import numpy as np
 from . import defaults
 from .cubes import check_b_bound
 from .errors import ConfigError, EmptyMaskError, RegimeError, UnknownFieldError
-from .fields import list_fields, make_field, sample_analytic
+from .fields import list_fields, make_field, sample_analytic, sample_gradient
 from .grid import DomainMask, Grid
 from .jumps import (
     dimensional_constant,
@@ -226,10 +226,13 @@ def _write_reports(out: Path, reports: list[ComparisonReport]):
 # --------------------------------------------------------------------------
 
 
-def _sample(cfg: ExperimentConfig):
+def _field(cfg: ExperimentConfig):
     _require(cfg.field_kind is not None, "experiment needs a field")
-    spec = make_field(cfg.field_kind, **cfg.field_params)
-    mask = cfg.make_mask()
+    return make_field(cfg.field_kind, **cfg.field_params), cfg.make_mask()
+
+
+def _sample(cfg: ExperimentConfig):
+    spec, mask = _field(cfg)
     return spec, mask, sample_analytic(spec, mask)
 
 
@@ -266,7 +269,7 @@ def _exp_bbm_sweep(cfg):
 
 
 def _exp_jump_verify(cfg):
-    spec, mask, _ = _sample(cfg)
+    spec, mask = _field(cfg)
     ladder = cfg.ladder()
     fit = cfg.fit_model if "fit_model" in cfg.raw else "constant"
     rep = verify_jump_formula(
@@ -278,7 +281,7 @@ def _exp_jump_verify(cfg):
 
 
 def _exp_q1_bv(cfg):
-    spec, mask, _ = _sample(cfg)
+    spec, mask = _field(cfg)
     ladder = cfg.ladder()
     rep = verify_q1_full_bv(
         spec, mask, ladder, fit_model=cfg.fit_model,
@@ -363,9 +366,9 @@ def _make_mollifier(cfg, dim):
 def _exp_ag_upper(cfg):
     spec, mask, u = _sample(cfg)
     eta = _make_mollifier(cfg, mask.grid.dim)
-    ladder = cfg.ladder()
     rep = check_ag_upper_bound(
-        u, eta, cfg.q, cfg.p, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model,
+        u, sample_gradient(spec, mask), eta, cfg.q, cfg.p, cfg.ladder(),
+        kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
     rows = list(zip(rep.details["eps"], rep.details["lhs_values"]))
     return ["eps", "lhs_energy"], rows, [rep]
@@ -373,16 +376,18 @@ def _exp_ag_upper(cfg):
 
 def _exp_ag_chain(cfg):
     spec, mask, u = _sample(cfg)
+    grad = sample_gradient(spec, mask)
     eta = _make_mollifier(cfg, mask.grid.dim)
     ladder = cfg.ladder()
-    rep = check_ag_chain(u, eta, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
+    rep = check_ag_chain(u, grad, eta, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
     reports = [rep]
     d = rep.details
     rows = list(zip(d["eps"], d["young_lhs"], d["middle_energy"], d["matched_bounds"]))
-    if spec.jump_spec(mask.grid) is not None:
+    jump = spec.jump_spec(mask.grid)
+    if jump is not None:
         reports.append(
             verify_gamma_consistency(
-                u, ladder, cfg.tolerance, kappa=cfg.kappa, fit_model=cfg.fit_model,
+                grad, jump, ladder, cfg.tolerance, kappa=cfg.kappa, fit_model=cfg.fit_model,
             )
         )
     return ["eps", "young_lhs", "middle", "bound"], rows, reports
@@ -404,9 +409,9 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     header, rows, reports = EXPERIMENTS[cfg.experiment](cfg)
+    out = cfg.out_dir  # made only now, so a config rejected by the run leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     _write_manifest(cfg, out)
     _write_csv(out, "sweep.csv", header, rows)
     if rows and len(rows[0]) >= 2:

@@ -713,7 +713,7 @@ def sample_analytic(spec: AnalyticField, mask: DomainMask) -> SampledField:
     pts = mask.grid.points()
     vals = spec.evaluate(pts, h=mask.grid.spacing)
     vals = vals.reshape(mask.grid.extents + (spec.d,))
-    return SampledField(mask, vals, d=spec.d, source=spec)
+    return SampledField(mask, vals, d=spec.d)
 
 
 def sample_gradient(spec: AnalyticField, mask: DomainMask) -> SampledField:
@@ -722,7 +722,7 @@ def sample_gradient(spec: AnalyticField, mask: DomainMask) -> SampledField:
         raise ValueError("field/grid dimension mismatch")
     pts = mask.grid.points()
     g = spec.gradient(pts).reshape(mask.grid.extents + (spec.dim,))
-    return SampledField(mask, g, d=spec.dim, source=None)
+    return SampledField(mask, g, d=spec.dim)
 
 
 def warn_if_jump_free(spec: JumpSpec | None) -> bool:

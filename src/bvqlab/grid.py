@@ -157,15 +157,13 @@ class SampledField:
     """Values of u: Omega -> R^d at the inside cell centers of a mask.
 
     ``values`` has shape extents + (d,), with zeros at outside cells.  The
-    optional ``source`` keeps a handle on the analytic field the samples came
-    from, so downstream consumers can re-evaluate u (and, for the eikonal
-    catalog, its exact gradient).
+    samples are all there is: a consumer that needs more of u (the exact
+    gradient of an eikonal field, say) takes it as another sampled field.
     """
 
     mask: DomainMask
     values: np.ndarray = field(repr=False)
     d: int = 1
-    source: object | None = None
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -202,4 +200,4 @@ class SampledField:
         src, dst = tuple(src), tuple(dst)
         vals[dst] = self.values[src]
         ins[dst] = self.mask.inside[src]
-        return SampledField(DomainMask(self.grid, ins), vals, self.d, None)
+        return SampledField(DomainMask(self.grid, ins), vals, self.d)

@@ -182,6 +182,16 @@ def _window_sum(field: SampledField, x_inside, stencil, cost, box=None) -> float
     return float(t[valid].sum())
 
 
+def _x_inside(field: SampledField, x_mask: DomainMask | None) -> np.ndarray | None:
+    """``x_mask.inside`` (``None`` without a mask); the mask must share the
+    field grid."""
+    if x_mask is None:
+        return None
+    if x_mask.grid != field.grid:
+        raise ValueError("x_mask must share the field grid")
+    return x_mask.inside
+
+
 def pair_power_sums(
     field: SampledField,
     offsets: np.ndarray,
@@ -205,13 +215,11 @@ def pair_power_sums(
     same elements in the same C order and its sum is unchanged, bit for bit;
     only samples the mask would discard are no longer computed.
     """
-    x_inside = box = None
+    x_inside = _x_inside(field, x_mask)
+    box = None
     if x_mask is not None:
-        if x_mask.grid != field.grid:
-            raise ValueError("x_mask must share the field grid")
         if not x_mask.count:
             raise EmptyMaskError("x_mask is empty")
-        x_inside = x_mask.inside
         box = _bounding_box(x_inside)
     n = len(offsets)
     half = n
@@ -419,8 +427,7 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     A sample is dropped as soon as one stencil corner leaves the mask.
     """
     h = u.grid.spacing
-    x_inside = None if x_mask is None else x_mask.inside
-    total = _window_sum(u, x_inside, _shift_stencil(eps_len * k / h), cost)
+    total = _window_sum(u, _x_inside(u, x_mask), _shift_stencil(eps_len * k / h), cost)
     if total is None:
         raise RegimeError("shift leaves the grid entirely")
     return total * h**u.grid.dim / eps_len
@@ -496,7 +503,6 @@ def directional_sup(
     q: float,
     eps,
     n_directions: int | None = None,
-    x_mask: DomainMask | None = None,
     *,
     kappa: float = defaults.KAPPA,
 ) -> float:
@@ -512,7 +518,7 @@ def directional_sup(
         raise ValueError("need at least the 2*dim axis directions")
     best = 0.0
     for k in direction_set(u.grid.dim, count):
-        best = max(best, directional_value(u, q, eps, k, x_mask, kappa=kappa))
+        best = max(best, directional_value(u, q, eps, k, kappa=kappa))
     return best
 
 
@@ -521,7 +527,6 @@ def besov_seminorm_pow(
     q: float,
     rhos,
     n_directions: int | None = None,
-    x_mask: DomainMask | None = None,
     *,
     kappa: float = defaults.KAPPA,
 ) -> float:
@@ -535,9 +540,7 @@ def besov_seminorm_pow(
     rhos = list(rhos)
     if not rhos:
         raise ValueError("need at least one radius")
-    return max(
-        directional_sup(u, q, r, n_directions, x_mask, kappa=kappa) for r in rhos
-    )
+    return max(directional_sup(u, q, r, n_directions, kappa=kappa) for r in rhos)
 
 
 def gagliardo_seminorm_pow(
@@ -653,7 +656,10 @@ def splitting_inequality_holds(
             <= 2^(q-1) (|u(x+v1+v2) - u(x+v1)|^q + |u(x+v1) - u(x)|^q).
 
     Exact-equality samples (the two legs coincide) are accepted as equality.
+    Both offsets must have the grid's dimension.
     """
+    if any(np.size(o) != u.grid.dim for o in (off1, off2)):
+        raise ValueError("splitting offsets must have the grid dimension")
     off1 = np.asarray(off1, dtype=int).tolist()
     off = (np.asarray(off2, dtype=int) + off1).tolist()
     sx, ys = _offset_slices(u.grid.extents, [off1, off])
@@ -665,8 +671,9 @@ def splitting_inequality_holds(
     u2 = u.values[sy]
     inside = u.mask.inside
     valid = inside[sx] & inside[s_mid] & inside[sy]
-    if x_mask is not None:
-        valid = valid & x_mask.inside[sx]
+    x_inside = _x_inside(u, x_mask)
+    if x_inside is not None:
+        valid = valid & x_inside[sx]
     a = u2 - u1
     b = u1 - u0
     ssa = np.einsum("...k,...k->...", a, a)

@@ -233,10 +233,12 @@ def test_criterion_10_cube_packing_bound():
 def test_criterion_11_eikonal_energy_chain():
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [192, 192])
     mask = DomainMask.full(g)
-    psi = sample_analytic(make_field("pyramid-eikonal"), mask)
+    spec = make_field("pyramid-eikonal")
+    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     ladder = [GridRadius.from_cells(m) for m in (36, 24, 18, 12)]
-    chain = check_ag_chain(psi, eta, ladder, slack=0.10)
+    chain = check_ag_chain(psi, grad, eta, ladder)
+    assert chain.tolerance == 0.10, "criterion 11: chain slack"
     d = chain.details
     assert d["young_exact_ok"], "criterion 11: Young step not exact"
     for mid, bound in list(zip(d["middle_energy"], d["matched_bounds"]))[-2:]:
@@ -245,9 +247,9 @@ def test_criterion_11_eikonal_energy_chain():
     # the ridge-energy consistency runs on a finer grid: the kernel sweep of
     # the gradient field converges like the jump identity it instantiates
     g_fine = Grid.for_box([0.0, 0.0], [1.0, 1.0], [256, 256])
-    psi_fine = sample_analytic(make_field("pyramid-eikonal"), DomainMask.full(g_fine))
+    grad_fine = sample_gradient(spec, DomainMask.full(g_fine))
     fine_ladder = [GridRadius.from_cells(m) for m in (48, 32, 24, 16)]
-    gamma = verify_gamma_consistency(psi_fine, fine_ladder, tolerance=0.05)
+    gamma = verify_gamma_consistency(grad_fine, spec.jump_spec(g_fine), fine_ladder, tolerance=0.05)
     assert gamma.lhs == pytest.approx(8.0 / 3.0), "criterion 11: ridge value"
     assert gamma.passed, f"criterion 11: gamma {gamma.lhs} vs {gamma.rhs} at 5%"
     _report(11, f"Young exact at 4 scales; I3 {d['middle_energy'][-1]:.3f} <= "

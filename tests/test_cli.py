@@ -186,6 +186,37 @@ def test_ag_upper_experiment(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("experiment,grid,ladder,reports", [
+    # a 1D pyramid has gradient jumps, so ag-chain also runs the ridge check
+    ("ag-chain", {"lo": [-1.0], "hi": [1.0], "n": [512]}, (32, 0.5, 3), 2),
+    ("ag-upper", {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]}, (16, 0.75, 3), 1),
+])
+def test_ag_runs_sample_the_gradient_once(tmp_path, monkeypatch, experiment, grid, ladder, reports):
+    from bvqlab import fields
+
+    real = fields.sample_gradient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # every module that holds the function by name
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "bvqlab" and getattr(mod, "sample_gradient", None) is real:
+            monkeypatch.setattr(mod, "sample_gradient", counted)
+    start, ratio, count = ladder
+    cfg = write_config(
+        tmp_path, "ag.json", experiment=experiment,
+        field={"kind": "pyramid-eikonal", "params": {"lo": grid["lo"], "hi": grid["hi"]}},
+        grid=grid, eps_ladder={"start_cells": start, "ratio": ratio, "count": count},
+        q=3.0, p=3.0, out_dir=str(tmp_path / "out_ag"),
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    assert len(json.loads((tmp_path / "out_ag" / "report.json").read_text())) == reports
+    assert len(calls) == 1
+
+
 def test_repeated_runs_bit_identical_across_processes(tmp_path):
     import subprocess
     import sys
@@ -234,13 +265,18 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     {"fit_model": "quadratic"},
     {"directions": 0},
     {"directions": 2.5},
+    # the next two are rejected while the experiment runs, not while loading
+    {"field": {"kind": "step-1d", "params": {"bogus": 1}}},
+    {"experiment": "besov", "field": {"kind": "pyramid-eikonal", "params": {}},
+     "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [32, 32]},
+     "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}, "directions": 3},
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
-        "directions-zero", "directions-float"])
+        "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
-    # rejected while loading, before the experiment creates its output directory
+    # the output directory is created only after the experiment succeeds
     assert not (tmp_path / "out").exists()
 
 

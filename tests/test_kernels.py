@@ -152,6 +152,28 @@ def test_splitting_inequality_2d(square_mask):
         assert splitting_inequality_holds(u, 1.5, o1, o2)
 
 
+def test_splitting_rejects_offsets_of_another_dimension(square_mask):
+    u = random_block_field(square_mask, seed=0, blocks=5)
+    for o1, o2 in (([3], [4]), ([3, 0], [4]), ([3, 0, 1], [4, 0, 0])):
+        with pytest.raises(ValueError, match="grid dimension"):
+            splitting_inequality_holds(u, 1.5, o1, o2)
+
+
+def test_shifts_reject_an_x_mask_on_another_grid():
+    from bvqlab import PowerPairCost, directional_w_limit
+
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [32, 32])
+    other = DomainMask.full(Grid.for_box([0.0, 0.0], [2.0, 2.0], [32, 32]))
+    u = random_block_field(DomainMask.full(g), seed=0, blocks=5)
+    eps = 8 * g.spacing
+    with pytest.raises(ValueError, match="x_mask must share the field grid"):
+        directional_value(u, 2.0, eps, [1.0, 0.0], other)
+    with pytest.raises(ValueError, match="x_mask must share the field grid"):
+        directional_w_limit(u, PowerPairCost(2.0), [1.0, 0.0], eps, other)
+    with pytest.raises(ValueError, match="x_mask must share the field grid"):
+        splitting_inequality_holds(u, 1.5, [3, 0], [0, 4], other)
+
+
 def test_regime_guards(step_field):
     h = step_field.grid.spacing
     with pytest.raises(RegimeError):

@@ -34,7 +34,7 @@ def _shift_add(f, weights, offs):
     return out
 
 
-def _oracle(psi, eta, eps):
+def _oracle(psi, grad, eta, eps):
     grid = psi.grid
     n, h = grid.dim, grid.spacing
     m2, eps_len = resolve_radius(eps, h)
@@ -46,7 +46,7 @@ def _oracle(psi, eta, eps):
     outside = ~psi.mask.inside
     vals = np.array(psi.values)
     vals[outside] = 0.0
-    g = np.array(sample_gradient(psi.source, psi.mask).values)
+    g = np.array(grad.values)
     g[outside] = 0.0
     psi_eps = _shift_add(vals, w[:, None], offs)[..., 0, 0]
     grad = _shift_add(g, w[:, None], offs)[..., 0, :]
@@ -79,29 +79,15 @@ def _cases():
 @pytest.mark.parametrize("case", list(_cases()))
 def test_mollify_matches_shift_and_add(case):
     spec, mask, eps = _cases()[case]
-    psi = sample_analytic(spec, mask)
+    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", mask.grid.dim, k=2)
-    mf = mollify(psi, eta, eps)
+    mf = mollify(psi, grad, eta, eps)
     ins = mf.inner.inside
-    for got, ref in zip((mf.psi, mf.grad, mf.hess), _oracle(psi, eta, eps)):
+    for got, ref in zip((mf.psi, mf.grad, mf.hess), _oracle(psi, grad, eta, eps)):
         scale = np.abs(ref[ins]).max()
         assert scale > 0
         assert np.abs(got[ins] - ref[ins]).max() <= RTOL * scale
         assert not got[~ins].any()  # zero outside the inner mask
-
-
-class _PoisonedGradient:
-    """Delegates to a catalog field but returns ``bad`` as the gradient
-    wherever ``outside`` holds."""
-
-    def __init__(self, spec, outside, bad):
-        self.spec, self.outside, self.bad = spec, outside, bad
-        self.dim = spec.dim
-
-    def gradient(self, pts):
-        g = np.array(self.spec.gradient(pts))
-        g[self.outside.ravel()] = self.bad
-        return g
 
 
 @pytest.mark.parametrize("bad", [math.nan, 1e300])
@@ -109,14 +95,17 @@ def test_values_outside_mask_never_reach_the_transform(bad):
     grid = Grid.for_box([0.0, 0.0], [1.0, 1.0], [48, 48])
     mask = _disc(grid, 0.45)
     spec = make_field("cone-eikonal")
-    clean = sample_analytic(spec, mask)
-    vals = np.array(clean.values)
+    clean, clean_grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
+    # psi and its gradient both carry ``bad`` at every outside cell
+    vals, grads = np.array(clean.values), np.array(clean_grad.values)
     vals[~mask.inside] = bad
-    dirty = SampledField(mask, vals, source=_PoisonedGradient(spec, ~mask.inside, bad))
+    grads[~mask.inside] = bad
+    dirty = SampledField(mask, vals)
+    dirty_grad = SampledField(mask, grads, d=2)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     eps = 8 * grid.spacing
-    ref = mollify(clean, eta, eps)
-    got = mollify(dirty, eta, eps, inner=ref.inner)
+    ref = mollify(clean, clean_grad, eta, eps)
+    got = mollify(dirty, dirty_grad, eta, eps, inner=ref.inner)
     for a, b in ((got.psi, ref.psi), (got.grad, ref.grad), (got.hess, ref.hess)):
         assert np.isfinite(a).all()
         assert np.array_equal(a, b)
