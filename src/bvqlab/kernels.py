@@ -34,6 +34,16 @@ of such a window.  A pair sum is its one-corner case; a directional shift
 direction and regime check) is one exact corner on a lattice vector and the
 multilinear corners otherwise; the splitting check takes its three windows
 from ``_offset_slices`` too.
+
+One consumer reads correlation sums instead.  ``correlation_sweep``, which
+``jumps.verify_jump_formula`` uses at q = 2, takes every per-displacement
+sum of its ladder from one zero-padded FFT correlation pass: each is within
+tau = 1e-12 * sum_x |u - mean|^2 of the direct sum, not bit for bit, and a
+sum at or below tau is returned as exact 0, so exact zeros (constant fields,
+displacements along a straight jump) are kept.  It shares the ladder checks
+of ``bbm_sweep`` and the rung reduction of ``bbm_ladder``.  Its fit is only
+compared at a tolerance; every other function here, and every untoleranced
+check built on them, sums pair by pair.
 """
 
 from __future__ import annotations
@@ -234,6 +244,87 @@ def pair_power_sums(
     return out
 
 
+def _padded_spectrum(a: np.ndarray, shape, out: np.ndarray) -> None:
+    """Write the real FFT of ``a``, zero-padded to ``shape``, into ``out``.
+
+    One axis at a time, in place: the last axis is ``rfft``-ed into the
+    leading block of ``out``, then each earlier axis is ``fft``-ed over the
+    rows that are not all zero yet.
+    """
+    out[...] = 0.0
+    ext = a.shape
+    np.fft.rfft(a, n=shape[-1], axis=-1, out=out[tuple(slice(e) for e in ext[:-1])])
+    for ax in range(len(ext) - 2, -1, -1):
+        rows = out[tuple(slice(e) for e in ext[:ax])]
+        np.fft.fft(rows, axis=ax, out=rows)
+
+
+def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarray:
+    """q = 2 pair sums S(v) = sum_x m(x) m(x+v) |u(x+v) - u(x)|^2 for every
+    offset, from one pass of FFT correlations.
+
+    With u zero outside the mask m, S is the inverse transform of
+    2 Re(conj(M) W) - 2 sum_k |U_k|^2, where M, W and U_k are the transforms
+    of m, w = |u|^2 and each component, zero-padded per axis by the largest
+    offset (at most the extent less one) so that no lag wraps round; an
+    offset that reaches past the grid pairs no cells and sums to 0.  Each
+    component is first centred on its mean over the inside cells: the
+    differences do not change, and the round-off no longer grows with the
+    mean.  A sum at or below tau = 1e-12 * sum_x m |u - mean|^2 is returned
+    as exact 0, so constant fields and offsets along a straight jump keep
+    their zeros and no negative round-off is returned.  The stated tolerance
+    against ``pair_power_sums(field, offsets, 2.0)`` is tau per offset; the
+    transforms' own round-off is a few ulps of the centred energy.
+
+    At most two spectra, w and one centred component are live at a time;
+    every transform and product writes in place.
+    """
+    inside = field.mask.inside
+    outside = ~inside
+    ext = field.grid.extents
+    # lags up to reach stay clear of their images one period away
+    reach = np.minimum(np.abs(offsets).max(axis=0), np.array(ext) - 1)
+    shape = (ext + reach).tolist()
+
+    def centred(k):
+        comp = field.values[..., k]
+        c = comp - comp[inside].mean()
+        c[outside] = 0.0
+        return c
+
+    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
+    _padded_spectrum(inside.astype(np.float64), shape, acc)
+    w = np.zeros(ext)
+    for k in range(field.d):
+        c = centred(k)
+        w += np.square(c, out=c)
+    del c
+    tau = 1e-12 * float(w.sum())
+    spec = np.empty_like(acc)
+    _padded_spectrum(w, shape, spec)
+    del w
+    # acc = Re(conj(M) W) - sum_k |U_k|^2, and S = 2 * inverse(acc)
+    np.conjugate(acc, out=acc)
+    acc *= spec
+    acc.imag = 0.0
+    re = acc.real
+    for k in range(field.d):
+        _padded_spectrum(centred(k), shape, spec)
+        re -= np.square(spec.real, out=spec.real)
+        re -= np.square(spec.imag, out=spec.imag)
+    del spec
+    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, shape)]
+    for ax in range(len(ext) - 1):
+        np.fft.ifft(acc, axis=ax, out=acc)
+        acc = acc.take(lags[ax], axis=ax)
+    corr = np.fft.irfft(acc, n=shape[-1], axis=-1).take(lags[-1], axis=-1)
+    sums = np.zeros(len(offsets))
+    near = (np.abs(offsets) <= reach).all(axis=1)  # the others pair no cells
+    sums[near] = 2.0 * corr[tuple((offsets[near] + reach).T)]
+    sums[sums <= tau] = 0.0
+    return sums
+
+
 def _check_regime(eps_len: float, h: float, kappa: float, diameter: float):
     if eps_len < kappa * h:
         raise RegimeError(
@@ -281,12 +372,20 @@ def bbm_ladder(
     so, ``math.fsum`` being correctly rounded, each value is the rung's
     single-scale value bit for bit.  The list may come in any order.
     """
+    return _ladder_values(u, q, eps_list, kappa, partial(pair_power_sums, u, q=q, x_mask=x_mask))
+
+
+def _ladder_values(u: SampledField, q: float, eps_list, kappa: float, pair_sums) -> list[float]:
+    """Validate every rung, get the pair sums of the largest rung's offsets
+    from ``pair_sums(offsets)`` and reduce each rung's subset of them.
+
+    The one place a bbm ladder is validated and reduced.
+    """
     rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
     if not rungs:
         raise ValueError("need at least one eps")
     offs, r2 = lattice_offsets(u.grid.dim, max(m2 for m2, _ in rungs))
-    sums = pair_power_sums(u, offs, q, x_mask)
-    terms = sums / (u.grid.spacing * np.sqrt(r2))
+    terms = pair_sums(offs) / (u.grid.spacing * np.sqrt(r2))
     return [_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs]
 
 
@@ -379,6 +478,35 @@ def bbm_sweep(
     each equals ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
     eps_list = list(eps_list)
+    eps_lengths = _sweep_lengths(u, eps_list, fit_model)
+    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
+    return sweep_functional(eps_lengths, values, fit_model)
+
+
+def correlation_sweep(
+    u: SampledField,
+    eps_list,
+    fit_model: str = "linear-in-eps",
+    *,
+    kappa: float = defaults.KAPPA,
+) -> EpsSweep:
+    """``bbm_sweep`` at q = 2 with every pair sum from one FFT correlation
+    pass (``_correlation_pair_sums``), for fits compared at a tolerance.
+
+    The ladder and its rungs are checked as in ``bbm_sweep`` and reduced as
+    in ``bbm_ladder``; only the per-offset sums differ, by at most tau each,
+    so the values are ``bbm_sweep(u, 2.0, ...)``'s to round-off, not bit
+    for bit.  Exact zero sums stay exact.  No untoleranced check reads it.
+    """
+    eps_list = list(eps_list)
+    eps_lengths = _sweep_lengths(u, eps_list, fit_model)
+    values = _ladder_values(u, 2.0, eps_list, kappa, partial(_correlation_pair_sums, u))
+    return sweep_functional(eps_lengths, values, fit_model)
+
+
+def _sweep_lengths(u: SampledField, eps_list: list, fit_model: str) -> list[float]:
+    """Check that a sweep's ladder decreases and its fit model can run on
+    it; return the eps lengths."""
     eps_lengths = [resolve_radius(e, u.grid.spacing)[1] for e in eps_list]
     if any(b >= a for a, b in zip(eps_lengths, eps_lengths[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
@@ -386,8 +514,7 @@ def bbm_sweep(
         raise ValueError(f"unknown fit model {fit_model!r}")
     if fit_model == "linear-in-eps" and min(defaults.FIT_POINTS, len(eps_lengths)) < 3:
         raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
-    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
-    return sweep_functional(eps_lengths, values, fit_model)
+    return eps_lengths
 
 
 # --------------------------------------------------------------------------
