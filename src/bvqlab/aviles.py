@@ -121,7 +121,7 @@ def mollify(
         raise RegimeError("mollification scale below kappa*h")
     if inner is None:
         inner = psi.mask.erode(eps_len)
-    elif (inner.inside & ~(psi.mask.boundary_distance > eps_len)).any():
+    elif (inner.inside & ~psi.mask._farther_than(eps_len)).any():
         raise ValueError("inner mask must keep distance > eps from the boundary")
     offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
     z = offs * (h / eps_len)

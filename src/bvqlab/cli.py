@@ -54,7 +54,7 @@ from .kernels import (
     directional_sup,
     gagliardo_dominates_bbm,
 )
-from .mollifier import build_mollifier
+from .mollifier import PROFILES, build_mollifier
 from .aviles import check_ag_chain, check_ag_upper_bound, verify_gamma_consistency
 from .reports import ComparisonReport, equal_within
 from .variation import Signal1D, check_vq_embedding, q_variation_pow
@@ -111,6 +111,27 @@ def _object(raw: dict, key: str, where: str = "") -> dict:
     return value
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _mollifier_config(raw: dict) -> dict:
+    """The mollifier entry, checked key by key so no setting is silently changed."""
+    moll = dict(_object(raw, "mollifier") or {"profile": "polynomial-bump", "k": 2})
+    for key in moll:
+        _require(key in ("profile", "k", "resolution"), f"unknown mollifier key {key!r}")
+    profile = moll.get("profile", "polynomial-bump")
+    _require(profile in PROFILES, f"unknown mollifier.profile {profile!r}")
+    k = moll.get("k")
+    if profile == "exponential-bump":
+        _require(k is None, "mollifier.k is not taken by exponential-bump")
+    else:
+        _require(k is None or (_is_int(k) and k >= 2), "mollifier.k must be an integer >= 2")
+    res = moll.get("resolution", defaults.MOLLIFIER_RESOLUTION)
+    _require(_is_int(res) and res >= 64, "mollifier.resolution must be an integer >= 64")
+    return moll
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
@@ -154,8 +175,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     _require(fit_model in FIT_MODELS, f"unknown fit model {fit_model!r}")
     directions = raw.get("directions")
     _require(
-        directions is None
-        or (isinstance(directions, int) and not isinstance(directions, bool) and directions >= 1),
+        directions is None or (_is_int(directions) and directions >= 1),
         "directions must be an integer >= 1",
     )
     tol = raw.get("tolerance")
@@ -172,7 +192,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kappa=kappa,
         tolerance=float(tol) if tol is not None else defaults.TOLERANCE,
         fit_model=fit_model,
-        mollifier=dict(_object(raw, "mollifier") or {"profile": "polynomial-bump", "k": 2}),
+        mollifier=_mollifier_config(raw),
         directions=directions,
         out_dir=Path(raw.get("out_dir", "out")),
         raw=raw,
@@ -358,7 +378,7 @@ def _make_mollifier(cfg, dim):
     return build_mollifier(
         m.get("profile", "polynomial-bump"),
         dim,
-        resolution=int(m.get("resolution", defaults.MOLLIFIER_RESOLUTION)),
+        resolution=m.get("resolution", defaults.MOLLIFIER_RESOLUTION),
         k=m.get("k"),
     )
 

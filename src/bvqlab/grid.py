@@ -16,6 +16,76 @@ import numpy as np
 from .errors import EmptyMaskError
 
 
+def _squared_cells(length: float, h: float) -> int:
+    """floor((length / h)^2), snapped up by a relative 1e-12 so that a length
+    computed as h * sqrt(m2) gives back the integer m2."""
+    ratio = float(length) / h
+    return int(math.floor(ratio * ratio * (1.0 + 1e-12) + 1e-12))
+
+
+def _envelope_pass(f: np.ndarray) -> np.ndarray:
+    """min over j of f[:, j] + (i - j)^2 for every row and i (inf where a row
+    has no finite entry).
+
+    Felzenszwalb and Huttenlocher's lower envelope of parabolas, run on all
+    rows at once: ``v`` holds the apexes of the envelope and ``z`` the left
+    ends of their intervals.  Intersections are float quotients of integers
+    with denominators below 2n, so their comparisons are exact for any grid
+    that fits in memory, and every value returned is an exact integer.
+    """
+    rows, n = f.shape
+    v = np.zeros((rows, n), dtype=np.int64)
+    z = np.full((rows, n + 1), np.inf)
+    top = np.full(rows, -1)  # index of the last parabola; -1: envelope empty
+
+    def crossing(r, q):
+        a = v[r, top[r]]
+        return ((f[r, q] + q * q) - (f[r, a] + a * a)) / (2.0 * (q - a))
+
+    for q in range(n):
+        push = np.flatnonzero(np.isfinite(f[:, q]))
+        r = push[top[push] >= 0]
+        while r.size:  # drop the parabolas the new one hides
+            hidden = crossing(r, q) <= z[r, top[r]]
+            top[r[hidden]] -= 1
+            r = r[hidden & (top[r] >= 0)]
+        s = np.full(push.size, -np.inf)
+        live = top[push] >= 0
+        s[live] = crossing(push[live], q)
+        top[push] += 1
+        v[push, top[push]] = q
+        z[push, top[push]] = s
+        z[push, top[push] + 1] = np.inf
+    out = np.empty_like(f)
+    at = np.zeros(rows, dtype=np.int64)
+    every = np.arange(rows)
+    for q in range(n):
+        while True:
+            step = z[every, at + 1] < q
+            if not step.any():
+                break
+            at[step] += 1
+        a = v[every, at]
+        out[:, q] = f[every, a] + (q - a) ** 2
+    return out
+
+
+def _squared_edt(target: np.ndarray) -> np.ndarray:
+    """Exact squared Euclidean distance, in cells, from every cell to the
+    nearest ``True`` cell of ``target`` (which must hold one).
+
+    Separable: one envelope pass per axis (Felzenszwalb and Huttenlocher,
+    "Distance transforms of sampled functions", 2012), each over arrays the
+    size of the grid.
+    """
+    d2 = np.where(target, 0.0, np.inf)
+    for axis in range(target.ndim):
+        moved = np.moveaxis(d2, axis, -1)
+        shape = moved.shape
+        d2 = np.moveaxis(_envelope_pass(moved.reshape(-1, shape[-1])).reshape(shape), -1, axis)
+    return d2.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid over an axis-aligned box."""
@@ -123,6 +193,12 @@ class DomainMask:
         return self.count * self.grid.spacing ** self.grid.dim
 
     @cached_property
+    def _outside_sq_cells(self) -> np.ndarray:
+        """Exact squared distance, in cells, from every cell to the nearest
+        outside cell (0 at outside cells); needs an outside cell."""
+        return _squared_edt(~self.inside)
+
+    @cached_property
     def boundary_distance(self) -> np.ndarray:
         """Per-cell distance to the domain boundary.
 
@@ -131,19 +207,28 @@ class DomainMask:
         """
         dist = self.grid.face_distance()
         if not self.all_inside:
-            from scipy import ndimage
-
-            edt = ndimage.distance_transform_edt(
-                self.inside, sampling=[self.grid.spacing] * self.grid.dim
-            )
-            dist = np.minimum(dist, edt)
+            dist = np.minimum(dist, self.grid.spacing * np.sqrt(self._outside_sq_cells))
         return dist
+
+    def _farther_than(self, delta: float) -> np.ndarray:
+        """Inside cells whose distance to the domain boundary exceeds ``delta``.
+
+        Face distances are half-integer multiples of h, so they never tie
+        with a snapped radius and compare as floats.  Distances to outside
+        cells compare as exact integers: d^2 > m^2 with m^2 =
+        ``_squared_cells(delta, h)``, the snapping of ``kernels.resolve_radius``,
+        so a cell exactly m cells from the nearest outside cell is dropped.
+        """
+        if delta < 0:
+            raise ValueError("erosion distance must be nonnegative")
+        if self.all_inside:
+            return self.inside & (self.boundary_distance > delta)
+        kept = self.inside & (self.grid.face_distance() > delta)
+        return kept & (self._outside_sq_cells > _squared_cells(delta, self.grid.spacing))
 
     def erode(self, delta: float) -> "DomainMask":
         """Cells whose distance to the domain boundary exceeds ``delta``."""
-        if delta < 0:
-            raise ValueError("erosion distance must be nonnegative")
-        kept = self.inside & (self.boundary_distance > delta)
+        kept = self._farther_than(delta)
         if not kept.any():
             raise EmptyMaskError(f"erosion by {delta} emptied the mask")
         return DomainMask(self.grid, kept)

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import defaults
 from .errors import EmptyMaskError, RegimeError
-from .grid import DomainMask, SampledField
+from .grid import DomainMask, SampledField, _squared_cells
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,7 @@ def resolve_radius(eps, h: float) -> tuple[int, float]:
     """Map an eps (float or GridRadius) to (integer squared cells, length)."""
     if isinstance(eps, GridRadius):
         return eps.m2, eps.length(h)
-    ratio = float(eps) / h
-    m2 = int(math.floor(ratio * ratio * (1.0 + 1e-12) + 1e-12))
-    return m2, float(eps)
+    return _squared_cells(eps, h), float(eps)
 
 
 @lru_cache(maxsize=64)

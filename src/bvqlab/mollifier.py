@@ -12,11 +12,8 @@ profile every moment also has a Beta-function closed form used as an
 independent cross-check.  Ball quadratures are tensor products of a radial
 rule and a uniform angular rule in polar/spherical form.
 
-``scipy.special`` is imported inside the four functions that use it
-(``sphere_surface``, ``_radial_rule``, ``build_mollifier`` and
-``polynomial_moment_closed_form``), so importing this module loads numpy
-only; scipy loads when the first mollifier is built or the first radial
-quadrature runs.
+The Gauss-Jacobi rules and the Gamma values come from :mod:`bvqlab._special`
+(numpy and ``math`` only), so building a mollifier imports no scipy.
 """
 
 from __future__ import annotations
@@ -28,13 +25,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import defaults
+from ._special import beta_fn, gamma_fn, gauss_jacobi, half_gamma
+
+PROFILES = ("polynomial-bump", "exponential-bump")
 
 
 def sphere_surface(dim: int) -> float:
     """Surface measure of S^{dim-1} (2 points for dim = 1)."""
-    from scipy.special import gamma as gamma_fn
-
-    return float(2.0 * math.pi ** (dim / 2.0) / gamma_fn(dim / 2.0))
+    return float(2.0 * math.pi ** (dim / 2.0) / half_gamma(dim))
 
 
 @lru_cache(maxsize=256)
@@ -44,9 +42,7 @@ def _radial_rule(n: int, gamma: float, beta: float):
     Gauss-Jacobi on [-1, 1] with weight (1-x)^beta (1+x)^gamma, mapped by
     x = 2r - 1.
     """
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(n, beta, gamma)
+    x, w = gauss_jacobi(n, beta, gamma)
     r = 0.5 * (x + 1.0)
     scale = 0.5 ** (gamma + beta + 1.0)
     return r, w * scale
@@ -215,8 +211,6 @@ def build_mollifier(
     both cases an independent evaluation at doubled resolution must agree to
     1e-10, otherwise construction fails.
     """
-    from scipy.special import gamma as gamma_fn
-
     if resolution < 64:
         raise ValueError("quadrature resolution must be at least 64 per axis")
     if dim not in (1, 2, 3):
@@ -249,8 +243,6 @@ def polynomial_moment_closed_form(
     eta: Mollifier, alpha: float, s: float, of_gradient: bool
 ) -> float:
     """Beta-function value of a radial moment (polynomial profile only)."""
-    from scipy.special import gamma as gamma_fn
-
     if eta.profile != "polynomial-bump":
         raise ValueError("closed form only for the polynomial bump")
     c, k, dim = eta.normalization, eta.k, eta.dim
@@ -263,7 +255,7 @@ def polynomial_moment_closed_form(
         b = k * s
         coef = c**s
     # int_0^1 r^a (1-r^2)^b dr = Beta((a+1)/2, b+1) / 2
-    beta_val = float(gamma_fn((a + 1) / 2.0) * gamma_fn(b + 1.0) / gamma_fn((a + 1) / 2.0 + b + 1.0))
+    beta_val = beta_fn((a + 1) / 2.0, b + 1.0)
     return sphere_surface(dim) * coef * beta_val / 2.0
 
 

@@ -13,6 +13,8 @@ from bvqlab.cli import (
     EXIT_OK,
     EXIT_REGIME,
     EXIT_UNKNOWN_FIELD,
+    EXPERIMENTS,
+    load_config,
     main,
 )
 
@@ -148,7 +150,7 @@ def test_worker_override_bit_identical(tmp_path):
     assert a == b
 
 
-@pytest.mark.parametrize("experiment,field,grid,extra", [
+KIND_CASES = [
     ("bbm-sweep", {"kind": "step-1d", "params": {"position": 0.0}},
      {"lo": [-1.0], "hi": [1.0], "n": [1024]}, {}),
     ("q1-bv", {"kind": "sine-1d", "params": {}},
@@ -163,7 +165,10 @@ def test_worker_override_bit_identical(tmp_path):
      {"lo": [-1.0], "hi": [1.0], "n": [512]}, {}),
     ("ag-chain", {"kind": "pyramid-eikonal", "params": {"lo": [-1.0], "hi": [1.0]}},
      {"lo": [-1.0], "hi": [1.0], "n": [512]}, {}),
-])
+]
+
+
+@pytest.mark.parametrize("experiment,field,grid,extra", KIND_CASES)
 def test_every_experiment_kind_runs(tmp_path, experiment, field, grid, extra):
     cfg = write_config(
         tmp_path, "e.json", experiment=experiment, field=field, grid=grid,
@@ -280,6 +285,35 @@ def test_malformed_config_is_config_error(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mollifier,key", [
+    ({"profile": "gaussian-bump"}, "mollifier.profile"),
+    ({"k": 2.5}, "mollifier.k"),
+    ({"k": "3"}, "mollifier.k"),
+    ({"k": True}, "mollifier.k"),
+    ({"k": 1}, "mollifier.k"),
+    ({"profile": "exponential-bump", "k": 2}, "mollifier.k"),
+    ({"resolution": 64.9}, "mollifier.resolution"),
+    ({"resolution": 32}, "mollifier.resolution"),
+    ({"resolution": True}, "mollifier.resolution"),
+    ({"resolutoin": 128}, "mollifier key 'resolutoin'"),
+], ids=["profile-unknown", "k-float", "k-string", "k-bool", "k-below-2", "k-for-exponential",
+        "resolution-float", "resolution-below-64", "resolution-bool", "key-unknown"])
+def test_mollifier_config_rejected_at_load(tmp_path, capsys, mollifier, key):
+    # jump-verify builds no mollifier, so only load_config can refuse these
+    cfg = write_config(tmp_path, "moll.json", mollifier=mollifier)
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mollifier_config_accepted(tmp_path):
+    for mollifier in ({"profile": "exponential-bump", "resolution": 128},
+                      {"profile": "polynomial-bump", "k": 3}, {}):
+        cfg = load_config(write_config(tmp_path, "moll.json", mollifier=mollifier))
+        assert cfg.mollifier == (mollifier or {"profile": "polynomial-bump", "k": 2})
+
+
 @pytest.mark.parametrize("payload", [
     json.dumps({"a": 1}).encode(),
     json.dumps([1, 2]).encode(),
@@ -310,22 +344,46 @@ def test_cli_import_does_not_load_scipy_signal():
     assert _run_python(code) == "[]"
 
 
-@pytest.mark.parametrize("experiment", ["bbm-sweep", "constants"])
-def test_run_without_mollifier_does_not_load_scipy_special(tmp_path, experiment):
-    # scipy.special loads only when a mollifier quadrature runs
-    cfg = write_config(
-        tmp_path, "cold.json", experiment=experiment,
-        grid={"lo": [-1.0], "hi": [1.0], "n": [512]},
-        eps_ladder={"start_cells": 32, "ratio": 0.5, "count": 3},
-        fit_model="constant", out_dir=str(tmp_path / "out_cold"),
-    )
+def test_every_experiment_runs_without_scipy(tmp_path):
+    # the runtime is numpy-only: with every scipy import blocked, one small
+    # config of each experiment kind runs to exit 0, and so does erosion of
+    # a disc mask (the exact EDT) with a mollifier built on the library side
+    ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
+    configs = [
+        dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)
+        for experiment, field, grid, extra in KIND_CASES
+    ] + [
+        dict(experiment="jump-verify"),
+        dict(experiment="constants"),
+        dict(experiment="two-sided",
+             field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
+             eps_ladder={"start_cells": 9, "ratio": 0.9, "count": 2}),
+        dict(experiment="ag-upper",
+             field={"kind": "cone-eikonal", "params": {}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
+    ]
+    assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
+    paths = [
+        str(write_config(tmp_path, f"c{i}.json", out_dir=str(tmp_path / f"out{i}"), **c))
+        for i, c in enumerate(configs)
+    ]
     code = (
-        "import sys; from bvqlab.cli import main; "
-        f"rc = main(['run', {str(cfg)!r}]); "
-        "print(rc, 'scipy.special' in sys.modules)"
+        "import sys; sys.modules['scipy'] = None\n"
+        "from bvqlab import DomainMask, Grid, GridRadius, build_mollifier\n"
+        "from bvqlab.cli import main\n"
+        f"print([main(['run', p]) for p in {paths!r}])\n"
+        "g = Grid.for_box([-1.0, -1.0], [1.0, 1.0], [96, 96])\n"
+        "disc = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.8)\n"
+        "build_mollifier('exponential-bump', 2)\n"
+        "print(disc.erode(GridRadius.from_cells(5).length(g.spacing)).count)\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
     )
-    assert _run_python(code, cwd=tmp_path).splitlines()[-1] == f"{EXIT_OK} False"
-    assert (tmp_path / "out_cold" / "report.json").exists()
+    codes, eroded, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
+    assert codes == str([EXIT_OK] * len(configs))
+    assert eroded == "4548"
+    assert loaded == "[]"
 
 
 @pytest.mark.parametrize("ladder,fit_model,code,message", [

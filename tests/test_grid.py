@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bvqlab import DomainMask, EmptyMaskError, Grid, SampledField
+from bvqlab import DomainMask, EmptyMaskError, Grid, GridRadius, SampledField
+from bvqlab.grid import _squared_edt
 
 
 def test_cell_center_convention():
@@ -58,6 +59,66 @@ def test_erosion_matches_brute_force():
         d_out = np.sqrt(((outside_pts - p) ** 2).sum(axis=1)).min()
         expect = inside[i, j] and min(face, d_out) > delta
         assert eroded.inside[i, j] == expect
+
+
+def _brute_sq_cells(target: np.ndarray) -> np.ndarray:
+    """Squared cell distance to the nearest target cell, one target at a time."""
+    idx = np.indices(target.shape)
+    best = np.full(target.shape, np.iinfo(np.int64).max)
+    for t in np.argwhere(target):
+        np.minimum(best, sum((i - c) ** 2 for i, c in zip(idx, t)), out=best)
+    return best
+
+
+@pytest.mark.parametrize("shape", [(61,), (13, 17), (6, 7, 9)])
+@pytest.mark.parametrize("density", [0.03, 0.4, 0.9])
+def test_squared_edt_matches_brute_force(shape, density):
+    rng = np.random.default_rng(len(shape) * 100 + int(100 * density))
+    target = rng.random(shape) < density
+    target.flat[rng.integers(target.size)] = True
+    d2 = _squared_edt(target)
+    assert d2.dtype == np.int64
+    assert np.array_equal(d2, _brute_sq_cells(target))
+
+
+@pytest.mark.parametrize("shape", [(64,), (24, 20), (10, 12, 9)])
+def test_erosion_at_exact_cell_radii_matches_integer_rule(shape):
+    # delta at an exact cell distance ties in floating point; the integer
+    # rule keeps a cell iff its squared distance to every outside cell
+    # exceeds m2 and its face distance exceeds delta
+    rng = np.random.default_rng(sum(shape))
+    g = Grid.for_box([0.0] * len(shape), [float(e) / 96 for e in shape], list(shape))
+    inside = rng.random(shape) < 0.97
+    m = DomainMask(g, inside)
+    d2 = _brute_sq_cells(~inside)
+    for m2 in (1, 2, 4, 5, 8, 9):
+        delta = GridRadius(m2).length(g.spacing)
+        expect = inside & (d2 > m2) & (g.face_distance() > delta)
+        if expect.any():
+            assert np.array_equal(m.erode(delta).inside, expect), m2
+
+
+def test_disc_erosion_drops_every_cell_at_exactly_the_radius():
+    # the disc |x|^2 < 0.8 on [-1, 1]^2 at 96^2 has 136 cells exactly 5
+    # cells from the nearest outside cell; "distance > delta" is false there
+    g = Grid.for_box([-1.0, -1.0], [1.0, 1.0], [96, 96])
+    disc = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.8)
+    on_radius = disc.inside & (_brute_sq_cells(~disc.inside) == 25)
+    assert on_radius.sum() == 136
+    eroded = disc.erode(GridRadius.from_cells(5).length(g.spacing))
+    assert not (eroded.inside & on_radius).any()
+    assert eroded.count == int((disc.inside & (_brute_sq_cells(~disc.inside) > 25)).sum())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_boundary_distance_matches_scipy_edt(n):
+    from scipy import ndimage
+
+    g = Grid.for_box([-1.0] * n, [1.0] * n, [48 if n < 3 else 20] * n)
+    ball = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.6)
+    edt = ndimage.distance_transform_edt(ball.inside, sampling=[g.spacing] * n)
+    expect = np.minimum(g.face_distance(), edt)
+    np.testing.assert_allclose(ball.boundary_distance, expect, rtol=0, atol=1e-12)
 
 
 def test_erosion_can_empty(line_mask):

@@ -44,10 +44,10 @@ def test_half_gamma_matches_scipy_bit_for_bit():
     # the closed forms used scipy.special.gamma; the recurrence keeps every bit
     from scipy.special import gamma
 
-    from bvqlab.jumps import _half_gamma
+    from bvqlab._special import half_gamma
 
     for n in range(1, 7):
-        assert _half_gamma(n) == gamma(n / 2.0), n
+        assert half_gamma(n) == gamma(n / 2.0), n
     for dim in (1, 2, 3):
         assert unit_ball_volume(dim) == float(math.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0))
         assert dimensional_constant_closed_form(dim) == float(

@@ -124,3 +124,35 @@ def test_ball_rule_volume():
         vol = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
         assert w.sum() == pytest.approx(vol, rel=1e-12)
     assert sphere_surface(2) == pytest.approx(2 * math.pi)
+
+
+JACOBI_EXPONENTS = [0.0, 0.5, 1.0, 1.5, 3.0, 7.5, 22.0, 44.0]
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_gauss_jacobi_matches_scipy(n):
+    # scipy is the oracle only; the package itself never imports it
+    from scipy.special import roots_jacobi
+
+    from bvqlab._special import gauss_jacobi
+
+    for a in JACOBI_EXPONENTS:
+        for b in JACOBI_EXPONENTS:
+            x, w = gauss_jacobi(n, a, b)
+            xs, ws = roots_jacobi(n, a, b)
+            assert np.abs(x - xs).max() <= 1e-14, (a, b)
+            assert (np.abs(w - ws) / ws).max() <= 1e-10, (a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_radial_moments_match_beta_closed_form(dim, k):
+    eta = build_mollifier("polynomial-bump", dim, k=k)
+    # q = 1.1 puts the Jacobi exponent of the hessian moment near 22
+    for alpha, s, of_gradient in [
+        (0.0, 1.0, False), (2.0, 3.0, False), (0.5, 1.5, True),
+        (1.0 / 0.1, 1.1 / 0.1, True), (1.0, 4.0, False),
+    ]:
+        quad = eta.radial_moment(alpha, s, of_gradient)
+        closed = polynomial_moment_closed_form(eta, alpha, s, of_gradient)
+        assert quad == pytest.approx(closed, rel=1e-13, abs=0.0), (alpha, s, of_gradient)
