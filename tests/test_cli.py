@@ -344,6 +344,24 @@ def test_cli_import_does_not_load_scipy_signal():
     assert _run_python(code) == "[]"
 
 
+@pytest.mark.parametrize("experiment", ["bbm-sweep", "constants"])
+def test_run_without_mollifier_does_not_load_scipy_special(tmp_path, experiment):
+    # a run that builds no mollifier loads no scipy module at all
+    cfg = write_config(
+        tmp_path, "cold.json", experiment=experiment,
+        grid={"lo": [-1.0], "hi": [1.0], "n": [512]},
+        eps_ladder={"start_cells": 32, "ratio": 0.5, "count": 3},
+        fit_model="constant", out_dir=str(tmp_path / "out_cold"),
+    )
+    code = (
+        "import sys; from bvqlab.cli import main; "
+        f"rc = main(['run', {str(cfg)!r}]); "
+        "print(rc, 'scipy.special' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    assert _run_python(code, cwd=tmp_path).splitlines()[-1] == f"{EXIT_OK} False False"
+    assert (tmp_path / "out_cold" / "report.json").exists()
+
+
 def test_every_experiment_runs_without_scipy(tmp_path):
     # the runtime is numpy-only: with every scipy import blocked, one small
     # config of each experiment kind runs to exit 0, and so does erosion of
