@@ -15,13 +15,14 @@ Experiments are described by a JSON config file:
       "out_dir": "out/step"
     }
 
-The eps ladder is geometric, snapped to whole multiples of the grid spacing
-(``start_cells`` counts cells directly; ``start`` in domain units is also
-accepted and snapped), so pair-inclusion radii stay exact.  ``run`` writes a
+Every key, with its JSON type, range and default, is a row of ``_SCHEMA``;
+``load_config`` reads each once and refuses unknown keys at every level.
+The eps ladder is geometric, its rungs ``start_cells * ratio**i`` rounded to
+whole cells, so pair-inclusion radii stay exact.  ``run`` writes a
 manifest (config echo + versions), a CSV sweep table at full double
 precision, a JSON report of every comparison, and two-column plot data.
 Exit codes: 0 ok, 1 failed check, 2 config error, 3 regime guard,
-4 unknown field.
+4 unknown field, 5 internal error (with its traceback).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,9 @@ import numpy as np
 from . import defaults
 from .cubes import check_b_bound
 from .errors import ConfigError, EmptyMaskError, RegimeError, UnknownFieldError
-from .fields import list_fields, make_field, sample_analytic, sample_gradient
+from .fields import (
+    AnalyticField, list_fields, make_field, sample_analytic, sample_gradient, typed_value,
+)
 from .grid import DomainMask, Grid
 from .jumps import (
     dimensional_constant,
@@ -64,140 +67,33 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_UNKNOWN_FIELD = 4
+EXIT_INTERNAL = 5
 
 _FMT = "%.17g"
 
 
 @dataclass
 class ExperimentConfig:
+    """A config with every key checked and resolved (``raw`` is the parsed JSON)."""
+
     experiment: str
-    field_kind: str | None
-    field_params: dict
-    grid_lo: tuple
-    grid_hi: tuple
-    grid_n: tuple
+    field: AnalyticField | None
+    grid: Grid
     q: float
     p: float
-    ladder_cells: tuple[int, ...]
+    ladder: list[GridRadius]
     kappa: float
     tolerance: float
     fit_model: str
-    mollifier: dict
+    mollifier: dict  # build_mollifier's profile, k and resolution
     directions: int | None
     out_dir: Path
-    raw: dict = field(default_factory=dict)
-
-    def make_grid(self) -> Grid:
-        return Grid.for_box(self.grid_lo, self.grid_hi, self.grid_n)
-
-    def make_mask(self) -> DomainMask:
-        return DomainMask.full(self.make_grid())
-
-    def ladder(self) -> list[GridRadius]:
-        return [GridRadius.from_cells(m) for m in self.ladder_cells]
+    raw: dict
 
 
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
-
-
-def _object(raw: dict, key: str, where: str = "") -> dict:
-    """``raw[key]`` when it is a JSON object, {} when absent or null."""
-    value = raw.get(key)
-    if value is None:
-        return {}
-    _require(isinstance(value, dict), f"{where}{key} must be a JSON object")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _mollifier_config(raw: dict) -> dict:
-    """The mollifier entry, checked key by key so no setting is silently changed."""
-    moll = dict(_object(raw, "mollifier") or {"profile": "polynomial-bump", "k": 2})
-    for key in moll:
-        _require(key in ("profile", "k", "resolution"), f"unknown mollifier key {key!r}")
-    profile = moll.get("profile", "polynomial-bump")
-    _require(profile in PROFILES, f"unknown mollifier.profile {profile!r}")
-    k = moll.get("k")
-    if profile == "exponential-bump":
-        _require(k is None, "mollifier.k is not taken by exponential-bump")
-    else:
-        _require(k is None or (_is_int(k) and k >= 2), "mollifier.k must be an integer >= 2")
-    res = moll.get("resolution", defaults.MOLLIFIER_RESOLUTION)
-    _require(_is_int(res) and res >= 64, "mollifier.resolution must be an integer >= 64")
-    return moll
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    _require(isinstance(raw, dict), "config must be a JSON object")
-    exp = raw.get("experiment")
-    _require(exp in EXPERIMENTS, f"unknown experiment {exp!r}")
-    fld = _object(raw, "field")
-    field_params = _object(fld, "params", "field.")
-    grid = _object(raw, "grid")
-    _require("lo" in grid and "hi" in grid and "n" in grid, "grid needs lo/hi/n")
-    lo, hi, n = grid["lo"], grid["hi"], grid["n"]
-    _require(len(lo) == len(hi) == len(n), "grid lo/hi/n lengths differ")
-    try:
-        g = Grid.for_box(lo, hi, n)
-    except ValueError as exc:
-        raise ConfigError(f"bad grid: {exc}") from exc
-
-    ladder_raw = _object(raw, "eps_ladder")
-    kappa = float(raw.get("kappa", defaults.KAPPA))
-    count = int(ladder_raw.get("count", 4))
-    ratio = float(ladder_raw.get("ratio", 0.5))
-    _require(count >= 1, "eps ladder needs count >= 1")
-    _require(0.0 < ratio < 1.0, "eps ladder ratio must lie in (0, 1)")
-    if "start_cells" in ladder_raw:
-        start_cells = float(ladder_raw["start_cells"])
-    elif "start" in ladder_raw:
-        start_cells = float(ladder_raw["start"]) / g.spacing
-    else:
-        raise ConfigError("eps ladder needs start or start_cells")
-    cells = []
-    for i in range(count):
-        m = int(round(start_cells * ratio**i))
-        if m >= kappa and (not cells or m < cells[-1]):
-            cells.append(m)
-    _require(bool(cells), "eps ladder is empty after snapping to the grid")
-
-    fit_model = str(raw.get("fit_model", "linear-in-eps"))
-    _require(fit_model in FIT_MODELS, f"unknown fit model {fit_model!r}")
-    directions = raw.get("directions")
-    _require(
-        directions is None or (_is_int(directions) and directions >= 1),
-        "directions must be an integer >= 1",
-    )
-    tol = raw.get("tolerance")
-    cfg = ExperimentConfig(
-        experiment=exp,
-        field_kind=fld.get("kind"),
-        field_params=dict(field_params),
-        grid_lo=tuple(lo),
-        grid_hi=tuple(hi),
-        grid_n=tuple(n),
-        q=float(raw.get("q", 2.0)),
-        p=float(raw.get("p", 3.0)),
-        ladder_cells=tuple(cells),
-        kappa=kappa,
-        tolerance=float(tol) if tol is not None else defaults.TOLERANCE,
-        fit_model=fit_model,
-        mollifier=_mollifier_config(raw),
-        directions=directions,
-        out_dir=Path(raw.get("out_dir", "out")),
-        raw=raw,
-    )
-    return cfg
 
 
 # --------------------------------------------------------------------------
@@ -206,20 +102,16 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def _write_manifest(cfg: ExperimentConfig, out: Path):
-    from importlib.metadata import PackageNotFoundError, version
+    from . import __version__
 
-    try:
-        pkg_version = version("bvqlab")
-    except PackageNotFoundError:
-        pkg_version = "unknown"
     manifest = {
         "config": cfg.raw,
         "versions": {
-            "bvqlab": pkg_version,
+            "bvqlab": __version__,
             "numpy": np.__version__,
             "python": sys.version.split()[0],
         },
-        "seed": cfg.field_params.get("seed"),
+        "seed": getattr(cfg.field, "seed", None),
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -246,14 +138,9 @@ def _write_reports(out: Path, reports: list[ComparisonReport]):
 # --------------------------------------------------------------------------
 
 
-def _field(cfg: ExperimentConfig):
-    _require(cfg.field_kind is not None, "experiment needs a field")
-    return make_field(cfg.field_kind, **cfg.field_params), cfg.make_mask()
-
-
 def _sample(cfg: ExperimentConfig):
-    spec, mask = _field(cfg)
-    return spec, mask, sample_analytic(spec, mask)
+    mask = DomainMask.full(cfg.grid)
+    return cfg.field, mask, sample_analytic(cfg.field, mask)
 
 
 def _exp_constants(cfg):
@@ -270,8 +157,7 @@ def _exp_constants(cfg):
 
 def _exp_bbm_sweep(cfg):
     spec, mask, u = _sample(cfg)
-    ladder = cfg.ladder()
-    sweep = bbm_sweep(u, cfg.q, ladder, cfg.fit_model, kappa=cfg.kappa)
+    sweep = bbm_sweep(u, cfg.q, cfg.ladder, cfg.fit_model, kappa=cfg.kappa)
     rows = list(zip(sweep.eps, sweep.values))
     rows.append((0.0, sweep.limit))
     reports = []
@@ -289,11 +175,9 @@ def _exp_bbm_sweep(cfg):
 
 
 def _exp_jump_verify(cfg):
-    spec, mask = _field(cfg)
-    ladder = cfg.ladder()
-    fit = cfg.fit_model if "fit_model" in cfg.raw else "constant"
+    spec, mask = cfg.field, DomainMask.full(cfg.grid)
     rep = verify_jump_formula(
-        spec, mask, cfg.q, ladder, fit_model=fit,
+        spec, mask, cfg.q, cfg.ladder, fit_model=cfg.fit_model,
         tolerance=cfg.tolerance, kappa=cfg.kappa,
     )
     rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
@@ -301,10 +185,9 @@ def _exp_jump_verify(cfg):
 
 
 def _exp_q1_bv(cfg):
-    spec, mask = _field(cfg)
-    ladder = cfg.ladder()
+    spec, mask = cfg.field, DomainMask.full(cfg.grid)
     rep = verify_q1_full_bv(
-        spec, mask, ladder, fit_model=cfg.fit_model,
+        spec, mask, cfg.ladder, fit_model=cfg.fit_model,
         tolerance=cfg.tolerance, kappa=cfg.kappa,
     )
     rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
@@ -315,7 +198,7 @@ def _exp_two_sided(cfg):
     spec, mask, u = _sample(cfg)
     h = mask.grid.spacing
     rows, reports = [], []
-    for eps in cfg.ladder():
+    for eps in cfg.ladder:
         rep = verify_two_sided(u, cfg.q, eps, kappa=cfg.kappa)
         rows.append((eps.length(h), rep.lhs, rep.mid, rep.rhs))
         reports.append(rep)
@@ -324,14 +207,13 @@ def _exp_two_sided(cfg):
 
 def _exp_besov(cfg):
     spec, mask, u = _sample(cfg)
-    ladder = cfg.ladder()
     rows = []
-    for eps in ladder:
+    for eps in cfg.ladder:
         rows.append(
             (eps.length(mask.grid.spacing),
              directional_sup(u, cfg.q, eps, cfg.directions, kappa=cfg.kappa))
         )
-    value = besov_seminorm_pow(u, cfg.q, ladder, cfg.directions, kappa=cfg.kappa)
+    value = besov_seminorm_pow(u, cfg.q, cfg.ladder, cfg.directions, kappa=cfg.kappa)
     rows.append((0.0, value))
     return ["rho", "directional_sup"], rows, []
 
@@ -339,9 +221,8 @@ def _exp_besov(cfg):
 def _exp_gagliardo(cfg):
     spec, mask, u = _sample(cfg)
     rows, reports = [], []
-    ladder = cfg.ladder()
-    triples = gagliardo_dominates_bbm(u, cfg.q, ladder, kappa=cfg.kappa)
-    for eps, (bbm, gag, ok) in zip(ladder, triples):
+    triples = gagliardo_dominates_bbm(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
+    for eps, (bbm, gag, ok) in zip(cfg.ladder, triples):
         rows.append((eps.length(mask.grid.spacing), bbm, gag))
         reports.append(
             ComparisonReport(
@@ -357,37 +238,26 @@ def _exp_vq(cfg):
     _require(mask.grid.dim == 1, "vq experiment needs a 1D field")
     sig = Signal1D(mask.grid.axis_centers(0), u.values[:, 0])
     vq = q_variation_pow(sig, cfg.q)
-    rep = check_vq_embedding(sig, cfg.q, cfg.ladder(), kappa=cfg.kappa)
+    rep = check_vq_embedding(sig, cfg.q, cfg.ladder, kappa=cfg.kappa)
     rows = [(vq, rep.lhs, rep.rhs)]
     return ["q_variation_pow", "kernel_sup", "bound"], rows, [rep]
 
 
 def _exp_b_space(cfg):
     spec, mask, u = _sample(cfg)
-    ladder = cfg.ladder()
-    reports = check_b_bound(u, cfg.q, ladder, kappa=cfg.kappa)
+    reports = check_b_bound(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
     rows = [
         (eps.length(mask.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"])
-        for eps, rep in zip(ladder, reports)
+        for eps, rep in zip(cfg.ladder, reports)
     ]
     return ["eps", "cube_value", "bound", "cubes"], rows, reports
 
 
-def _make_mollifier(cfg, dim):
-    m = cfg.mollifier
-    return build_mollifier(
-        m.get("profile", "polynomial-bump"),
-        dim,
-        resolution=m.get("resolution", defaults.MOLLIFIER_RESOLUTION),
-        k=m.get("k"),
-    )
-
-
 def _exp_ag_upper(cfg):
     spec, mask, u = _sample(cfg)
-    eta = _make_mollifier(cfg, mask.grid.dim)
+    eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
     rep = check_ag_upper_bound(
-        u, sample_gradient(spec, mask), eta, cfg.q, cfg.p, cfg.ladder(),
+        u, sample_gradient(spec, mask), eta, cfg.q, cfg.p, cfg.ladder,
         kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
     rows = list(zip(rep.details["eps"], rep.details["lhs_values"]))
@@ -397,9 +267,8 @@ def _exp_ag_upper(cfg):
 def _exp_ag_chain(cfg):
     spec, mask, u = _sample(cfg)
     grad = sample_gradient(spec, mask)
-    eta = _make_mollifier(cfg, mask.grid.dim)
-    ladder = cfg.ladder()
-    rep = check_ag_chain(u, grad, eta, ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
+    eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
+    rep = check_ag_chain(u, grad, eta, cfg.ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
     reports = [rep]
     d = rep.details
     rows = list(zip(d["eps"], d["young_lhs"], d["middle_energy"], d["matched_bounds"]))
@@ -407,7 +276,7 @@ def _exp_ag_chain(cfg):
     if jump is not None:
         reports.append(
             verify_gamma_consistency(
-                grad, jump, ladder, cfg.tolerance, kappa=cfg.kappa, fit_model=cfg.fit_model,
+                grad, jump, cfg.ladder, cfg.tolerance, kappa=cfg.kappa, fit_model=cfg.fit_model,
             )
         )
     return ["eps", "young_lhs", "middle", "bound"], rows, reports
@@ -426,6 +295,117 @@ EXPERIMENTS = {
     "ag-upper": _exp_ag_upper,
     "ag-chain": _exp_ag_chain,
 }
+
+
+# --------------------------------------------------------------------------
+# The config schema: every settable key, read and checked once.
+# --------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def _one_of(names) -> tuple:
+    return (lambda v: v in names), "one of " + ", ".join(names)
+
+
+# key -> (type, range as (test, wording) or None, default).  Types are read
+# by fields.typed_value: "int" is a JSON integer, "float" any finite JSON
+# number, and a bool is neither.  A dotted key lives in the object named by
+# its prefix.  A default may be a function of the keys above it; _REQUIRED
+# marks a key without one.  A key given as null reads as absent.  The
+# library checks the ranges of q, p and directions, and a ladder too short
+# for its fit, itself.
+_SCHEMA = {
+    "experiment": ("str", _one_of(EXPERIMENTS), _REQUIRED),
+    "field.kind": ("str", None, None),
+    "field.params": ("dict", None, {}),  # checked by make_field
+    "grid.lo": ("tuple[float, ...]", None, _REQUIRED),
+    "grid.hi": ("tuple[float, ...]", None, _REQUIRED),
+    "grid.n": ("tuple[int, ...]", (lambda v: min(v) >= 1, "each >= 1"), _REQUIRED),
+    "q": ("float", None, 2.0),
+    "p": ("float", None, 3.0),
+    "eps_ladder.start_cells": ("float", (lambda v: 0 < v <= 2**53, "in (0, 2**53]"), _REQUIRED),
+    "eps_ladder.ratio": ("float", (lambda v: 0 < v < 1, "in (0, 1)"), 0.5),
+    "eps_ladder.count": ("int", (lambda v: v >= 1, ">= 1"), 4),
+    "kappa": ("float", (lambda v: v > 0, "> 0"), defaults.KAPPA),
+    "tolerance": ("float", (lambda v: v >= 0, ">= 0"), defaults.TOLERANCE),
+    "fit_model": ("str", _one_of(FIT_MODELS),
+                  lambda v: "constant" if v["experiment"] == "jump-verify" else "linear-in-eps"),
+    "directions": ("int", (lambda v: v >= 1, ">= 1"), None),
+    "mollifier.profile": ("str", _one_of(PROFILES), "polynomial-bump"),
+    "mollifier.k": ("int", (lambda v: v >= 2, ">= 2"),
+                    lambda v: 2 if v["mollifier.profile"] == "polynomial-bump" else None),
+    "mollifier.resolution": ("int", (lambda v: v >= 64, ">= 64"), defaults.MOLLIFIER_RESOLUTION),
+    "out_dir": ("str", None, "out"),
+}
+
+
+def _read(raw: dict) -> dict:
+    """Every ``_SCHEMA`` key of a parsed config, checked, typed and defaulted;
+    unknown keys are refused at every level."""
+    flat, objects = {}, {key.partition(".")[0] for key in _SCHEMA if "." in key}
+    for name, value in raw.items():
+        if name in objects:
+            _require(value is None or isinstance(value, dict), f"{name} must be a JSON object")
+            for inner, item in (value or {}).items():
+                _require(f"{name}.{inner}" in _SCHEMA, f"unknown {name} key {inner!r}")
+                flat[f"{name}.{inner}"] = item
+        else:
+            _require(name in _SCHEMA, f"unknown config key {name!r}")
+            flat[name] = value
+    values = {}
+    for key, (annotation, bounds, default) in _SCHEMA.items():
+        value = flat.get(key)
+        if value is None:
+            _require(default is not _REQUIRED, f"{key} is required")
+            value = default(values) if callable(default) else default
+        values[key] = None if value is None else typed_value(value, annotation, key)
+        if bounds is not None and value is not None:
+            _require(bounds[0](values[key]), f"{key} must be {bounds[1]}, got {value!r}")
+    return values
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    path = Path(path)
+    try:
+        raw = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    _require(isinstance(raw, dict), "config must be a JSON object")
+    v = _read(raw)
+    try:
+        grid = Grid.for_box(v["grid.lo"], v["grid.hi"], v["grid.n"])
+    except ValueError as exc:
+        raise ConfigError(f"bad grid: {exc}") from exc
+    profile, k = v["mollifier.profile"], v["mollifier.k"]
+    _require(profile == "polynomial-bump" or k is None, f"mollifier.k is not taken by {profile}")
+
+    ladder = []
+    for i in range(v["eps_ladder.count"]):
+        m = round(v["eps_ladder.start_cells"] * v["eps_ladder.ratio"] ** i)
+        if m < v["kappa"]:
+            break  # the rungs only shrink from here
+        if not ladder or m * m < ladder[-1].m2:
+            ladder.append(GridRadius.from_cells(m))
+    _require(bool(ladder), "eps ladder is empty after snapping to the grid")
+
+    kind = v["field.kind"]
+    _require(kind is not None or v["experiment"] == "constants", "field.kind is required")
+    return ExperimentConfig(
+        experiment=v["experiment"],
+        field=None if kind is None else make_field(kind, **v["field.params"]),
+        grid=grid,
+        q=v["q"],
+        p=v["p"],
+        ladder=ladder,
+        kappa=v["kappa"],
+        tolerance=v["tolerance"],
+        fit_model=v["fit_model"],
+        mollifier={"profile": profile, "k": k, "resolution": v["mollifier.resolution"]},
+        directions=v["directions"],
+        out_dir=Path(v["out_dir"]),
+        raw=raw,
+    )
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
@@ -510,9 +490,16 @@ def main(argv=None) -> int:
     except (RegimeError, EmptyMaskError) as exc:
         print(f"regime guard: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
+        # a library check refusing a value the config chose (q, p, a ladder
+        # too short for the fit, the direction count)
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,12 +13,13 @@ exactly through a cell center on any binary grid.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownFieldError
+from .errors import ConfigError, UnknownFieldError
 from .grid import DomainMask, Grid, SampledField
 
 # Irrational nudges used by default offsets.
@@ -83,7 +84,7 @@ class AnalyticField:
         raise NotImplementedError
 
     def gradient(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError(f"{self.kind} has no analytic gradient")
+        raise ValueError(f"{self.kind} has no analytic gradient")
 
     def evaluate_with_gradient(self, pts: np.ndarray, h: float | None = None):
         """(values, gradients) in one pass; subclasses fuse shared work."""
@@ -354,6 +355,10 @@ class BlockRandomField(AnalyticField):
     dim: int = 2
     kind: str = "block-random"
 
+    def __post_init__(self):
+        if self.blocks < 1:
+            raise ValueError("block-random needs blocks >= 1")
+
     def _levels(self):
         rng = np.random.default_rng(self.seed)
         shape = (self.blocks,) * self.dim
@@ -491,8 +496,8 @@ class PyramidField(AnalyticField):
 
     def __post_init__(self):
         sides = [b - a for a, b in zip(self.lo, self.hi)]
-        if any(s <= 0 for s in sides):
-            raise ValueError("box must have positive side")
+        if len(self.lo) != len(self.hi) or any(s <= 0 for s in sides):
+            raise ValueError("box needs lo and hi of one length and positive sides")
         if len(sides) == 2 and abs(sides[0] - sides[1]) > 1e-12:
             raise ValueError("pyramid field requires a square box")
 
@@ -626,14 +631,13 @@ class ZigzagField(AnalyticField):
 
     def _kink_positions(self, grid: Grid):
         lo, hi = grid.origin[0], grid.upper[0]
-        m0 = math.ceil((lo - self.offset) / self.halfwidth)
         out = []
-        m = m0
-        while self.offset + m * self.halfwidth < hi:
+        # a bounded range, so an offset far outside the box cannot stall it
+        for m in range(math.ceil((lo - self.offset) / self.halfwidth),
+                       math.ceil((hi - self.offset) / self.halfwidth) + 1):
             x = self.offset + m * self.halfwidth
-            if x > lo:
+            if lo < x < hi:
                 out.append((x, m % 2 == 0))
-            m += 1
         return out
 
     def jump_spec(self, grid):
@@ -679,26 +683,52 @@ FIELD_REGISTRY: dict[str, type] = {
 }
 
 
-def make_field(kind: str, **params) -> AnalyticField:
+def typed_value(value, annotation: str, key: str):
+    """``value`` as the declared type ``annotation``, else a ConfigError naming
+    ``key``: a float is any finite number, an int only an integer, a tuple a
+    non-empty list of its item types; a bool is neither number."""
+    if annotation.endswith(" | None"):
+        return None if value is None else typed_value(value, annotation[: -len(" | None")], key)
+    plain = {"int": int, "float": (int, float), "str": str, "dict": dict}.get(annotation, ())
+    if isinstance(value, plain) and not isinstance(value, bool):
+        if annotation != "float":
+            return value
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    if annotation.startswith("tuple[") and isinstance(value, (list, tuple)):
+        items = annotation[len("tuple["):-1]
+        types = [items[: -len(", ...")]] * len(value) if items.endswith(", ...") else items.split(", ")
+        if value and len(types) == len(value):
+            return tuple(typed_value(v, t, key) for v, t in zip(value, types))
+    raise ConfigError(f"{key} must be {annotation}, got {value!r}")
+
+
+def make_field(kind: str, /, **params) -> AnalyticField:
+    """The catalog field ``kind``; each param must be one that ``list_fields``
+    names for it, with a value of its declared type (see ``typed_value``)."""
     try:
-        cls = FIELD_REGISTRY[kind]
+        types = list_fields()[kind]
     except KeyError:
         raise UnknownFieldError(f"unknown field kind {kind!r}") from None
-    params = {k: tuple(v) if isinstance(v, list) else v for k, v in params.items()}
-    return cls(**params)
+    for name in params:
+        if name not in types:
+            raise ConfigError(f"field {kind} takes no parameter {name!r}, only {', '.join(types)}")
+    return FIELD_REGISTRY[kind](**{
+        name: typed_value(value, types[name], f"field {kind} parameter {name!r}")
+        for name, value in params.items()
+    })
 
 
-def list_fields() -> dict[str, tuple[str, ...]]:
-    """Catalog kinds with their parameter names."""
-    skip = {"kind", "is_indicator"}
-    out = {}
-    for name, cls in FIELD_REGISTRY.items():
-        out[name] = tuple(
-            f.name
+def list_fields() -> dict[str, dict[str, str]]:
+    """Catalog kinds, each with its parameter names and declared types."""
+    return {
+        name: {
+            f.name: f.type
             for f in cls.__dataclass_fields__.values()  # type: ignore[attr-defined]
-            if f.init and f.name not in skip
-        )
-    return out
+            if f.init and f.name not in ("kind", "is_indicator")
+        }
+        for name, cls in FIELD_REGISTRY.items()
+    }
 
 
 def sample_analytic(spec: AnalyticField, mask: DomainMask) -> SampledField:

@@ -198,18 +198,6 @@ class DomainMask:
         outside cell (0 at outside cells); needs an outside cell."""
         return _squared_edt(~self.inside)
 
-    @cached_property
-    def boundary_distance(self) -> np.ndarray:
-        """Per-cell distance to the domain boundary.
-
-        Combines the distance to the grid box faces with the distance to the
-        nearest outside cell center (when outside cells exist).
-        """
-        dist = self.grid.face_distance()
-        if not self.all_inside:
-            dist = np.minimum(dist, self.grid.spacing * np.sqrt(self._outside_sq_cells))
-        return dist
-
     def _farther_than(self, delta: float) -> np.ndarray:
         """Inside cells whose distance to the domain boundary exceeds ``delta``.
 
@@ -221,10 +209,10 @@ class DomainMask:
         """
         if delta < 0:
             raise ValueError("erosion distance must be nonnegative")
-        if self.all_inside:
-            return self.inside & (self.boundary_distance > delta)
         kept = self.inside & (self.grid.face_distance() > delta)
-        return kept & (self._outside_sq_cells > _squared_cells(delta, self.grid.spacing))
+        if not self.all_inside:
+            kept &= self._outside_sq_cells > _squared_cells(delta, self.grid.spacing)
+        return kept
 
     def erode(self, delta: float) -> "DomainMask":
         """Cells whose distance to the domain boundary exceeds ``delta``."""
@@ -232,9 +220,6 @@ class DomainMask:
         if not kept.any():
             raise EmptyMaskError(f"erosion by {delta} emptied the mask")
         return DomainMask(self.grid, kept)
-
-    def points_inside(self) -> np.ndarray:
-        return self.grid.points()[self.inside.ravel()]
 
 
 @dataclass(frozen=True, eq=False)

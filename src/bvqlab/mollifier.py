@@ -19,7 +19,7 @@ The Gauss-Jacobi rules and the Gamma values come from :mod:`bvqlab._special`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -112,25 +112,21 @@ class Mollifier:
         mag = self.normalization * self._raw_dr(r[..., 0])
         return (mag[..., None] / safe) * z
 
-    def gradient_magnitude(self, r) -> np.ndarray:
-        return self.normalization * np.abs(self._raw_dr(r))
-
     # -- radial integrals ---------------------------------------------------
 
-    def radial_moment(self, alpha: float, s: float, of_gradient: bool, resolution: int | None = None) -> float:
+    def radial_moment(self, alpha: float, s: float, of_gradient: bool) -> float:
         """int_{R^N} |z|^alpha * g(|z|)^s dz for g = |grad eta| or eta.
 
         The r^gamma factor at 0 and, for the polynomial profile, the
         (1-r)^beta factor at 1 are absorbed into the Gauss-Jacobi weight so
         the remaining integrand is smooth.
         """
-        n = resolution or self.resolution
         c = self.normalization
         if of_gradient:
             # |grad eta| = r * (smooth, positive) for both profiles
             gamma = self.dim - 1 + alpha + s
             beta = _boundary_power(self.profile, self.k, s, of_gradient=True)
-            r, w = _radial_rule(n, gamma, beta)
+            r, w = _radial_rule(self.resolution, gamma, beta)
             if self.profile == "polynomial-bump":
                 vals = (2.0 * self.k * c) ** s * (1.0 + r) ** ((self.k - 1) * s)
             else:
@@ -139,23 +135,22 @@ class Mollifier:
         else:
             gamma = self.dim - 1 + alpha
             beta = _boundary_power(self.profile, self.k, s, of_gradient=False)
-            r, w = _radial_rule(n, gamma, beta)
+            r, w = _radial_rule(self.resolution, gamma, beta)
             if self.profile == "polynomial-bump":
                 vals = c**s * (1.0 + r) ** (self.k * s)
             else:
                 vals = (c * np.exp(-1.0 / (1.0 - r * r))) ** s
         return sphere_surface(self.dim) * float(w @ vals)
 
-    def mass(self, resolution: int | None = None) -> float:
-        """Ball integral of eta at the given radial resolution."""
-        return self.radial_moment(0.0, 1.0, of_gradient=False, resolution=resolution)
+    def mass(self) -> float:
+        """Ball integral of eta at the mollifier's radial resolution."""
+        return self.radial_moment(0.0, 1.0, of_gradient=False)
 
     # -- ball quadrature (tensor product in polar form) ----------------------
 
-    def ball_rule(self, resolution: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def ball_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes (K, dim) and weights for smooth integrands over the ball."""
-        n = resolution or self.resolution
-        return _ball_rule_cached(self.dim, n)
+        return _ball_rule_cached(self.dim, self.resolution)
 
 
 @lru_cache(maxsize=32)
@@ -230,7 +225,7 @@ def build_mollifier(
     else:
         raise ValueError(f"unknown mollifier profile {profile!r}")
     eta = Mollifier(profile, dim, k, 1.0 / raw_mass, resolution)
-    check = eta.mass(resolution=2 * resolution)
+    check = replace(eta, resolution=2 * resolution).mass()
     if abs(check - 1.0) > 1e-10:
         raise ValueError(
             f"mollifier mass check failed: quadrature at doubled resolution "
@@ -259,14 +254,14 @@ def polynomial_moment_closed_form(
     return sphere_surface(dim) * coef * beta_val / 2.0
 
 
-def hessian_moment(eta: Mollifier, q: float, resolution: int | None = None) -> float:
+def hessian_moment(eta: Mollifier, q: float) -> float:
     """int |z|^{1/(q-1)} |grad eta|^{q/(q-1)} dz (needs q > 1)."""
     if not q > 1:
         raise ValueError("the hessian moment needs q > 1")
-    return eta.radial_moment(1.0 / (q - 1.0), q / (q - 1.0), of_gradient=True, resolution=resolution)
+    return eta.radial_moment(1.0 / (q - 1.0), q / (q - 1.0), of_gradient=True)
 
 
-def defect_moment(eta: Mollifier, p: float, resolution: int | None = None) -> float:
+def defect_moment(eta: Mollifier, p: float) -> float:
     """int |z|^{2/(p-2)} |eta|^{p/(p-2)} dz (needs p > 2).
 
     At p = 2 the exponent degenerates; that case is rejected rather than
@@ -276,7 +271,7 @@ def defect_moment(eta: Mollifier, p: float, resolution: int | None = None) -> fl
         raise ValueError(
             "the defect moment is defined for p > 2 only; p = 2 is unsupported"
         )
-    return eta.radial_moment(2.0 / (p - 2.0), p / (p - 2.0), of_gradient=False, resolution=resolution)
+    return eta.radial_moment(2.0 / (p - 2.0), p / (p - 2.0), of_gradient=False)
 
 
 def energy_bound_coefficients(eta: Mollifier, q: float, p: float) -> tuple[float, float]:
@@ -287,11 +282,11 @@ def energy_bound_coefficients(eta: Mollifier, q: float, p: float) -> tuple[float
     )
 
 
-def mollifier_d_eta(eta: Mollifier, resolution: int | None = None) -> float:
+def mollifier_d_eta(eta: Mollifier) -> float:
     """The cubic-exponent bound constant of the smoothing energy chain:
 
         D = (int |z|^{1/2} |grad eta|^{3/2} dz)^2 + (int |z|^2 eta^3 dz)^{1/2}
     """
-    m1 = hessian_moment(eta, 3.0, resolution=resolution)
-    m2 = defect_moment(eta, 3.0, resolution=resolution)
+    m1 = hessian_moment(eta, 3.0)
+    m2 = defect_moment(eta, 3.0)
     return m1 * m1 + math.sqrt(m2)

@@ -1,3 +1,6 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -5,11 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvqlab
 from bvqlab.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_REGIME,
     EXIT_UNKNOWN_FIELD,
@@ -17,6 +23,7 @@ from bvqlab.cli import (
     load_config,
     main,
 )
+from bvqlab.fields import FIELD_REGISTRY
 
 
 def write_config(tmp_path: Path, name: str, **overrides) -> Path:
@@ -179,6 +186,123 @@ def test_every_experiment_kind_runs(tmp_path, experiment, field, grid, extra):
     assert (tmp_path / "out_e" / "report.json").exists()
 
 
+# Every optional key a KIND_CASES config can spell, at its documented
+# default (the direction count is the 1D one: every KIND_CASES grid is 1D).
+# The base configs below spell each of them, most at this value.
+DEFAULTS = {
+    ("q",): 2.0, ("p",): 3.0, ("kappa",): 8, ("tolerance",): 0.05,
+    ("fit_model",): "linear-in-eps", ("directions",): 2, ("out_dir",): "out",
+    ("eps_ladder", "ratio"): 0.5, ("eps_ladder", "count"): 4, ("field", "params"): {},
+    ("mollifier", "profile"): "polynomial-bump", ("mollifier", "k"): 2,
+    ("mollifier", "resolution"): 64,
+}
+OUT_OF_RANGE = {
+    ("experiment",): "jump-sweep", ("fit_model",): "quadratic", ("kappa",): 0,
+    ("tolerance",): -0.03, ("directions",): 0, ("grid", "n"): [0],
+    ("eps_ladder", "start_cells"): 0, ("eps_ladder", "ratio"): 1.0, ("eps_ladder", "count"): 0,
+    ("mollifier", "profile"): "gaussian-bump", ("mollifier", "k"): 1,
+    ("mollifier", "resolution"): 32,
+}
+_OUTCOMES: dict[str, tuple] = {}
+_DROP = object()
+
+
+def _kind_config(experiment, field, grid, extra) -> dict:
+    return {
+        "experiment": experiment, "field": field, "grid": grid, "q": 2.0, "p": 3.0,
+        "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 3}, "kappa": 8,
+        "tolerance": 0.03, "directions": 2, "out_dir": "out",
+        "mollifier": {"profile": "polynomial-bump", "k": 2, "resolution": 64}, **extra,
+    }
+
+
+def _leaves(cfg: dict, prefix=()) -> list[tuple]:
+    out = []
+    for key, value in cfg.items():
+        if isinstance(value, dict) and value:
+            out += _leaves(value, prefix + (key,))
+        else:
+            out.append(prefix + (key,))
+    return out
+
+
+def _set(cfg: dict, path: tuple, value) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    obj = cfg
+    for key in path[:-1]:
+        obj = obj[key]
+    if value is _DROP:
+        del obj[path[-1]]
+    else:
+        obj[path[-1]] = value
+    return cfg
+
+
+def _outcome(root: Path, cfg: dict) -> tuple:
+    """(exit code, stderr, output bytes) of one in-process run, memoized."""
+    text = json.dumps(cfg, sort_keys=True)
+    if text not in _OUTCOMES:
+        run = root / str(len(_OUTCOMES))
+        run.mkdir()
+        (run / "cfg.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", str(run / "cfg.json"), "--out", str(run / "out")])
+        files = ("sweep.csv", "report.json")
+        data = [(run / "out" / f).read_bytes() for f in files] if code == EXIT_OK else None
+        _OUTCOMES[text] = (code, err.getvalue(), data)
+    return _OUTCOMES[text]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_config_runs_as_spelled_or_is_refused_by_key(tmp_path_factory, data):
+    experiment, field, grid, extra = data.draw(st.sampled_from(KIND_CASES))
+    base = _kind_config(experiment, field, grid, extra)
+    path = data.draw(st.sampled_from(_leaves(base)))
+    mutations = ["drop", "retype", "bool"] + (["range"] if path in OUT_OF_RANGE else [])
+    mutation = data.draw(st.sampled_from(mutations))
+    value = base
+    for key in path:
+        value = value[key]
+
+    reference = None  # the config that spells the mutant's values exactly
+    if mutation == "drop":
+        mutant = _set(base, path, _DROP)
+        if path in DEFAULTS:
+            reference = _set(base, path, DEFAULTS[path])
+        elif path[:2] == ("field", "params"):
+            cls = FIELD_REGISTRY[field["kind"]]
+            default = {f.name: f.default for f in dataclasses.fields(cls)}[path[2]]
+            reference = _set(base, path, json.loads(json.dumps(default)))
+    elif mutation == "retype":
+        if isinstance(value, int):
+            mutant = float(value)  # the same number, spelled as a float
+        elif isinstance(value, float) and value.is_integer():
+            mutant = int(value)
+        elif isinstance(value, str):
+            mutant = len(value)
+        elif isinstance(value, list):
+            mutant = value[0]
+        else:
+            mutant = str(value)
+        if type(mutant) in (int, float) and mutant == value:
+            reference = base  # unless the key's type refuses the spelling
+        mutant = _set(base, path, mutant)
+    else:
+        mutant = _set(base, path, True if mutation == "bool" else OUT_OF_RANGE[path])
+
+    root = tmp_path_factory.mktemp("mutant")
+    code, err, out = _outcome(root, mutant)
+    assert code in (EXIT_OK, EXIT_CONFIG), (mutant, err)
+    assert "Traceback" not in err
+    if reference is None or mutation == "retype" and code == EXIT_CONFIG:
+        named = repr(path[2]) if path[:2] == ("field", "params") and path[2:] else ".".join(path)
+        assert code == EXIT_CONFIG and named in err, (mutant, err)
+    else:
+        assert (code, err, out) == _outcome(root, reference), (mutant, reference)
+
+
 def test_ag_upper_experiment(tmp_path):
     cfg = write_config(
         tmp_path, "ag.json", experiment="ag-upper",
@@ -261,28 +385,62 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     assert main(["report", str(corrupt)]) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("override", [
-    {"field": "x"},
-    {"field": {"kind": "step-1d", "params": "x"}},
-    {"grid": "x"},
-    {"eps_ladder": "x"},
-    {"mollifier": "x"},
-    {"fit_model": "quadratic"},
-    {"directions": 0},
-    {"directions": 2.5},
-    # the next two are rejected while the experiment runs, not while loading
-    {"field": {"kind": "step-1d", "params": {"bogus": 1}}},
-    {"experiment": "besov", "field": {"kind": "pyramid-eikonal", "params": {}},
-     "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [32, 32]},
-     "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}, "directions": 3},
+@pytest.mark.parametrize("override,key", [
+    ({"field": "x"}, "field"),
+    ({"field": {"kind": "step-1d", "params": "x"}}, "field.params"),
+    ({"grid": "x"}, "grid"),
+    ({"eps_ladder": "x"}, "eps_ladder"),
+    ({"mollifier": "x"}, "mollifier"),
+    ({"fit_model": "quadratic"}, "fit_model"),
+    ({"directions": 0}, "directions"),
+    ({"directions": 2.5}, "directions"),
+    ({"field": {"kind": "step-1d", "params": {"bogus": 1}}}, "'bogus'"),
+    # the library, not the config schema, refuses 3 directions in 2D
+    ({"experiment": "besov", "field": {"kind": "pyramid-eikonal", "params": {}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [32, 32]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}, "directions": 3}, "directions"),
+    # values that loaded coerced or ignored before the schema: 2 rungs, a
+    # 1-cell regime guard, q = 3.0, n = 1024, and the default tolerance
+    ({"eps_ladder": {"start_cells": 128, "ratio": 0.5, "count": 2.5}}, "eps_ladder.count"),
+    ({"kappa": True}, "kappa"),
+    ({"q": "3"}, "q"),
+    ({"grid": {"lo": [-1.0], "hi": [1.0], "n": [1024.7]}}, "grid.n"),
+    ({"tolerence": 1e-9}, "'tolerence'"),
+    # a start in domain units is no longer a spelling of the ladder
+    ({"eps_ladder": {"start": 0.125, "ratio": 0.5, "count": 4}}, "'start'"),
+    ({"field": {"kind": "step-1d", "params": {"kind": "ramp"}}}, "'kind'"),
+    ({"field": {"params": {"position": 0.0}}}, "field.kind"),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
-        "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d"])
-def test_malformed_config_is_config_error(tmp_path, capsys, override):
+        "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
+        "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
+        "field-param-kind", "field-kind-missing"])
+def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
     # the output directory is created only after the experiment succeeds
     assert not (tmp_path / "out").exists()
+
+
+def test_integer_spelling_of_a_real_gives_the_same_bytes(tmp_path):
+    outputs = []
+    for q in (3, 3.0):
+        cfg = write_config(tmp_path, "q.json", q=q, out_dir=str(tmp_path / f"out{q!r}"))
+        assert main(["run", str(cfg)]) == EXIT_OK
+        outputs.append([(tmp_path / f"out{q!r}" / f).read_bytes() for f in ("sweep.csv", "report.json")])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_internal_error_is_exit_5_with_traceback(tmp_path, capsys, monkeypatch, error):
+    def broken(cfg):
+        raise error("bug in an experiment body")
+
+    monkeypatch.setitem(EXPERIMENTS, "jump-verify", broken)
+    assert main(["run", str(write_config(tmp_path, "cfg.json"))]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and error.__name__ in err
 
 
 @pytest.mark.parametrize("mollifier,key", [
@@ -308,10 +466,16 @@ def test_mollifier_config_rejected_at_load(tmp_path, capsys, mollifier, key):
 
 
 def test_mollifier_config_accepted(tmp_path):
-    for mollifier in ({"profile": "exponential-bump", "resolution": 128},
-                      {"profile": "polynomial-bump", "k": 3}, {}):
+    # the config holds the resolved values build_mollifier takes
+    for mollifier, resolved in (
+        ({"profile": "exponential-bump", "resolution": 128},
+         {"profile": "exponential-bump", "k": None, "resolution": 128}),
+        ({"profile": "polynomial-bump", "k": 3},
+         {"profile": "polynomial-bump", "k": 3, "resolution": 64}),
+        ({}, {"profile": "polynomial-bump", "k": 2, "resolution": 64}),
+    ):
         cfg = load_config(write_config(tmp_path, "moll.json", mollifier=mollifier))
-        assert cfg.mollifier == (mollifier or {"profile": "polynomial-bump", "k": 2})
+        assert cfg.mollifier == resolved
 
 
 @pytest.mark.parametrize("payload", [

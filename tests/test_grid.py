@@ -117,8 +117,10 @@ def test_boundary_distance_matches_scipy_edt(n):
     g = Grid.for_box([-1.0] * n, [1.0] * n, [48 if n < 3 else 20] * n)
     ball = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.6)
     edt = ndimage.distance_transform_edt(ball.inside, sampling=[g.spacing] * n)
-    expect = np.minimum(g.face_distance(), edt)
-    np.testing.assert_allclose(ball.boundary_distance, expect, rtol=0, atol=1e-12)
+    distance = np.minimum(g.face_distance(), edt)
+    for m in (1, 3, 5):
+        delta = (m + 0.25) * g.spacing  # between cell radii: no distance ties
+        assert np.array_equal(ball.erode(delta).inside, ball.inside & (distance > delta)), m
 
 
 def test_erosion_can_empty(line_mask):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ def test_polynomial_normalization_closed_form():
 ])
 def test_unit_mass_double_resolution(profile, dim, k):
     eta = build_mollifier(profile, dim, k=k)
-    assert abs(eta.mass(resolution=2 * eta.resolution) - 1.0) < 1e-10
-    assert abs(eta.mass(resolution=2 * eta.resolution) - eta.mass()) < 1e-9 * 1.0
+    doubled = replace(eta, resolution=2 * eta.resolution)
+    assert abs(doubled.mass() - 1.0) < 1e-10
+    assert abs(doubled.mass() - eta.mass()) < 1e-9 * 1.0
 
 
 def test_exponential_2d_normalization_vs_double_resolution():
     eta = build_mollifier("exponential-bump", 2)
-    c_double = 1.0 / (eta.mass(resolution=128) / eta.normalization)
+    c_double = 1.0 / (replace(eta, resolution=128).mass() / eta.normalization)
     assert abs(c_double - eta.normalization) < 1e-10
 
 
@@ -75,7 +77,7 @@ def test_d_eta_stable_under_resolution_doubling():
         for dim in (1, 2):
             eta = build_mollifier(profile, dim, k=k)
             d1 = mollifier_d_eta(eta)
-            d2 = mollifier_d_eta(eta, resolution=2 * eta.resolution)
+            d2 = mollifier_d_eta(replace(eta, resolution=2 * eta.resolution))
             assert d1 > 0
             assert abs(d1 - d2) < 1e-8
 
@@ -94,7 +96,7 @@ def test_d_eta_monte_carlo_oracle():
     n = 10**7
     z = rng.uniform(-1.0, 1.0, size=n)
     vol = 2.0
-    f1 = np.abs(z) ** 0.5 * eta.gradient_magnitude(np.abs(z)) ** 1.5
+    f1 = np.abs(z) ** 0.5 * np.abs(eta.gradient(z[:, None])[:, 0]) ** 1.5
     f2 = z**2 * eta.radial(np.abs(z)) ** 3
     m1, s1 = f1.mean() * vol, f1.std(ddof=1) * vol / math.sqrt(n)
     m2, s2 = f2.mean() * vol, f2.std(ddof=1) * vol / math.sqrt(n)
