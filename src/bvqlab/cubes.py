@@ -244,10 +244,11 @@ def cube_functional(
     side, eps_len = _cube_side(eps, h, kappa)
     stride = _stride(stride_cells, side)
     origins = _candidates(u.mask, side, stride)
-    scored = sorted(
-        zip(_cube_scores(u, origins, side), zip(*origins.T.tolist())),
-        key=lambda t: (-t[0], t[1]),
-    )
+    scores = _cube_scores(u, origins, side)
+    # by score, highest first, then by origin: columns are lexsort keys, last primary
+    order = np.lexsort((*origins.T[::-1], np.negative(scores)))
+    cells = list(zip(*origins.T.tolist()))
+    scored = [(scores[i], cells[i]) for i in order.tolist()]
     cap = packing_cap(eps_len, u.grid.dim)
     if strategy == "greedy":
         chosen = _greedy_select(scored, side, cap)

@@ -321,6 +321,11 @@ class BallField(AnalyticField):
     kind: str = "ball-indicator"
     is_indicator: bool = True
 
+    def __post_init__(self):
+        # evaluate compares against radius**2, which overflows past ~1.3e154
+        if not math.isfinite(self.radius * self.radius):
+            raise ValueError(f"radius must have a finite square, got {self.radius!r}")
+
     @property
     def dim(self) -> int:  # type: ignore[override]
         return len(self.center)

@@ -23,6 +23,14 @@ def _squared_cells(length: float, h: float) -> int:
     return int(math.floor(ratio * ratio * (1.0 + 1e-12) + 1e-12))
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int: a Python or numpy integer, never a bool, and
+    never a float, which ``int`` would silently truncate."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _envelope_pass(f: np.ndarray) -> np.ndarray:
     """min over j of f[:, j] + (i - j)^2 for every row and i (inf where a row
     has no finite entry).
@@ -113,7 +121,8 @@ class Grid:
         """
         lo = tuple(float(v) for v in np.atleast_1d(lo))
         hi = tuple(float(v) for v in np.atleast_1d(hi))
-        n = tuple(int(v) for v in np.atleast_1d(n))
+        # an object array keeps each count's own type: no float or bool is cast
+        n = tuple(_whole(v, "cell count") for v in np.atleast_1d(np.asarray(n, dtype=object)))
         dims = len(lo)
         if len(hi) != dims or len(n) != dims:
             raise ValueError("lo, hi, n must have equal length")

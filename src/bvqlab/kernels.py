@@ -35,15 +35,32 @@ direction and regime check) is one exact corner on a lattice vector and the
 multilinear corners otherwise; the splitting check takes its three windows
 from ``_offset_slices`` too.
 
-One consumer reads correlation sums instead.  ``correlation_sweep``, which
+A pass allocates nothing per window.  ``pair_power_sums`` and each
+directional shift hold one ``_Scratch``: a window x d buffer for the
+differences, a second one for the weighted corners of a multilinear
+stencil, and a window buffer for the squared norms when d >= 2, each grown
+to the pass's largest window.  ``_window_sum`` writes every step into them
+with ``out=`` in the order of the plain expressions (``sum`` of the
+corners, the subtraction, ``einsum`` or, at d = 1, one multiplication, then
+the cost with the ufunc ``ss ** (q/2)`` picks), so every value is theirs
+bit for bit.  A pass is dense (``_is_dense``) when the field mask is all
+inside and the x mask, if any, fills its bounding box, as every eroded full
+box does; then each window is summed whole, the same elements in the same
+C order as the boolean gather it skips.
+
+A {0, 1} field skips the windows altogether: each term is exactly 0 or 1, so
+its pair sums are integer counts, and ``_indicator_pair_counts`` returns
+them all, bit for bit, by rounding two FFT cross-correlations of masks.
+
+One other consumer reads correlation sums.  ``correlation_sweep``, which
 ``jumps.verify_jump_formula`` uses at q = 2, takes every per-displacement
 sum of its ladder from one zero-padded FFT correlation pass: each is within
 tau = 1e-12 * sum_x |u - mean|^2 of the direct sum, not bit for bit, and a
 sum at or below tau is returned as exact 0, so exact zeros (constant fields,
 displacements along a straight jump) are kept.  It shares the ladder checks
 of ``bbm_sweep`` and the rung reduction of ``bbm_ladder``.  Its fit is only
-compared at a tolerance; every other function here, and every untoleranced
-check built on them, sums pair by pair.
+compared at a tolerance; every other sum here, and so every untoleranced
+check built on them, is the pair-by-pair window sum bit for bit.
 """
 
 from __future__ import annotations
@@ -161,7 +178,52 @@ def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(box)
 
 
-def _window_sum(field: SampledField, x_inside, stencil, cost, box=None) -> float | None:
+class _Scratch:
+    """Float64 buffers that the windows of one pass write into.
+
+    ``view(slot, shape)`` is the C-contiguous block over the first
+    prod(shape) elements of the slot's flat buffer.  A slot grows only when a
+    window needs more, so it ends the pass sized to the largest window.
+    """
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def view(self, slot: str, shape) -> np.ndarray:
+        n = math.prod(shape)
+        if self._flat.get(slot, np.empty(0)).size < n:
+            self._flat.pop(slot, None)  # freed before its successor is allocated
+            self._flat[slot] = np.empty(n)
+        return self._flat[slot][:n].reshape(shape)
+
+
+def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:
+    """``_power_from_sq(t, q)`` written over t.  ``t **= e`` picks its ufunc
+    as ``t ** e`` does (``np.square`` at e = 2), so every value is the same."""
+    if q == 1.0:
+        np.sqrt(t, out=t)
+    elif q != 2.0:
+        t **= 0.5 * q
+    return t
+
+
+def _is_dense(field: SampledField, x_inside, box) -> bool:
+    """Whether every x of every window of a pass is valid: the field mask is
+    all inside and ``x_inside`` (when given) fills ``box``, the whole grid
+    when ``box`` is ``None``.  Then a window's sum is ``t.sum()``: the same
+    elements in the same C order as ``t[valid]``, so the same float."""
+    if not field.mask.all_inside:
+        return False
+    if x_inside is None:
+        return True
+    if box is not None:
+        x_inside = x_inside[tuple(slice(lo, hi) for lo, hi in box)]
+    return bool(x_inside.all())
+
+
+def _window_sum(
+    field: SampledField, x_inside, stencil, cost, box=None, *, scratch: _Scratch, dense: bool
+) -> float | None:
     """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2).
 
     ``stencil`` lists the corners (v_c, w_c), v_c integer offsets.  x is
@@ -170,18 +232,34 @@ def _window_sum(field: SampledField, x_inside, stencil, cost, box=None) -> float
     ``x_inside``, crops the x window to it.  ``None`` when the x window is
     empty.  A one-corner stencil reads u(x + v) as is: pair sums and exact
     shifts never multiply by the weight.
+
+    Every step writes into ``scratch`` in the order the plain expressions
+    ``sum(w_c * u(x + v_c)) - u(x)``, ``einsum`` and ``cost`` take, so each
+    value is theirs bit for bit; ``cost`` may overwrite its argument.
+    ``dense`` is the pass's ``_is_dense``.
     """
     sx, sys_ = _offset_slices(field.grid.extents, [v for v, _ in stencil], box)
     if sx is None:
         return None
     values, inside = field.values, field.mask.inside
+    ux = values[sx]
+    dv = scratch.view("dv", ux.shape)
     if len(stencil) == 1:
-        uy = values[sys_[0]]
+        np.subtract(values[sys_[0]], ux, out=dv)
     else:
-        uy = sum(w * values[sy] for (_, w), sy in zip(stencil, sys_))
-    dv = uy - values[sx]
-    t = cost(np.einsum("...k,...k->...", dv, dv))
-    if x_inside is None and field.mask.all_inside:
+        # the corners added left to right, as ``sum`` adds them
+        term = scratch.view("corner", ux.shape)
+        np.multiply(values[sys_[0]], stencil[0][1], out=dv)
+        for (_, w), sy in zip(stencil[1:], sys_[1:]):
+            dv += np.multiply(values[sy], w, out=term)
+        dv -= ux
+    if field.d == 1:
+        t = dv[..., 0]
+        np.multiply(t, t, out=t)
+    else:
+        t = np.einsum("...k,...k->...", dv, dv, out=scratch.view("t", ux.shape[:-1]))
+    t = cost(t)
+    if dense:
         return float(t.sum())
     valid = (inside if x_inside is None else x_inside)[sx]
     if not field.mask.all_inside:
@@ -222,6 +300,10 @@ def pair_power_sums(
     cropped window is a sub-block of the full one, so ``t[valid]`` holds the
     same elements in the same C order and its sum is unchanged, bit for bit;
     only samples the mask would discard are no longer computed.
+
+    A {0, 1} field (``_is_indicator``) skips the windows: its sums are the
+    exact pair counts of ``_indicator_pair_counts``, which equal the window
+    sums bit for bit at every q.
     """
     x_inside = _x_inside(field, x_mask)
     box = None
@@ -229,17 +311,97 @@ def pair_power_sums(
         if not x_mask.count:
             raise EmptyMaskError("x_mask is empty")
         box = _bounding_box(x_inside)
+    if _is_indicator(field):
+        return _indicator_pair_counts(field, offsets, x_inside)
     n = len(offsets)
     half = n
     if x_inside is None and np.array_equal(offsets[::-1], -offsets):
         half = (n + 1) // 2
-    cost = partial(_power_from_sq, q=q)
+    cost = partial(_power_in_place, q=q)
+    scratch = _Scratch()
+    dense = _is_dense(field, x_inside, box)
     out = np.empty(n, dtype=np.float64)
     for i, off in enumerate(offsets[:half]):
-        total = _window_sum(field, x_inside, [(off.tolist(), 1.0)], cost, box)
+        total = _window_sum(
+            field, x_inside, [(off.tolist(), 1.0)], cost, box, scratch=scratch, dense=dense
+        )
         out[i] = 0.0 if total is None else total
     out[half:] = out[: n - half][::-1]
     return out
+
+
+def _is_indicator(field: SampledField) -> bool:
+    """A {0, 1} field: one component, every grid value 0.0 or 1.0."""
+    v = field.values
+    return field.d == 1 and bool(((v == 0.0) | (v == 1.0)).all())
+
+
+def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -> np.ndarray:
+    """``pair_power_sums`` of a {0, 1} field for every offset at once.
+
+    Each term |u(x+v) - u(x)|^q is exactly 0.0 or 1.0 whatever q, so every
+    partial sum of numpy's pairwise reduction in ``_window_sum`` is an exact
+    integer below 2^53 and the window sum is the pair count
+
+        S(v) = #{x in X, x + v in Y : u(x) != u(x + v)},
+
+    X being ``x_inside`` (the field mask when ``None``; it need not lie in
+    the field mask) and Y the field mask.  S is the sum of two zero-padded
+    FFT cross-correlations, of X & (u = 1) against Y & (u = 0) and of
+    X & (u = 0) against Y & (u = 1), rounded to the nearest integer; so it
+    equals the window sum bit for bit.  A correlation more than 0.25 from an
+    integer raises ``RuntimeError`` instead of being rounded.  Each
+    correlation is inverted on its own, so two padded half spectra are live
+    at the peak, and every product writes in place.
+    """
+    y_in = field.mask.inside
+    x_in = y_in if x_inside is None else x_inside
+    one = field.values[..., 0] == 1.0
+    reach, shape = _padding(field.grid.extents, offsets)
+
+    def spectrum(cells, out):
+        _padded_spectrum(cells.astype(np.float64), shape, out)
+        return out
+
+    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
+    spec = np.empty_like(acc)
+    corr = np.zeros(len(offsets))
+    for x_cells, y_cells in ((one, ~one), (~one, one)):
+        np.conjugate(spectrum(x_in & x_cells, acc), out=acc)
+        acc *= spectrum(y_in & y_cells, spec)
+        corr += _lag_values(acc, shape, reach, offsets)
+    counts = np.rint(corr)
+    off = float(np.abs(corr - counts).max(initial=0.0))
+    if off > 0.25:
+        raise RuntimeError(f"pair-count correlation is {off:g} from an integer")
+    counts += 0.0  # a count rounded from just below 0 is -0.0; the window sum is +0.0
+    return counts
+
+
+def _padding(extents, offsets: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """(reach, padded shape) of a correlation pass over ``offsets``: lags up
+    to reach, at most the extent less one per axis, stay clear of their
+    images one period away."""
+    reach = np.minimum(np.abs(offsets).max(axis=0), np.array(extents) - 1)
+    return reach, (np.array(extents) + reach).tolist()
+
+
+def _lag_values(acc: np.ndarray, shape, reach: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The inverse transform of the half spectrum ``acc`` at every offset.
+
+    Each axis but the last is inverted in place and cut to its lags
+    -reach..reach before the next; an offset beyond reach on some axis pairs
+    no cells and reads 0.  ``acc`` is consumed.
+    """
+    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, shape)]
+    for ax in range(len(shape) - 1):
+        np.fft.ifft(acc, axis=ax, out=acc)
+        acc = acc.take(lags[ax], axis=ax)
+    corr = np.fft.irfft(acc, n=shape[-1], axis=-1).take(lags[-1], axis=-1)
+    values = np.zeros(len(offsets))
+    near = (np.abs(offsets) <= reach).all(axis=1)
+    values[near] = corr[tuple((offsets[near] + reach).T)]
+    return values
 
 
 def _padded_spectrum(a: np.ndarray, shape, out: np.ndarray) -> None:
@@ -280,9 +442,7 @@ def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarr
     inside = field.mask.inside
     outside = ~inside
     ext = field.grid.extents
-    # lags up to reach stay clear of their images one period away
-    reach = np.minimum(np.abs(offsets).max(axis=0), np.array(ext) - 1)
-    shape = (ext + reach).tolist()
+    reach, shape = _padding(ext, offsets)
 
     def centred(k):
         comp = field.values[..., k]
@@ -311,14 +471,8 @@ def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarr
         re -= np.square(spec.real, out=spec.real)
         re -= np.square(spec.imag, out=spec.imag)
     del spec
-    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, shape)]
-    for ax in range(len(ext) - 1):
-        np.fft.ifft(acc, axis=ax, out=acc)
-        acc = acc.take(lags[ax], axis=ax)
-    corr = np.fft.irfft(acc, n=shape[-1], axis=-1).take(lags[-1], axis=-1)
-    sums = np.zeros(len(offsets))
-    near = (np.abs(offsets) <= reach).all(axis=1)  # the others pair no cells
-    sums[near] = 2.0 * corr[tuple((offsets[near] + reach).T)]
+    sums = _lag_values(acc, shape, reach, offsets)
+    sums *= 2.0
     sums[sums <= tau] = 0.0
     return sums
 
@@ -520,22 +674,23 @@ def _sweep_lengths(u: SampledField, eps_list: list, fit_model: str) -> list[floa
 # --------------------------------------------------------------------------
 
 
-def _shift_stencil(t: np.ndarray) -> list[tuple[list[int], float]]:
+def _shift_stencil(t: list[float]) -> list[tuple[list[int], float]]:
     """Corners (v_c, w_c) with u(x + t*h) = sum_c w_c u(x + v_c).
 
     A shift within 1e-9 of a lattice vector is one exact corner; any other is
     multilinear interpolation, with the corners in ``np.ndindex`` order and
     each weight the product, in axis order, of frac or 1 - frac per
-    fractional axis.
+    fractional axis.  On Python floats: ``round`` rounds half to even as
+    ``np.rint`` does, so every value is the one numpy arrays would give.
     """
-    t_round = np.rint(t)
-    if np.max(np.abs(t - t_round)) < 1e-9:
-        return [(t_round.astype(int).tolist(), 1.0)]
-    base = np.floor(t).astype(int)
-    legs = [
-        ((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),)
-        for b, f in zip(base.tolist(), (t - base).tolist())
-    ]
+    nearest = [round(ta) for ta in t]
+    if max(abs(ta - r) for ta, r in zip(t, nearest)) < 1e-9:
+        return [(nearest, 1.0)]
+    legs = []
+    for ta in t:
+        b = math.floor(ta)
+        f = ta - b
+        legs.append(((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),))
     stencil = []
     for corner in np.ndindex(*[len(leg) for leg in legs]):
         v, w = [], 1.0
@@ -552,14 +707,19 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     A sample is dropped as soon as one stencil corner leaves the mask.
     """
     h = u.grid.spacing
-    total = _window_sum(u, _x_inside(u, x_mask), _shift_stencil(eps_len * k / h), cost)
+    x_inside = _x_inside(u, x_mask)
+    total = _window_sum(
+        u, x_inside, _shift_stencil([eps_len * kk / h for kk in k]), cost,
+        scratch=_Scratch(), dense=_is_dense(u, x_inside, None),
+    )
     if total is None:
         raise RegimeError("shift leaves the grid entirely")
     return total * h**u.grid.dim / eps_len
 
 
-def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[np.ndarray, float]:
-    """Validate a shift eps along the direction k; return (k, eps length).
+def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[list[float], float]:
+    """Validate a shift eps along the direction k; return (k, eps length),
+    k as a list of floats.
 
     k must have the grid's dimension and unit length (tolerance 1e-12), and
     eps must pass the kappa*h and diameter guards.
@@ -567,11 +727,11 @@ def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[np.ndarray, flo
     k = np.asarray(k, dtype=float).reshape(-1)
     if k.size != u.grid.dim:
         raise ValueError("direction dimension mismatch")
-    if abs(np.linalg.norm(k) - 1.0) > 1e-12:
+    if not abs(np.linalg.norm(k) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("direction must have unit length")
     _, eps_len = resolve_radius(eps, u.grid.spacing)
     _check_regime(eps_len, u.grid.spacing, kappa, u.grid.diameter)
-    return k, eps_len
+    return k.tolist(), eps_len
 
 
 def directional_value(
@@ -592,7 +752,7 @@ def directional_value(
     if q < 1:
         raise ValueError("q must be >= 1")
     k, eps_len = _check_shift(u, eps, k, kappa)
-    return _directional_sum(u, eps_len, k, x_mask, partial(_power_from_sq, q=q))
+    return _directional_sum(u, eps_len, k, x_mask, partial(_power_in_place, q=q))
 
 
 @lru_cache(maxsize=32)

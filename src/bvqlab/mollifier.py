@@ -26,6 +26,7 @@ import numpy as np
 
 from . import defaults
 from ._special import beta_fn, gamma_fn, gauss_jacobi, half_gamma
+from .grid import _whole
 
 PROFILES = ("polynomial-bump", "exponential-bump")
 
@@ -211,7 +212,7 @@ def build_mollifier(
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2 or 3")
     if profile == "polynomial-bump":
-        k = _POLY_DEFAULT_K if k is None else int(k)
+        k = _POLY_DEFAULT_K if k is None else _whole(k, "k")
         if k < 2:
             raise ValueError("polynomial-bump needs k >= 2 for a C^1 profile")
         raw_mass = float(

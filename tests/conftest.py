@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bvqlab import DomainMask, Grid, SampledField, make_field, sample_analytic
-from bvqlab.kernels import _power_from_sq, _window_sum
 
 
 @pytest.fixture
@@ -46,9 +45,102 @@ def random_block_field(mask: DomainMask, seed: int, blocks: int = 6, lo=0.0, hi=
     return SampledField(mask, vals[tuple(idx)][..., None])
 
 
+# --------------------------------------------------------------------------
+# The shifted-difference sums as plain numpy expressions, frozen: fresh
+# temporaries per window, a boolean gather per masked window, no count path.
+# The bit-for-bit reference for ``kernels`` (pair sums, directional shifts).
+# --------------------------------------------------------------------------
+
+
+def reference_power(ss, q):
+    if q == 2.0:
+        return ss
+    if q == 1.0:
+        return np.sqrt(ss)
+    return ss ** (0.5 * q)
+
+
+def reference_window_sum(u: SampledField, x_inside, stencil, cost, box=None):
+    """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2), or None
+    when the x window (cropped to ``box``) is empty."""
+    sx = []
+    for a, (ext, col) in enumerate(zip(u.grid.extents, zip(*[v for v, _ in stencil]))):
+        lo = max(0, -min(col))
+        hi = min(ext, ext - max(col))
+        if box is not None:
+            lo, hi = max(lo, box[a][0]), min(hi, box[a][1])
+        if hi <= lo:
+            return None
+        sx.append(slice(lo, hi))
+    sx = tuple(sx)
+    sys_ = [tuple(slice(s.start + o, s.stop + o) for s, o in zip(sx, v)) for v, _ in stencil]
+    values, inside = u.values, u.mask.inside
+    if len(stencil) == 1:
+        uy = values[sys_[0]]
+    else:
+        uy = sum(w * values[sy] for (_, w), sy in zip(stencil, sys_))
+    dv = uy - values[sx]
+    t = cost(np.einsum("...k,...k->...", dv, dv))
+    if x_inside is None and u.mask.all_inside:
+        return float(t.sum())
+    valid = (inside if x_inside is None else x_inside)[sx]
+    if not u.mask.all_inside:
+        for sy in sys_:
+            valid = valid & inside[sy]
+    return float(t[valid].sum())
+
+
 def single_pair_sum(u: SampledField, x_inside, off, q: float) -> float:
-    """One displacement's pair sum, summed on its own and uncropped: the
-    reference for the mirrored and cropped ``pair_power_sums`` loop."""
-    cost = partial(_power_from_sq, q=q)
-    total = _window_sum(u, x_inside, [(np.asarray(off).tolist(), 1.0)], cost)
+    """One displacement's pair sum, summed on its own and uncropped."""
+    cost = partial(reference_power, q=q)
+    total = reference_window_sum(u, x_inside, [(np.asarray(off).tolist(), 1.0)], cost)
     return 0.0 if total is None else total
+
+
+def reference_pair_power_sums(u: SampledField, offsets, q: float, x_mask=None) -> np.ndarray:
+    """Per-offset window sums, each x window cropped to the bounding box of
+    ``x_mask`` and the second half of a symmetric list filled by reversal."""
+    x_inside = None if x_mask is None else x_mask.inside
+    box = None
+    if x_inside is not None:
+        box = []
+        for a in range(x_inside.ndim):
+            hit = np.flatnonzero(x_inside.any(axis=tuple(b for b in range(x_inside.ndim) if b != a)))
+            box.append((int(hit[0]), int(hit[-1]) + 1))
+    n = len(offsets)
+    half = (n + 1) // 2 if x_inside is None and np.array_equal(offsets[::-1], -offsets) else n
+    cost = partial(reference_power, q=q)
+    out = np.empty(n)
+    for i, off in enumerate(offsets[:half]):
+        total = reference_window_sum(u, x_inside, [(off.tolist(), 1.0)], cost, box)
+        out[i] = 0.0 if total is None else total
+    out[half:] = out[: n - half][::-1]
+    return out
+
+
+def reference_shift_stencil(t: np.ndarray):
+    """Corners (v_c, w_c) of the shift t (in cells), on numpy arrays."""
+    t_round = np.rint(t)
+    if np.max(np.abs(t - t_round)) < 1e-9:
+        return [(t_round.astype(int).tolist(), 1.0)]
+    base = np.floor(t).astype(int)
+    legs = [
+        ((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),)
+        for b, f in zip(base.tolist(), (t - base).tolist())
+    ]
+    stencil = []
+    for corner in np.ndindex(*[len(leg) for leg in legs]):
+        v, w = [], 1.0
+        for leg, c in zip(legs, corner):
+            v.append(leg[c][0])
+            w *= leg[c][1]
+        stencil.append((v, w))
+    return stencil
+
+
+def reference_directional(u: SampledField, eps_len: float, k, x_mask, cost) -> float:
+    """(1/eps) * h^N * sum_x cost(|u(x + eps k) - u(x)|^2) over valid x."""
+    h = u.grid.spacing
+    stencil = reference_shift_stencil(eps_len * np.asarray(k, dtype=float) / h)
+    total = reference_window_sum(u, None if x_mask is None else x_mask.inside, stencil, cost)
+    return total * h**u.grid.dim / eps_len

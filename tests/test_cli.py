@@ -410,10 +410,14 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     ({"eps_ladder": {"start": 0.125, "ratio": 0.5, "count": 4}}, "'start'"),
     ({"field": {"kind": "step-1d", "params": {"kind": "ramp"}}}, "'kind'"),
     ({"field": {"params": {"position": 0.0}}}, "field.kind"),
+    # a radius whose square overflows was an OverflowError traceback (exit 5)
+    ({"experiment": "two-sided", "field": {"kind": "ball-indicator", "params": {"radius": 1e300}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "radius"),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
         "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
-        "field-param-kind", "field-kind-missing"])
+        "field-param-kind", "field-kind-missing", "ball-radius-overflow"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -492,13 +496,22 @@ def test_report_wrong_json_shape_is_config_error(tmp_path, capsys, payload):
     assert f"corrupt report file: {bad}" in capsys.readouterr().err
 
 
-def _run_python(code: str, cwd: Path | None = None) -> str:
+def _run_python(code: str, cwd: Path | None = None, **env) -> str:
+    """stdout of ``python -c code``; each ``env`` entry set, or unset when None."""
     src = str(Path(bvqlab.__file__).resolve().parents[1])
+    environ = {**os.environ, "PYTHONPATH": src, **env}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src}, cwd=cwd,
+        env={k: v for k, v in environ.items() if v is not None}, cwd=cwd,
     )
     return out.stdout.strip()
+
+
+@pytest.mark.parametrize("user, threads", [(None, "1"), ("2", "2")])
+def test_openblas_threads_are_capped_unless_the_user_set_them(user, threads):
+    # importing bvqlab sets the cap before numpy loads; a user's value wins
+    code = "import os, bvqlab, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _run_python(code, OPENBLAS_NUM_THREADS=user) == threads
 
 
 def test_cli_import_does_not_load_scipy_signal():

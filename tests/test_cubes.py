@@ -226,11 +226,10 @@ def test_batched_scores_span_several_chunks(monkeypatch):
     assert one_chunk == [_loop_score(u, o, 8) for o in origins.tolist()]
 
 
-def test_cube_functional_matches_the_loop_search():
-    # the whole greedy search on loop-scored candidates picks the same cubes
+def _assert_loop_search(u):
+    """The whole greedy search on loop-scored candidates picks the same cubes."""
     from bvqlab.cubes import _greedy_select
 
-    u = _scoring_field((48, 40), 1, "holed", seed=9)
     eps = GridRadius.from_cells(8)
     val, packing = cube_functional(u, eps, stride_cells=3, kappa=2.0)
     scored = sorted(
@@ -240,6 +239,18 @@ def test_cube_functional_matches_the_loop_search():
     chosen = _greedy_select(scored, 8, packing_cap(eps.length(u.grid.spacing), 2))
     assert packing.origins == tuple(o for _, o in chosen)
     assert val == math.fsum(s for s, _ in chosen)
+
+
+def test_cube_functional_matches_the_loop_search():
+    _assert_loop_search(_scoring_field((48, 40), 1, "holed", seed=9))
+
+
+def test_cube_ranking_breaks_score_ties_by_origin():
+    # every cube across the step scores the same, so the origin order alone
+    # ranks them (reversed origins would pick (18, 30) first)
+    u = _scoring_field((48, 40), 1, "holed", seed=9)
+    step = (np.arange(48) >= 21).astype(float)[:, None, None]
+    _assert_loop_search(SampledField(u.mask, np.broadcast_to(step, u.values.shape).copy()))
 
 
 @pytest.mark.parametrize("extents, side", [((16,), 20), ((30, 10), 12), ((12, 12, 6), 8)])

@@ -97,6 +97,16 @@ def test_ball_jump_measure():
     assert spec.jump_spec(g).total_measure == pytest.approx(2 * math.pi * 0.25)
 
 
+@pytest.mark.parametrize("radius", [1e300, 2e154, math.inf, math.nan])
+def test_ball_radius_with_no_finite_square_is_refused(radius):
+    # evaluate compares r^2 < radius**2, which overflowed at 1e300
+    from bvqlab.fields import BallField
+
+    with pytest.raises(ValueError, match="radius"):
+        BallField(radius=radius)
+    assert make_field("ball-indicator", radius=1e150).radius == 1e150
+
+
 def test_half_plane_jump_clipping():
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
     axis = make_field("half-plane-indicator", normal=(1.0, 0.0), offset=0.5)

@@ -21,6 +21,20 @@ def test_grid_invariants():
         Grid.for_box([0.0, 0.0], [1.0, 2.0], [10, 10])  # non-uniform spacing
 
 
+@pytest.mark.parametrize("n", [[1024.7], [64.0], [True], [64, True], 64.5, np.array([64.0])])
+def test_for_box_refuses_a_cell_count_that_is_not_an_integer(n):
+    # int() would truncate 1024.7 to 1024 cells, and read True as 1
+    dims = np.size(n)
+    with pytest.raises(ValueError, match="cell count must be an integer"):
+        Grid.for_box([0.0] * dims, [1.0] * dims, n)
+
+
+@pytest.mark.parametrize("n", [[64], (64, 64), 64, np.int64(64), [np.int32(64), 64], np.array([64, 64], dtype=np.uint16)])
+def test_for_box_takes_python_and_numpy_integers(n):
+    g = Grid.for_box([0.0] * np.size(n), [1.0] * np.size(n), n)
+    assert g.extents == (64,) * np.size(n) and all(type(e) is int for e in g.extents)
+
+
 def test_mask_area_tracks_box():
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
     m = DomainMask.full(g)

@@ -235,6 +235,9 @@ def test_directional_unit_norm_required(step_field):
     h = step_field.grid.spacing
     with pytest.raises(ValueError):
         directional_value(step_field, 2.0, 16 * h, [1.0 + 1e-6])
+    # a NaN norm is no unit length either (it once passed the check)
+    with pytest.raises(ValueError, match="unit length"):
+        directional_value(step_field, 2.0, 16 * h, [float("nan")])
 
 
 def test_directional_sup_1d_and_2d(step_field, square_mask):

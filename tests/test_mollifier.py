@@ -38,6 +38,18 @@ def test_exponential_2d_normalization_vs_double_resolution():
     assert abs(c_double - eta.normalization) < 1e-10
 
 
+@pytest.mark.parametrize("k", [2.5, 3.0, True])
+def test_polynomial_k_must_be_an_integer(k):
+    # int() would build k = 2 from 2.5
+    with pytest.raises(ValueError, match="k must be an integer"):
+        build_mollifier("polynomial-bump", 2, k=k)
+
+
+def test_polynomial_k_takes_numpy_integers():
+    eta = build_mollifier("polynomial-bump", 2, k=np.int64(3))
+    assert type(eta.k) is int and eta.normalization == build_mollifier("polynomial-bump", 2, k=3).normalization
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError):
         build_mollifier("polynomial-bump", 1, resolution=32)
