@@ -7,14 +7,14 @@ identities and inequalities tying them together against analytic right-hand
 sides from the field catalog.
 """
 
-import os
+import os as _os
 
 # BLAS serves only small fits and eigenvalue problems here, which gain
 # nothing from threads, while starting OpenBLAS's thread pool cost each
 # process about 0.09 s on a 2-core machine.  Set before numpy is first
 # imported; a value the user set wins, and a process that imported numpy
 # earlier keeps its pool.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import BvqError, ConfigError, EmptyMaskError, RegimeError, UnknownFieldError
 from .grid import DomainMask, Grid, SampledField

@@ -35,22 +35,23 @@ direction and regime check) is one exact corner on a lattice vector and the
 multilinear corners otherwise; the splitting check takes its three windows
 from ``_offset_slices`` too.
 
-A pass allocates nothing per window.  ``pair_power_sums`` and each
-directional shift hold one ``_Scratch``: a window x d buffer for the
-differences, a second one for the weighted corners of a multilinear
-stencil, and a window buffer for the squared norms when d >= 2, each grown
-to the pass's largest window.  ``_window_sum`` writes every step into them
-with ``out=`` in the order of the plain expressions (``sum`` of the
-corners, the subtraction, ``einsum`` or, at d = 1, one multiplication, then
-the cost with the ufunc ``ss ** (q/2)`` picks), so every value is theirs
-bit for bit.  A pass is dense (``_is_dense``) when the field mask is all
-inside and the x mask, if any, fills its bounding box, as every eroded full
-box does; then each window is summed whole, the same elements in the same
-C order as the boolean gather it skips.
+A window's arithmetic allocates nothing.  ``pair_power_sums`` allocates
+one flat buffer, sized to its x box (the grid without a mask), and every
+window takes views of it: window x d floats for the differences and, when
+d >= 2, one more window for the squared norms; a directional shift's one
+window gets its own buffer, with a second window x d block for the
+weighted corners of a multilinear stencil.  ``_window_sum`` writes every
+step into them with ``out=`` in the order of the plain expressions (``sum``
+of the corners, the subtraction, ``einsum`` or, at d = 1, one
+multiplication, then the cost with the ufunc ``ss ** (q/2)`` picks), so
+every value is theirs bit for bit.  Only a window that is summed whole,
+with no x mask on an all-inside field, skips the boolean gather; any other
+builds its validity mask and gathers the valid terms first.
 
 A {0, 1} field skips the windows altogether: each term is exactly 0 or 1, so
-its pair sums are integer counts, and ``_indicator_pair_counts`` returns
-them all, bit for bit, by rounding two FFT cross-correlations of masks.
+its pair sums are integer counts, and ``_indicator_pair_counts`` (in
+``bvqlab._correlation``, with the other FFT pair sums) returns them all, bit
+for bit, by rounding two FFT cross-correlations of masks.
 
 One other consumer reads correlation sums.  ``correlation_sweep``, which
 ``jumps.verify_jump_formula`` uses at q = 2, takes every per-displacement
@@ -72,6 +73,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import defaults
+from ._correlation import _correlation_pair_sums, _indicator_pair_counts
 from .errors import EmptyMaskError, RegimeError
 from .grid import DomainMask, SampledField, _squared_cells
 
@@ -178,25 +180,6 @@ def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(box)
 
 
-class _Scratch:
-    """Float64 buffers that the windows of one pass write into.
-
-    ``view(slot, shape)`` is the C-contiguous block over the first
-    prod(shape) elements of the slot's flat buffer.  A slot grows only when a
-    window needs more, so it ends the pass sized to the largest window.
-    """
-
-    def __init__(self):
-        self._flat: dict[str, np.ndarray] = {}
-
-    def view(self, slot: str, shape) -> np.ndarray:
-        n = math.prod(shape)
-        if self._flat.get(slot, np.empty(0)).size < n:
-            self._flat.pop(slot, None)  # freed before its successor is allocated
-            self._flat[slot] = np.empty(n)
-        return self._flat[slot][:n].reshape(shape)
-
-
 def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:
     """``_power_from_sq(t, q)`` written over t.  ``t **= e`` picks its ufunc
     as ``t ** e`` does (``np.square`` at e = 2), so every value is the same."""
@@ -207,23 +190,16 @@ def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:
     return t
 
 
-def _is_dense(field: SampledField, x_inside, box) -> bool:
-    """Whether every x of every window of a pass is valid: the field mask is
-    all inside and ``x_inside`` (when given) fills ``box``, the whole grid
-    when ``box`` is ``None``.  Then a window's sum is ``t.sum()``: the same
-    elements in the same C order as ``t[valid]``, so the same float."""
-    if not field.mask.all_inside:
-        return False
-    if x_inside is None:
-        return True
-    if box is not None:
-        x_inside = x_inside[tuple(slice(lo, hi) for lo, hi in box)]
-    return bool(x_inside.all())
+def _buffer_floats(shape, corners: int) -> int:
+    """Floats ``_window_sum`` writes for a window x d block of ``shape``: the
+    differences, then the squared norms when d >= 2, then the weighted
+    corner of a multi-corner stencil."""
+    n = math.prod(shape)
+    d = shape[-1]
+    return n + (n // d if d > 1 else 0) + (n if corners > 1 else 0)
 
 
-def _window_sum(
-    field: SampledField, x_inside, stencil, cost, box=None, *, scratch: _Scratch, dense: bool
-) -> float | None:
+def _window_sum(field: SampledField, x_inside, stencil, cost, box=None, buf=None) -> float | None:
     """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2).
 
     ``stencil`` lists the corners (v_c, w_c), v_c integer offsets.  x is
@@ -233,22 +209,27 @@ def _window_sum(
     empty.  A one-corner stencil reads u(x + v) as is: pair sums and exact
     shifts never multiply by the weight.
 
-    Every step writes into ``scratch`` in the order the plain expressions
-    ``sum(w_c * u(x + v_c)) - u(x)``, ``einsum`` and ``cost`` take, so each
-    value is theirs bit for bit; ``cost`` may overwrite its argument.
-    ``dense`` is the pass's ``_is_dense``.
+    Every step writes into ``buf``, a flat float64 array of at least
+    ``_buffer_floats`` elements for this window (a fresh one when ``None``),
+    in the order the plain expressions ``sum(w_c * u(x + v_c)) - u(x)``,
+    ``einsum`` and ``cost`` take, so each value is theirs bit for bit;
+    ``cost`` may overwrite its argument.
     """
     sx, sys_ = _offset_slices(field.grid.extents, [v for v, _ in stencil], box)
     if sx is None:
         return None
     values, inside = field.values, field.mask.inside
     ux = values[sx]
-    dv = scratch.view("dv", ux.shape)
+    if buf is None:
+        buf = np.empty(_buffer_floats(ux.shape, len(stencil)))
+    n = ux.size
+    m = n // field.d if field.d > 1 else 0
+    dv = buf[:n].reshape(ux.shape)
     if len(stencil) == 1:
         np.subtract(values[sys_[0]], ux, out=dv)
     else:
         # the corners added left to right, as ``sum`` adds them
-        term = scratch.view("corner", ux.shape)
+        term = buf[n + m : 2 * n + m].reshape(ux.shape)
         np.multiply(values[sys_[0]], stencil[0][1], out=dv)
         for (_, w), sy in zip(stencil[1:], sys_[1:]):
             dv += np.multiply(values[sy], w, out=term)
@@ -257,9 +238,9 @@ def _window_sum(
         t = dv[..., 0]
         np.multiply(t, t, out=t)
     else:
-        t = np.einsum("...k,...k->...", dv, dv, out=scratch.view("t", ux.shape[:-1]))
+        t = np.einsum("...k,...k->...", dv, dv, out=buf[n : n + m].reshape(ux.shape[:-1]))
     t = cost(t)
-    if dense:
+    if x_inside is None and field.mask.all_inside:
         return float(t.sum())
     valid = (inside if x_inside is None else x_inside)[sx]
     if not field.mask.all_inside:
@@ -318,13 +299,12 @@ def pair_power_sums(
     if x_inside is None and np.array_equal(offsets[::-1], -offsets):
         half = (n + 1) // 2
     cost = partial(_power_in_place, q=q)
-    scratch = _Scratch()
-    dense = _is_dense(field, x_inside, box)
+    # one buffer for every window: each lies in the box (the grid without one)
+    extents = field.grid.extents if box is None else [hi - lo for lo, hi in box]
+    buf = np.empty(_buffer_floats([*extents, field.d], 1))
     out = np.empty(n, dtype=np.float64)
     for i, off in enumerate(offsets[:half]):
-        total = _window_sum(
-            field, x_inside, [(off.tolist(), 1.0)], cost, box, scratch=scratch, dense=dense
-        )
+        total = _window_sum(field, x_inside, [(off.tolist(), 1.0)], cost, box, buf)
         out[i] = 0.0 if total is None else total
     out[half:] = out[: n - half][::-1]
     return out
@@ -334,147 +314,6 @@ def _is_indicator(field: SampledField) -> bool:
     """A {0, 1} field: one component, every grid value 0.0 or 1.0."""
     v = field.values
     return field.d == 1 and bool(((v == 0.0) | (v == 1.0)).all())
-
-
-def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -> np.ndarray:
-    """``pair_power_sums`` of a {0, 1} field for every offset at once.
-
-    Each term |u(x+v) - u(x)|^q is exactly 0.0 or 1.0 whatever q, so every
-    partial sum of numpy's pairwise reduction in ``_window_sum`` is an exact
-    integer below 2^53 and the window sum is the pair count
-
-        S(v) = #{x in X, x + v in Y : u(x) != u(x + v)},
-
-    X being ``x_inside`` (the field mask when ``None``; it need not lie in
-    the field mask) and Y the field mask.  S is the sum of two zero-padded
-    FFT cross-correlations, of X & (u = 1) against Y & (u = 0) and of
-    X & (u = 0) against Y & (u = 1), rounded to the nearest integer; so it
-    equals the window sum bit for bit.  A correlation more than 0.25 from an
-    integer raises ``RuntimeError`` instead of being rounded.  Each
-    correlation is inverted on its own, so two padded half spectra are live
-    at the peak, and every product writes in place.
-    """
-    y_in = field.mask.inside
-    x_in = y_in if x_inside is None else x_inside
-    one = field.values[..., 0] == 1.0
-    reach, shape = _padding(field.grid.extents, offsets)
-
-    def spectrum(cells, out):
-        _padded_spectrum(cells.astype(np.float64), shape, out)
-        return out
-
-    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    spec = np.empty_like(acc)
-    corr = np.zeros(len(offsets))
-    for x_cells, y_cells in ((one, ~one), (~one, one)):
-        np.conjugate(spectrum(x_in & x_cells, acc), out=acc)
-        acc *= spectrum(y_in & y_cells, spec)
-        corr += _lag_values(acc, shape, reach, offsets)
-    counts = np.rint(corr)
-    off = float(np.abs(corr - counts).max(initial=0.0))
-    if off > 0.25:
-        raise RuntimeError(f"pair-count correlation is {off:g} from an integer")
-    counts += 0.0  # a count rounded from just below 0 is -0.0; the window sum is +0.0
-    return counts
-
-
-def _padding(extents, offsets: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """(reach, padded shape) of a correlation pass over ``offsets``: lags up
-    to reach, at most the extent less one per axis, stay clear of their
-    images one period away."""
-    reach = np.minimum(np.abs(offsets).max(axis=0), np.array(extents) - 1)
-    return reach, (np.array(extents) + reach).tolist()
-
-
-def _lag_values(acc: np.ndarray, shape, reach: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The inverse transform of the half spectrum ``acc`` at every offset.
-
-    Each axis but the last is inverted in place and cut to its lags
-    -reach..reach before the next; an offset beyond reach on some axis pairs
-    no cells and reads 0.  ``acc`` is consumed.
-    """
-    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, shape)]
-    for ax in range(len(shape) - 1):
-        np.fft.ifft(acc, axis=ax, out=acc)
-        acc = acc.take(lags[ax], axis=ax)
-    corr = np.fft.irfft(acc, n=shape[-1], axis=-1).take(lags[-1], axis=-1)
-    values = np.zeros(len(offsets))
-    near = (np.abs(offsets) <= reach).all(axis=1)
-    values[near] = corr[tuple((offsets[near] + reach).T)]
-    return values
-
-
-def _padded_spectrum(a: np.ndarray, shape, out: np.ndarray) -> None:
-    """Write the real FFT of ``a``, zero-padded to ``shape``, into ``out``.
-
-    One axis at a time, in place: the last axis is ``rfft``-ed into the
-    leading block of ``out``, then each earlier axis is ``fft``-ed over the
-    rows that are not all zero yet.
-    """
-    out[...] = 0.0
-    ext = a.shape
-    np.fft.rfft(a, n=shape[-1], axis=-1, out=out[tuple(slice(e) for e in ext[:-1])])
-    for ax in range(len(ext) - 2, -1, -1):
-        rows = out[tuple(slice(e) for e in ext[:ax])]
-        np.fft.fft(rows, axis=ax, out=rows)
-
-
-def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarray:
-    """q = 2 pair sums S(v) = sum_x m(x) m(x+v) |u(x+v) - u(x)|^2 for every
-    offset, from one pass of FFT correlations.
-
-    With u zero outside the mask m, S is the inverse transform of
-    2 Re(conj(M) W) - 2 sum_k |U_k|^2, where M, W and U_k are the transforms
-    of m, w = |u|^2 and each component, zero-padded per axis by the largest
-    offset (at most the extent less one) so that no lag wraps round; an
-    offset that reaches past the grid pairs no cells and sums to 0.  Each
-    component is first centred on its mean over the inside cells: the
-    differences do not change, and the round-off no longer grows with the
-    mean.  A sum at or below tau = 1e-12 * sum_x m |u - mean|^2 is returned
-    as exact 0, so constant fields and offsets along a straight jump keep
-    their zeros and no negative round-off is returned.  The stated tolerance
-    against ``pair_power_sums(field, offsets, 2.0)`` is tau per offset; the
-    transforms' own round-off is a few ulps of the centred energy.
-
-    At most two spectra, w and one centred component are live at a time;
-    every transform and product writes in place.
-    """
-    inside = field.mask.inside
-    outside = ~inside
-    ext = field.grid.extents
-    reach, shape = _padding(ext, offsets)
-
-    def centred(k):
-        comp = field.values[..., k]
-        c = comp - comp[inside].mean()
-        c[outside] = 0.0
-        return c
-
-    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    _padded_spectrum(inside.astype(np.float64), shape, acc)
-    w = np.zeros(ext)
-    for k in range(field.d):
-        c = centred(k)
-        w += np.square(c, out=c)
-    del c
-    tau = 1e-12 * float(w.sum())
-    spec = np.empty_like(acc)
-    _padded_spectrum(w, shape, spec)
-    del w
-    # acc = Re(conj(M) W) - sum_k |U_k|^2, and S = 2 * inverse(acc)
-    np.conjugate(acc, out=acc)
-    acc *= spec
-    acc.imag = 0.0
-    re = acc.real
-    for k in range(field.d):
-        _padded_spectrum(centred(k), shape, spec)
-        re -= np.square(spec.real, out=spec.real)
-        re -= np.square(spec.imag, out=spec.imag)
-    del spec
-    sums = _lag_values(acc, shape, reach, offsets)
-    sums *= 2.0
-    sums[sums <= tau] = 0.0
-    return sums
 
 
 def _check_regime(eps_len: float, h: float, kappa: float, diameter: float):
@@ -707,11 +546,8 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     A sample is dropped as soon as one stencil corner leaves the mask.
     """
     h = u.grid.spacing
-    x_inside = _x_inside(u, x_mask)
-    total = _window_sum(
-        u, x_inside, _shift_stencil([eps_len * kk / h for kk in k]), cost,
-        scratch=_Scratch(), dense=_is_dense(u, x_inside, None),
-    )
+    stencil = _shift_stencil([eps_len * kk / h for kk in k])
+    total = _window_sum(u, _x_inside(u, x_mask), stencil, cost)
     if total is None:
         raise RegimeError("shift leaves the grid entirely")
     return total * h**u.grid.dim / eps_len
