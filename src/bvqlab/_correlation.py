@@ -113,41 +113,53 @@ def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarr
     against ``pair_power_sums(field, offsets, 2.0)`` is tau per offset; the
     transforms' own round-off is a few ulps of the centred energy.
 
-    At most two spectra, w and one centred component are live at a time;
-    every transform and product writes in place.
+    Memory: two padded half spectra and one real grid, allocated once.  The
+    means are taken first (a gather of the inside values per component, or
+    none on an all-inside mask, where ``comp.mean()`` is the same float).
+    Then the real grid holds m, then w, then each centred component in
+    turn; its outside cells are zero from m on and no write touches them,
+    and every transform and product writes in place.  While w sums more
+    than one component, the second spectrum's buffer, free until W is
+    taken, holds the squared component being added.
     """
     inside = field.mask.inside
-    outside = ~inside
     ext = field.grid.extents
     reach, shape = _padding(ext, offsets)
+    comps = [field.values[..., k] for k in range(field.d)]
+    if field.mask.all_inside:
+        means, where = [c.mean() for c in comps], True
+    else:
+        means, where = [c[inside].mean() for c in comps], inside
 
-    def centred(k):
-        comp = field.values[..., k]
-        c = comp - comp[inside].mean()
-        c[outside] = 0.0
-        return c
+    def centred(k, out):
+        """u_k - mean_k at the inside cells of ``out``, whose outside cells
+        must hold zeros."""
+        return np.subtract(comps[k], means[k], out=out, where=where)
 
     acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    _padded_spectrum(inside.astype(np.float64), shape, acc)
-    w = np.zeros(ext)
-    for k in range(field.d):
-        c = centred(k)
-        w += np.square(c, out=c)
-    del c
-    tau = 1e-12 * float(w.sum())
+    real = np.empty(ext)
+    np.copyto(real, inside)
+    _padded_spectrum(real, shape, acc)
     spec = np.empty_like(acc)
+    w = real
+    np.square(centred(0, w), out=w)
+    if field.d > 1:
+        sq = spec.reshape(-1).view(np.float64)[: w.size].reshape(ext)
+        sq.fill(0.0)
+        for k in range(1, field.d):
+            w += np.square(centred(k, sq), out=sq)
+    tau = 1e-12 * float(w.sum())
     _padded_spectrum(w, shape, spec)
-    del w
     # acc = Re(conj(M) W) - sum_k |U_k|^2, and S = 2 * inverse(acc)
     np.conjugate(acc, out=acc)
     acc *= spec
     acc.imag = 0.0
     re = acc.real
     for k in range(field.d):
-        _padded_spectrum(centred(k), shape, spec)
+        _padded_spectrum(centred(k, real), shape, spec)
         re -= np.square(spec.real, out=spec.real)
         re -= np.square(spec.imag, out=spec.imag)
-    del spec
+    del spec, real, w
     sums = _lag_values(acc, shape, reach, offsets)
     sums *= 2.0
     sums[sums <= tau] = 0.0

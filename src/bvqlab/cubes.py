@@ -15,11 +15,13 @@ every candidate cube of the stride lattice at once.  The value windows of
 the candidates are then gathered in chunks of whole cubes, at most
 ``_CHUNK_FLOATS`` (2^17) values per chunk, so memory stays bounded.  A
 scalar chunk is sorted row by row with one ``np.sort`` and each row keeps
-its own dot product with the prefix coefficients: the operations
-``cube_score`` applies to one cube, so every batched score equals it bit for
-bit.  (One matrix-vector product over the chunk would be faster but rounds
+its own dot product with the prefix coefficients (``np.vecdot``, which
+rounds as ``row @ coef`` does): the operations ``cube_score`` applies to
+one cube, so every batched score equals it bit for bit.  (One
+matrix-vector product over the chunk would be faster but rounds
 differently.)  Vector fields score cube by cube and never split one cube's
-pair sum.
+pair sum.  The scores stay one float64 array; the greedy search builds an
+origin tuple only for each candidate it reaches in rank order.
 
 ``check_b_bound`` takes an eps ladder and gets the kernel side of every rung
 from one ``kernels.bbm_ladder`` pass at the radii eps*sqrt(N).
@@ -83,7 +85,7 @@ def packing_cap(eps: float, dim: int) -> int:
     return int(math.floor(eps ** (-(dim - 1)) + 1e-12)) if dim > 1 else 1
 
 
-def _pair_abs_sums(blocks: np.ndarray) -> list[float]:
+def _pair_abs_sums(blocks: np.ndarray) -> np.ndarray:
     """sum over ordered pairs (i, j) of |v_i - v_j| for each (k, d) value block.
 
     ``blocks`` has shape (cubes, k, d).  Scalar blocks are sorted row by row
@@ -95,23 +97,24 @@ def _pair_abs_sums(blocks: np.ndarray) -> list[float]:
     if blocks.shape[2] == 1:
         s = np.sort(blocks[:, :, 0], axis=-1)
         coef = 2.0 * np.arange(k) - (k - 1.0)
-        return [2.0 * float(row @ coef) for row in s]
-    out = []
-    for vals in blocks:
+        return 2.0 * np.vecdot(s, coef)
+    out = np.empty(len(blocks))
+    for i, vals in enumerate(blocks):
         diff = vals[:, None, :] - vals[None, :, :]
-        out.append(float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()))
+        out[i] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()
     return out
 
 
-def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> list[float]:
+def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> np.ndarray:
     """Scores of the side^N cubes with the given lower corners, in order.
 
     Value windows are gathered in chunks of whole cubes, at most
     ``_CHUNK_FLOATS`` values per chunk, so memory stays bounded whatever the
     grid, the scale and the number of candidates.
     """
+    scores = np.empty(len(origins))
     if not len(origins):
-        return []  # also when the cube is wider than the grid
+        return scores  # also when the cube is wider than the grid
     g = u.grid
     h = g.spacing
     eps = side * h
@@ -120,11 +123,12 @@ def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> list[float]
     windows = sliding_window_view(u.values, (side,) * g.dim, axis=tuple(range(g.dim)))
     k = side**g.dim
     per_chunk = max(1, _CHUNK_FLOATS // (k * u.d))
-    scores = []
     for start in range(0, len(origins), per_chunk):
         chunk = windows[tuple(origins[start : start + per_chunk].T)]
         blocks = chunk.reshape(len(chunk), u.d, k).transpose(0, 2, 1)
-        scores += [norm * (pair * h2n) for pair in _pair_abs_sums(blocks)]
+        pair = _pair_abs_sums(blocks)
+        pair *= h2n
+        np.multiply(norm, pair, out=scores[start : start + len(chunk)])
     return scores
 
 
@@ -138,7 +142,7 @@ def cube_score(u: SampledField, origin_cells, side_cells: int) -> float:
     block = tuple(slice(a, a + m) for a in o)
     if not u.mask.inside[block].all():
         raise ValueError("cube leaves the domain mask")
-    return _cube_scores(u, np.array([o]), m)[0]
+    return float(_cube_scores(u, np.array([o]), m)[0])
 
 
 def _candidates(mask: DomainMask, side: int, stride: int) -> np.ndarray:
@@ -173,6 +177,9 @@ def _stride(stride_cells, side: int):
 
 
 def _greedy_select(scored, side_cells: int, cap: int):
+    """Keep each (score, origin), walked in rank order, whose cube is
+    disjoint from those kept, until ``cap`` cubes or a score <= 0.
+    ``scored`` may be a lazy iterable: the walk stops reading it there."""
     chosen = []
     for score, origin in scored:
         if len(chosen) >= cap:
@@ -247,15 +254,14 @@ def cube_functional(
     scores = _cube_scores(u, origins, side)
     # by score, highest first, then by origin: columns are lexsort keys, last primary
     order = np.lexsort((*origins.T[::-1], np.negative(scores)))
-    cells = list(zip(*origins.T.tolist()))
-    scored = [(scores[i], cells[i]) for i in order.tolist()]
+    scored = ((float(scores[i]), tuple(origins[i].tolist())) for i in order)
     cap = packing_cap(eps_len, u.grid.dim)
     if strategy == "greedy":
         chosen = _greedy_select(scored, side, cap)
     elif strategy == "exact-small":
-        if len(scored) > 20:
+        if len(order) > 20:
             raise ValueError("exact-small strategy allows at most 20 candidates")
-        chosen = _exact_select(scored, side, cap)
+        chosen = _exact_select(list(scored), side, cap)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     packing = CubePacking(eps_len, side, tuple(o for _, o in chosen))

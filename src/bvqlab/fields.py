@@ -6,6 +6,10 @@ set (or of the jump set of its gradient, for the eikonal entries) with
 analytic surface measures.  Fields are addressed by kind name through
 ``make_field`` so the CLI can build them from configuration files.
 
+Every ``evaluate`` and ``gradient`` acts point by point.  ``sample_analytic``
+and ``sample_gradient`` rely on that: they evaluate over blocks of whole
+grid rows (``grid._sample_rows``) and hold the values plus one block.
+
 Default positional offsets are irrational so that a jump surface never passes
 exactly through a cell center on any binary grid.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, UnknownFieldError
-from .grid import DomainMask, Grid, SampledField
+from .grid import DomainMask, Grid, SampledField, _sample_rows
 
 # Irrational nudges used by default offsets.
 _IRR1 = (math.sqrt(5.0) - 2.0) / 97.0        # ~ 0.002434
@@ -739,24 +743,26 @@ def list_fields() -> dict[str, dict[str, str]]:
 def sample_analytic(spec: AnalyticField, mask: DomainMask) -> SampledField:
     """Evaluate a catalog field at the cell centers of ``mask``.
 
-    Indicator kinds come out exactly {0, 1} valued.
+    Indicator kinds come out exactly {0, 1} valued.  The field is evaluated
+    over blocks of whole grid rows (``grid._sample_rows``), so sampling holds
+    the values plus one block of centers; every evaluation acts point by
+    point, so the values are those of one evaluation at all centers.
     """
     if spec.dim != mask.grid.dim:
         raise ValueError(
             f"field dimension {spec.dim} does not match grid dimension {mask.grid.dim}"
         )
-    pts = mask.grid.points()
-    vals = spec.evaluate(pts, h=mask.grid.spacing)
-    vals = vals.reshape(mask.grid.extents + (spec.d,))
+    h = mask.grid.spacing
+    vals = _sample_rows(mask.grid, lambda pts: spec.evaluate(pts, h=h), (spec.d,), np.float64)
     return SampledField(mask, vals, d=spec.d)
 
 
 def sample_gradient(spec: AnalyticField, mask: DomainMask) -> SampledField:
-    """Sample the exact gradient of a catalog field as a d = dim field."""
+    """Sample the exact gradient of a catalog field as a d = dim field, over
+    blocks of whole grid rows like ``sample_analytic``."""
     if spec.dim != mask.grid.dim:
         raise ValueError("field/grid dimension mismatch")
-    pts = mask.grid.points()
-    g = spec.gradient(pts).reshape(mask.grid.extents + (spec.dim,))
+    g = _sample_rows(mask.grid, spec.gradient, (spec.dim,), np.float64)
     return SampledField(mask, g, d=spec.dim)
 
 

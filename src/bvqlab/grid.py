@@ -3,6 +3,12 @@
 Sampling follows the cell-center convention: along axis ``a`` the i-th sample
 sits at ``origin[a] + (i + 1/2) * spacing``.  All containers are immutable
 after construction.
+
+A grid holds no coordinate arrays.  Functions of the cell centres (catalog
+fields, their gradients, mask predicates) are evaluated by ``_sample_rows``
+over C-ordered blocks of whole axis-0 rows, each block's centres built from
+``Grid.axis_centers``, and written into one preallocated result.  So
+sampling holds the result plus one block, never N x dim coordinates.
 """
 
 from __future__ import annotations
@@ -94,6 +100,37 @@ def _squared_edt(target: np.ndarray) -> np.ndarray:
     return d2.astype(np.int64)
 
 
+# Cells per sampling block: whole axis-0 rows, at least one row.  A 2D
+# block's centres take 256 KiB, a 3D one's 384 KiB.  Measured on catalog
+# fields from 512^2 to 2048^2 and 64^3 to 128^3: 2^14 was as fast as
+# 2^13-2^16 or faster, and the largest evaluation temporaries it leaves
+# stay below the values of a 512^2 or 64^3 field.
+_BLOCK_CELLS = 1 << 14
+
+
+def _sample_rows(grid: "Grid", fn, tail: tuple[int, ...], dtype) -> np.ndarray:
+    """``fn`` at every cell centre of ``grid``, as an array of shape
+    ``extents + tail`` and type ``dtype``.
+
+    ``fn`` maps an (n, dim) array of centres in C order to n results of
+    shape ``tail`` and must act point by point: it is called on C-ordered
+    blocks of whole axis-0 rows, at most ``_BLOCK_CELLS`` cells per block
+    (one row when a row is larger), and each block's results are written
+    into one preallocated array.  A grid that fits in one block takes
+    ``fn``'s own result, with no copy.
+    """
+    n0 = grid.extents[0]
+    rows = max(1, _BLOCK_CELLS // math.prod(grid.extents[1:]))
+    if rows >= n0:
+        return np.asarray(fn(grid.points()), dtype=dtype).reshape(grid.extents + tail)
+    out = np.empty(grid.extents + tail, dtype=dtype)
+    for start in range(0, n0, rows):
+        stop = min(start + rows, n0)
+        block = out[start:stop]
+        block[...] = np.asarray(fn(grid._row_points(start, stop)), dtype=dtype).reshape(block.shape)
+    return out
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid over an axis-aligned box."""
@@ -110,6 +147,8 @@ class Grid:
             raise ValueError("origin/extents length must match dim")
         if not self.spacing > 0:
             raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and all(math.isfinite(o) for o in self.origin)):
+            raise ValueError("origin and spacing must be finite")
         if any(e < 4 for e in self.extents):
             raise ValueError("every extent must be at least 4 cells")
 
@@ -132,17 +171,26 @@ class Grid:
             raise ValueError("box and cell counts give non-uniform spacing")
         return cls(dim=dims, origin=lo, spacing=h, extents=n)
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        return self.origin[axis] + (np.arange(self.extents[axis]) + 0.5) * self.spacing
+    def axis_centers(self, axis: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Centers of cells start..stop-1 along ``axis`` (all by default);
+        each is the same float whatever the range."""
+        stop = self.extents[axis] if stop is None else stop
+        return self.origin[axis] + (np.arange(start, stop) + 0.5) * self.spacing
 
-    @cached_property
-    def center_mesh(self) -> tuple[np.ndarray, ...]:
-        axes = [self.axis_centers(a) for a in range(self.dim)]
-        return tuple(np.meshgrid(*axes, indexing="ij"))
+    def _row_points(self, start: int, stop: int) -> np.ndarray:
+        """Cell centers of axis-0 rows start..stop-1, as an (n, dim) array in
+        C order: each column is an ``axis_centers`` broadcast over the block."""
+        shape = (stop - start,) + self.extents[1:]
+        pts = np.empty(shape + (self.dim,))
+        for a in range(self.dim):
+            c = self.axis_centers(0, start, stop) if a == 0 else self.axis_centers(a)
+            pts[..., a] = c.reshape([-1 if b == a else 1 for b in range(self.dim)])
+        return pts.reshape(-1, self.dim)
 
     def points(self) -> np.ndarray:
-        """All cell centers as an (n_cells, dim) array in C order."""
-        return np.stack([m.ravel() for m in self.center_mesh], axis=-1)
+        """All cell centers as an (n_cells, dim) array in C order, built on
+        each call and not kept."""
+        return self._row_points(0, self.extents[0])
 
     @property
     def upper(self) -> tuple[float, ...]:
@@ -186,9 +234,10 @@ class DomainMask:
 
     @classmethod
     def from_predicate(cls, grid: Grid, predicate) -> "DomainMask":
-        pts = grid.points()
-        flags = np.asarray(predicate(pts), dtype=bool).reshape(grid.extents)
-        return cls(grid, flags)
+        """Cells whose center ``predicate`` flags.  ``predicate`` maps an
+        (n, dim) array of centers to n flags, point by point: it is called
+        on blocks of whole axis-0 rows (see ``_sample_rows``)."""
+        return cls(grid, _sample_rows(grid, predicate, (), bool))
 
     @cached_property
     def all_inside(self) -> bool:
@@ -251,7 +300,9 @@ class SampledField:
         expected = self.mask.grid.extents + (self.d,)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected}")
-        if not np.isfinite(vals[self.mask.inside]).all():
+        # no gather: a cell fails when a component is not finite and it is inside
+        finite = np.isfinite(vals)
+        if not finite.all() and not (finite.all(axis=-1) | ~self.mask.inside).all():
             raise ValueError("field has non-finite values inside the mask")
         object.__setattr__(self, "values", vals)
         vals.setflags(write=False)

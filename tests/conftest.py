@@ -144,3 +144,23 @@ def reference_directional(u: SampledField, eps_len: float, k, x_mask, cost) -> f
     stencil = reference_shift_stencil(eps_len * np.asarray(k, dtype=float) / h)
     total = reference_window_sum(u, None if x_mask is None else x_mask.inside, stencil, cost)
     return total * h**u.grid.dim / eps_len
+
+
+# --------------------------------------------------------------------------
+# Sampling as one evaluation at every cell centre, frozen: the bit-for-bit
+# reference for the block sampling of ``grid._sample_rows``.
+# --------------------------------------------------------------------------
+
+
+def reference_points(grid: Grid) -> np.ndarray:
+    """All cell centres as an (n, dim) array in C order, from one meshgrid."""
+    axes = [grid.axis_centers(a) for a in range(grid.dim)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def reference_sample(spec, grid: Grid, gradient: bool = False) -> np.ndarray:
+    """``spec``'s values (or exact gradient) at every cell centre, shaped
+    extents + (components,), from one evaluation."""
+    pts = reference_points(grid)
+    out = spec.gradient(pts) if gradient else spec.evaluate(pts, h=grid.spacing)
+    return np.asarray(out, dtype=np.float64).reshape(grid.extents + (-1,))

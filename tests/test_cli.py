@@ -346,6 +346,30 @@ def test_ag_runs_sample_the_gradient_once(tmp_path, monkeypatch, experiment, gri
     assert len(calls) == 1
 
 
+def test_vq_run_computes_the_q_variation_once(tmp_path, monkeypatch):
+    from bvqlab import variation
+
+    real = variation.q_variation_pow
+    values = []
+
+    def counted(*args, **kwargs):
+        values.append(real(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(variation, "q_variation_pow", counted)
+    cfg = write_config(
+        tmp_path, "vq.json", experiment="vq",
+        field={"kind": "block-random", "params": {"seed": 3, "dim": 1, "blocks": 16}},
+        grid={"lo": [0.0], "hi": [1.0], "n": [256]},
+        eps_ladder={"start_cells": 16, "ratio": 0.5, "count": 2}, q=2.5,
+        out_dir=str(tmp_path / "out_vq"),
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    row = (tmp_path / "out_vq" / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert len(values) == 1
+    assert float(row[0]) == values[0] and float(row[2]) == 4.0 * values[0]
+
+
 def test_repeated_runs_bit_identical_across_processes(tmp_path):
     import subprocess
     import sys

@@ -209,7 +209,7 @@ def test_batched_scores_match_the_loop_bit_for_bit(extents, side, d, mask_kind):
         expect = _loop_candidates(u.mask.inside, side, stride)
         assert [tuple(o) for o in origins.tolist()] == expect, stride
         assert expect, stride
-        scores = _cube_scores(u, origins, side)
+        scores = _cube_scores(u, origins, side).tolist()
         assert scores == [_loop_score(u, o, side) for o in expect], stride
         assert scores == [cube_score(u, o, side) for o in expect], stride
 
@@ -220,10 +220,33 @@ def test_batched_scores_span_several_chunks(monkeypatch):
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
     u = random_block_field(DomainMask.full(g), seed=5, blocks=7)
     origins = cubes._candidates(u.mask, 8, 1)
-    one_chunk = cubes._cube_scores(u, origins, 8)
+    one_chunk = cubes._cube_scores(u, origins, 8).tolist()
     monkeypatch.setattr(cubes, "_CHUNK_FLOATS", 3 * 64 + 5)  # 3 cubes per chunk
-    assert cubes._cube_scores(u, origins, 8) == one_chunk
+    assert cubes._cube_scores(u, origins, 8).tolist() == one_chunk
     assert one_chunk == [_loop_score(u, o, 8) for o in origins.tolist()]
+
+
+@pytest.mark.parametrize("k", [7, 25, 64, 100, 255, 256, 999, 1000])
+def test_pair_abs_sums_round_each_row_as_its_own_dot(k):
+    from bvqlab.cubes import _pair_abs_sums
+
+    blocks = np.random.default_rng(k).normal(size=(37, k, 1)) * 3.0 + 1.0
+    s = np.sort(blocks[:, :, 0], axis=-1)
+    coef = 2.0 * np.arange(k) - (k - 1.0)
+    assert _pair_abs_sums(blocks).tolist() == [2.0 * float(row @ coef) for row in s]
+
+
+def test_greedy_selection_reads_candidates_only_up_to_its_stop():
+    from bvqlab.cubes import _greedy_select
+
+    def ranked(head):
+        yield from head
+        raise AssertionError("read past the stop")
+
+    # a score at or below zero stops the walk, and so does the cap
+    kept = _greedy_select(ranked([(2.0, (0, 0)), (1.5, (2, 3)), (1.0, (8, 0)), (0.0, (16, 16))]), 8, 5)
+    assert kept == [(2.0, (0, 0)), (1.0, (8, 0))]
+    assert _greedy_select(ranked([(2.0, (0, 0)), (1.0, (8, 0)), (0.5, (16, 0))]), 8, 2) == kept
 
 
 def _assert_loop_search(u):

@@ -21,6 +21,21 @@ def test_grid_invariants():
         Grid.for_box([0.0, 0.0], [1.0, 2.0], [10, 10])  # non-uniform spacing
 
 
+@pytest.mark.parametrize("lo, hi", [([0.0], [float("inf")]), ([float("-inf")], [0.0]),
+                                    ([0.0, 0.0], [float("inf"), float("inf")])])
+def test_for_box_refuses_an_infinite_box(lo, hi):
+    # the spacing comes out inf or nan: no finite cell centre exists
+    with pytest.raises(ValueError):
+        Grid.for_box(lo, hi, [8] * len(lo))
+
+
+@pytest.mark.parametrize("origin, spacing", [((float("inf"),), 0.1), ((float("nan"),), 0.1),
+                                             ((0.0,), float("inf")), ((0.0,), float("nan"))])
+def test_grid_refuses_a_non_finite_origin_or_spacing(origin, spacing):
+    with pytest.raises(ValueError, match="finite|positive"):
+        Grid(dim=1, origin=origin, spacing=spacing, extents=(8,))
+
+
 @pytest.mark.parametrize("n", [[1024.7], [64.0], [True], [64, True], 64.5, np.array([64.0])])
 def test_for_box_refuses_a_cell_count_that_is_not_an_integer(n):
     # int() would truncate 1024.7 to 1024 cells, and read True as 1
