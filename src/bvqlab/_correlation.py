@@ -116,11 +116,11 @@ def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarr
     Memory: two padded half spectra and one real grid, allocated once.  The
     means are taken first (a gather of the inside values per component, or
     none on an all-inside mask, where ``comp.mean()`` is the same float).
-    Then the real grid holds m, then w, then each centred component in
-    turn; its outside cells are zero from m on and no write touches them,
-    and every transform and product writes in place.  While w sums more
-    than one component, the second spectrum's buffer, free until W is
-    taken, holds the squared component being added.
+    Then the zeroed real grid holds w, then m, then each centred component
+    in turn; no write touches its outside cells after m, and every
+    transform and product writes in place.  w is summed before either
+    spectrum is allocated, so the second real grid that holds each further
+    component's square never coexists with them.
     """
     inside = field.mask.inside
     ext = field.grid.extents
@@ -136,20 +136,20 @@ def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarr
         must hold zeros."""
         return np.subtract(comps[k], means[k], out=out, where=where)
 
-    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    real = np.empty(ext)
-    np.copyto(real, inside)
-    _padded_spectrum(real, shape, acc)
-    spec = np.empty_like(acc)
+    real = np.zeros(ext)
     w = real
     np.square(centred(0, w), out=w)
     if field.d > 1:
-        sq = spec.reshape(-1).view(np.float64)[: w.size].reshape(ext)
-        sq.fill(0.0)
+        sq = np.zeros(ext)
         for k in range(1, field.d):
             w += np.square(centred(k, sq), out=sq)
+        del sq
     tau = 1e-12 * float(w.sum())
+    spec = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
     _padded_spectrum(w, shape, spec)
+    acc = np.empty_like(spec)
+    np.copyto(real, inside)
+    _padded_spectrum(real, shape, acc)
     # acc = Re(conj(M) W) - sum_k |U_k|^2, and S = 2 * inverse(acc)
     np.conjugate(acc, out=acc)
     acc *= spec

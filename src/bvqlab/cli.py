@@ -60,7 +60,7 @@ from .kernels import (
 from .mollifier import PROFILES, build_mollifier
 from .aviles import check_ag_chain, check_ag_upper_bound, verify_gamma_consistency
 from .reports import ComparisonReport, equal_within
-from .variation import Signal1D, check_vq_embedding
+from .variation import Signal1D, check_vq_embedding, q_variation_pow
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -238,8 +238,10 @@ def _exp_vq(cfg):
     _require(mask.grid.dim == 1, "vq experiment needs a 1D field")
     sig = Signal1D(mask.grid.axis_centers(0), u.values[:, 0])
     rep = check_vq_embedding(sig, cfg.q, cfg.ladder, kappa=cfg.kappa)
-    # rep.rhs is 4 * q_variation_pow(sig, q), exact in binary: one DP, not two
-    rows = [(rep.rhs / 4.0, rep.lhs, rep.rhs)]
+    # rep.rhs is 4 * q_variation_pow(sig, q), so rep.rhs / 4 is that float
+    # unless the product overflowed: one DP, not two, whenever the bound is finite
+    vq = rep.rhs / 4.0 if np.isfinite(rep.rhs) else q_variation_pow(sig, cfg.q)
+    rows = [(vq, rep.lhs, rep.rhs)]
     return ["q_variation_pow", "kernel_sup", "bound"], rows, [rep]
 
 

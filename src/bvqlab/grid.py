@@ -4,11 +4,12 @@ Sampling follows the cell-center convention: along axis ``a`` the i-th sample
 sits at ``origin[a] + (i + 1/2) * spacing``.  All containers are immutable
 after construction.
 
-A grid holds no coordinate arrays.  Functions of the cell centres (catalog
-fields, their gradients, mask predicates) are evaluated by ``_sample_rows``
-over C-ordered blocks of whole axis-0 rows, each block's centres built from
-``Grid.axis_centers``, and written into one preallocated result.  So
-sampling holds the result plus one block, never N x dim coordinates.
+A grid holds no coordinate arrays.  Catalog fields and their gradients are
+evaluated by ``_sample_rows`` over C-ordered blocks of whole axis-0 rows,
+each block's centres built from ``Grid.axis_centers``, and written into one
+preallocated result.  So sampling holds the result plus one block, never
+N x dim coordinates.  ``DomainMask.from_predicate`` calls its predicate once,
+on ``Grid.points()``, which is built for the call and not kept.
 """
 
 from __future__ import annotations
@@ -116,13 +117,10 @@ def _sample_rows(grid: "Grid", fn, tail: tuple[int, ...], dtype) -> np.ndarray:
     shape ``tail`` and must act point by point: it is called on C-ordered
     blocks of whole axis-0 rows, at most ``_BLOCK_CELLS`` cells per block
     (one row when a row is larger), and each block's results are written
-    into one preallocated array.  A grid that fits in one block takes
-    ``fn``'s own result, with no copy.
+    into one preallocated array.
     """
     n0 = grid.extents[0]
     rows = max(1, _BLOCK_CELLS // math.prod(grid.extents[1:]))
-    if rows >= n0:
-        return np.asarray(fn(grid.points()), dtype=dtype).reshape(grid.extents + tail)
     out = np.empty(grid.extents + tail, dtype=dtype)
     for start in range(0, n0, rows):
         stop = min(start + rows, n0)
@@ -234,10 +232,11 @@ class DomainMask:
 
     @classmethod
     def from_predicate(cls, grid: Grid, predicate) -> "DomainMask":
-        """Cells whose center ``predicate`` flags.  ``predicate`` maps an
-        (n, dim) array of centers to n flags, point by point: it is called
-        on blocks of whole axis-0 rows (see ``_sample_rows``)."""
-        return cls(grid, _sample_rows(grid, predicate, (), bool))
+        """Cells whose center ``predicate`` flags.  ``predicate`` maps the
+        (n_cells, dim) array of ``grid.points()`` to n_cells flags, in one
+        call."""
+        flags = np.asarray(predicate(grid.points()), dtype=bool).reshape(grid.extents)
+        return cls(grid, flags)
 
     @cached_property
     def all_inside(self) -> bool:

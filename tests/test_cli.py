@@ -370,6 +370,30 @@ def test_vq_run_computes_the_q_variation_once(tmp_path, monkeypatch):
     assert float(row[0]) == values[0] and float(row[2]) == 4.0 * values[0]
 
 
+def test_vq_row_keeps_a_q_variation_whose_bound_overflows(tmp_path):
+    import math
+
+    from bvqlab import DomainMask, Grid, make_field, sample_analytic
+    from bvqlab.variation import Signal1D, q_variation_pow
+
+    # slope 1.23e152 over 64 unit cells: the q = 2 variation, (63 * slope)^2,
+    # is near 6e307, finite, and the bound 4 * vq is inf
+    cfg = write_config(
+        tmp_path, "vq.json", experiment="vq",
+        field={"kind": "linear", "params": {"slope": [1.23e152]}},
+        grid={"lo": [0.0], "hi": [64.0], "n": [64]},
+        eps_ladder={"start_cells": 8, "ratio": 0.5, "count": 1},
+        out_dir=str(tmp_path / "out_vq"),
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    row = (tmp_path / "out_vq" / "sweep.csv").read_text().splitlines()[1].split(",")
+    g = Grid.for_box([0.0], [64.0], [64])
+    u = sample_analytic(make_field("linear", slope=[1.23e152]), DomainMask.full(g))
+    vq = q_variation_pow(Signal1D(g.axis_centers(0), u.values[:, 0]), 2.0)
+    assert math.isfinite(vq) and not math.isfinite(4.0 * vq)
+    assert float(row[0]) == vq and float(row[2]) == math.inf
+
+
 def test_repeated_runs_bit_identical_across_processes(tmp_path):
     import subprocess
     import sys

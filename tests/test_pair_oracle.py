@@ -285,8 +285,9 @@ def test_correlation_sums_keep_exact_zeros():
 def test_correlation_memory_is_bounded_by_the_padded_grid():
     masked = _random_field([192, 160], 1, seed=9, inside_p=0.9)
     full = _random_field([192, 160], 1, seed=9, inside_p=1.0)
+    vector = _random_field([192, 160], 3, seed=9, inside_p=0.9)
     assert not masked.mask.all_inside and full.mask.all_inside
-    for u in (masked, full):
+    for u in (masked, full, vector):
         for m, bound in ((8, 3.5), (32, 2.83)):
             offs, _ = lattice_offsets(2, m * m)
             padded_bytes = 8 * (192 + m) * (160 + m)
@@ -299,8 +300,9 @@ def test_correlation_memory_is_bounded_by_the_padded_grid():
             # two half spectra and one real grid: 2.7-2.95x here, whether the
             # pass serves 196 offsets or 3,208 (3.4x for a first FFT call,
             # which imports numpy.fft's modules); a gather of the inside
-            # values and a grid per centred component took 2.8-3.1x
-            assert peak < bound * padded_bytes, (m, u.mask.all_inside, peak / padded_bytes)
+            # values and a grid per centred component took 2.8-3.1x for
+            # d = 1 and 3.25-3.9x for d = 3
+            assert peak < bound * padded_bytes, (m, u.d, u.mask.all_inside, peak / padded_bytes)
 
 
 # --------------------------------------------------------------------------

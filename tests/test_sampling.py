@@ -1,12 +1,12 @@
 """Block sampling against one evaluation at every cell centre, and the memory
 that sampling and field validation take.
 
-``sample_analytic``, ``sample_gradient`` and ``DomainMask.from_predicate``
-evaluate over C-ordered blocks of whole axis-0 rows (``grid._sample_rows``).
-Every catalog evaluation acts point by point, so each block's values are
-the floats one evaluation at all centres gives: the comparisons here are
-bit for bit, with the block size patched so that blocks split axis 0 and
-the last block is short, and at the library's own block size.
+``sample_analytic`` and ``sample_gradient`` evaluate over C-ordered blocks
+of whole axis-0 rows (``grid._sample_rows``).  Every catalog evaluation
+acts point by point, so each block's values are the floats one evaluation
+at all centres gives: the comparisons here are bit for bit, with the block
+size patched so that blocks split axis 0 and the last block is short, and
+at the library's own block size.
 """
 
 import math
@@ -127,15 +127,19 @@ def test_block_sampling_at_the_library_block_size(kind, params, n):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_from_predicate_blocks_match_one_call(dim, monkeypatch):
+def test_from_predicate_calls_the_predicate_once_on_all_centres(dim, monkeypatch):
     g = _split_grid(dim, monkeypatch)
     centre = np.linspace(0.41, 0.53, dim)
+    calls = []
 
     def disc(p):
-        return ((p - centre) ** 2).sum(axis=1) < 0.3**2
+        # not point by point: it reads the largest coordinate of all centres
+        calls.append(p.shape)
+        return ((p - centre) ** 2).sum(axis=1) < (0.3 * p.max()) ** 2
 
-    expect = np.asarray(disc(reference_points(g)), dtype=bool).reshape(g.extents)
     m = DomainMask.from_predicate(g, disc)
+    assert calls == [(math.prod(g.extents), dim)]
+    expect = np.asarray(disc(reference_points(g)), dtype=bool).reshape(g.extents)
     assert m.inside.dtype == bool and np.array_equal(m.inside, expect)
     assert 0 < m.count < math.prod(g.extents)
 
