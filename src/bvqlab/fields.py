@@ -20,9 +20,11 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from . import _rng
 from .errors import ConfigError, UnknownFieldError
 from .grid import DomainMask, Grid, SampledField, _sample_rows
 
@@ -367,15 +369,23 @@ class BlockRandomField(AnalyticField):
     def __post_init__(self):
         if self.blocks < 1:
             raise ValueError("block-random needs blocks >= 1")
+        if self.seed < 0:
+            raise ValueError(f"block-random needs seed >= 0, got {self.seed}")
+        if not 0.0 <= self.high - self.low < math.inf:
+            raise ValueError(
+                "block-random needs low <= high with a finite high - low, "
+                f"got low={self.low!r}, high={self.high!r}"
+            )
 
-    def _levels(self):
-        rng = np.random.default_rng(self.seed)
-        shape = (self.blocks,) * self.dim
-        return rng.uniform(self.low, self.high, size=shape)
+    @cached_property
+    def _levels(self) -> np.ndarray:
+        # default_rng(seed).uniform(low, high, blocks**dim), drawn once per field
+        draws = _rng.uniform(self.seed, self.low, self.high, self.blocks**self.dim)
+        return draws.reshape((self.blocks,) * self.dim)
 
     def evaluate(self, pts, h=None):
         p = _pts(pts, self.dim)
-        levels = self._levels()
+        levels = self._levels
         # Blocks tile the unit box; points outside clamp to the edge blocks.
         idx = []
         for a in range(self.dim):
@@ -401,6 +411,8 @@ class HoelderField(AnalyticField):
     def __post_init__(self):
         if not (0 < self.s <= 1):
             raise ValueError("Hoelder exponent must lie in (0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"hoelder needs seed >= 0, got {self.seed}")
 
     def _n_terms(self, h: float | None) -> int:
         if self.terms is not None:
@@ -413,8 +425,7 @@ class HoelderField(AnalyticField):
         p = _pts(pts, 1)[..., 0]
         n = self._n_terms(h)
         if self.seed:
-            rng = np.random.default_rng(self.seed)
-            phases = rng.uniform(0.0, 2 * math.pi, size=n + 1)
+            phases = _rng.uniform(self.seed, 0.0, 2 * math.pi, n + 1)
         else:
             phases = np.zeros(n + 1)
         out = np.zeros_like(p)

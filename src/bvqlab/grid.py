@@ -283,9 +283,12 @@ class DomainMask:
 class SampledField:
     """Values of u: Omega -> R^d at the inside cell centers of a mask.
 
-    ``values`` has shape extents + (d,), with zeros at outside cells.  The
-    samples are all there is: a consumer that needs more of u (the exact
-    gradient of an eikonal field, say) takes it as another sampled field.
+    ``values`` has shape extents + (d,).  Outside cells hold whatever was
+    sampled there (``sample_analytic`` evaluates the field at every cell
+    center) and need not be finite, so consumers mask them with
+    ``mask.inside``.  The samples are all there is: a consumer that needs
+    more of u (the exact gradient of an eikonal field, say) takes it as
+    another sampled field.
     """
 
     mask: DomainMask

@@ -462,15 +462,28 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     ({"experiment": "two-sided", "field": {"kind": "ball-indicator", "params": {"radius": 1e300}},
       "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
       "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "radius"),
+    # a block-random high - low that overflows was numpy's OverflowError at
+    # sampling (exit 5); a negative seed was refused without naming it
+    *(({"experiment": "bbm-sweep", "field": field, "grid": {"lo": [0.0], "hi": [1.0], "n": [256]},
+        "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 3}}, key)
+      for field, key in [
+          ({"kind": "block-random", "params": {"dim": 1, "low": -1e308, "high": 1e308}}, "high"),
+          ({"kind": "block-random", "params": {"dim": 1, "low": 1.0, "high": 0.0}}, "high"),
+          ({"kind": "block-random", "params": {"dim": 1, "seed": -1}}, "seed"),
+          ({"kind": "hoelder", "params": {"seed": -1}}, "seed"),
+      ]),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
         "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
-        "field-param-kind", "field-kind-missing", "ball-radius-overflow"])
+        "field-param-kind", "field-kind-missing", "ball-radius-overflow",
+        "block-random-range-overflow", "block-random-range-negative", "block-random-seed",
+        "hoelder-seed"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
+    assert "Traceback" not in err
     # the output directory is created only after the experiment succeeds
     assert not (tmp_path / "out").exists()
 
@@ -626,6 +639,46 @@ def test_every_experiment_runs_without_scipy(tmp_path):
     codes, eroded, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
     assert codes == str([EXIT_OK] * len(configs))
     assert eroded == "4548"
+    assert loaded == "[]"
+
+
+def test_every_experiment_runs_without_numpy_random(tmp_path):
+    # seeded fields draw from bvqlab._rng: with numpy.random blocked, one
+    # small config of each experiment kind runs to exit 0, every seeded
+    # field kind among them, and no numpy.random module loads
+    ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
+    hoelder = {"kind": "hoelder", "params": {"s": 0.75, "seed": 11}}
+    blocks = {"kind": "block-random", "params": {"seed": 4, "dim": 1, "blocks": 16}}
+    seeded = {"bbm-sweep": hoelder, "gagliardo": hoelder, "vq": blocks, "b-space": blocks}
+    configs = [
+        dict(experiment=experiment, field=seeded.get(experiment, field), grid=grid,
+             eps_ladder=ladder, **extra)
+        for experiment, field, grid, extra in KIND_CASES
+    ] + [
+        dict(experiment="jump-verify"),
+        dict(experiment="constants"),
+        dict(experiment="two-sided",
+             field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
+             eps_ladder={"start_cells": 9, "ratio": 0.9, "count": 2}),
+        dict(experiment="ag-upper",
+             field={"kind": "cone-eikonal", "params": {}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
+    ]
+    assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
+    paths = [
+        str(write_config(tmp_path, f"c{i}.json", out_dir=str(tmp_path / f"out{i}"), **c))
+        for i, c in enumerate(configs)
+    ]
+    code = (
+        "import sys; sys.modules['numpy.random'] = None\n"
+        "from bvqlab.cli import main\n"
+        f"print([main(['run', p]) for p in {paths!r}])\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('numpy.random') and mod))\n"
+    )
+    codes, loaded = _run_python(code, cwd=tmp_path).splitlines()[-2:]
+    assert codes == str([EXIT_OK] * len(configs))
     assert loaded == "[]"
 
 

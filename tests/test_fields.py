@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bvqlab import _rng
 from bvqlab import (
     DomainMask,
     Grid,
@@ -152,6 +153,37 @@ def test_hoelder_term_count_and_range():
         spec.evaluate(np.array([[0.5]]))  # needs h or explicit terms
     pinned = make_field("hoelder", s=0.75, terms=3)
     assert pinned.evaluate(np.array([[0.5]])).shape == (1, 1)
+
+
+def test_seeded_hoelder_matches_numpy_phases():
+    # numpy.random is the oracle: the phases are default_rng(seed).uniform(0, 2 pi)
+    g = Grid.for_box([0.0], [1.0], [1024])
+    spec = make_field("hoelder", s=0.75, seed=11)
+    values = sample_analytic(spec, DomainMask.full(g)).values[:, 0]
+    x = g.points()[:, 0]
+    n = spec._n_terms(g.spacing)
+    phases = np.random.default_rng(11).uniform(0.0, 2 * math.pi, size=n + 1)
+    expected = np.zeros_like(x)
+    for j in range(n + 1):
+        expected += 2.0 ** (-j * 0.75) * np.cos(2.0**j * math.pi * x + phases[j])
+    np.testing.assert_array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_block_random_levels_are_drawn_once(monkeypatch):
+    draws, uniform = [], _rng.uniform
+
+    def counted(*args):
+        draws.append(args)
+        return uniform(*args)
+
+    monkeypatch.setattr(_rng, "uniform", counted)
+    spec = make_field("block-random", seed=7, blocks=12, low=-3.5, high=7.25)
+    # 256^2 cells are sampled in four blocks of rows, each evaluated apart
+    f = sample_analytic(spec, DomainMask.full(Grid.for_box([0.0, 0.0], [1.0, 1.0], [256, 256])))
+    assert draws == [(7, -3.5, 7.25, 144)]
+    levels = np.random.default_rng(7).uniform(-3.5, 7.25, size=(12, 12))
+    np.testing.assert_array_equal(spec._levels.view(np.uint64), levels.view(np.uint64))
+    np.testing.assert_array_equal(np.unique(f.values), np.unique(levels))
 
 
 def test_piecewise_multi_levels(line_mask):
