@@ -1,16 +1,17 @@
-"""Pair sums of every lattice offset at once, from zero-padded FFT
-correlations: the exact pair counts of a {0, 1} field and the q = 2 sums
-behind ``kernels.correlation_sweep``.
+"""The exact pair counts of a {0, 1} field for every lattice offset at once,
+from zero-padded FFT cross-correlations.
 
-``kernels`` holds the window sums these stand in for and decides when each
-one is used; the module docstring there states what each promises.
+``kernels.pair_power_sums`` decides when they stand in for its window sums;
+its module docstring states why they equal those sums bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .grid import SampledField
+from .grid import _BLOCK_CELLS, SampledField
 
 
 def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -> np.ndarray:
@@ -23,30 +24,35 @@ def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -
         S(v) = #{x in X, x + v in Y : u(x) != u(x + v)},
 
     X being ``x_inside`` (the field mask when ``None``; it need not lie in
-    the field mask) and Y the field mask.  S is the sum of two zero-padded
-    FFT cross-correlations, of X & (u = 1) against Y & (u = 0) and of
-    X & (u = 0) against Y & (u = 1), rounded to the nearest integer; so it
-    equals the window sum bit for bit.  A correlation more than 0.25 from an
-    integer raises ``RuntimeError`` instead of being rounded.  Each
-    correlation is inverted on its own, so two padded half spectra are live
-    at the peak, and every product writes in place.
+    the field mask) and Y the field mask.  S is the sum of the zero-padded
+    FFT cross-correlations C_10 of X & (u = 1) against Y & (u = 0) and C_01
+    of X & (u = 0) against Y & (u = 1), rounded to the nearest integer; so it
+    equals the window sum bit for bit.  Without ``x_inside``, X = Y and
+    C_01(v) = C_10(-v), so one product and one inverse give
+    S(v) = C_10(v) + C_10(-v) for any offset list.  A sum more than 0.25
+    from an integer raises ``RuntimeError`` instead of being rounded.
+
+    Memory: each product holds two padded half spectra, and the second is
+    freed before the inverse; every product writes in place.
     """
     y_in = field.mask.inside
-    x_in = y_in if x_inside is None else x_inside
-    one = field.values[..., 0] == 1.0
+    u = field.values[..., 0]
     reach, shape = _padding(field.grid.extents, offsets)
 
-    def spectrum(cells, out):
-        _padded_spectrum(cells.astype(np.float64), shape, out)
-        return out
+    def cross(x_in, level):
+        """The half spectrum of C: X & (u = level) against Y & (u = 1 - level)."""
+        acc = _padded_spectrum(x_in, u, level, shape)
+        np.conjugate(acc, out=acc)
+        acc *= _padded_spectrum(y_in, u, 1.0 - level, shape)
+        return acc
 
-    acc = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    spec = np.empty_like(acc)
-    corr = np.zeros(len(offsets))
-    for x_cells, y_cells in ((one, ~one), (~one, one)):
-        np.conjugate(spectrum(x_in & x_cells, acc), out=acc)
-        acc *= spectrum(y_in & y_cells, spec)
-        corr += _lag_values(acc, shape, reach, offsets)
+    if x_inside is None:
+        n = len(offsets)
+        both = _lag_values(cross(y_in, 1.0), shape, reach, np.concatenate([offsets, -offsets]))
+        corr = both[:n] + both[n:]
+    else:
+        corr = _lag_values(cross(x_inside, 1.0), shape, reach, offsets)
+        corr += _lag_values(cross(x_inside, 0.0), shape, reach, offsets)
     counts = np.rint(corr)
     off = float(np.abs(corr - counts).max(initial=0.0))
     if off > 0.25:
@@ -81,86 +87,29 @@ def _lag_values(acc: np.ndarray, shape, reach: np.ndarray, offsets: np.ndarray) 
     return values
 
 
-def _padded_spectrum(a: np.ndarray, shape, out: np.ndarray) -> None:
-    """Write the real FFT of ``a``, zero-padded to ``shape``, into ``out``.
+def _padded_spectrum(inside: np.ndarray, u: np.ndarray, level: float, shape) -> np.ndarray:
+    """The real FFT of the 0/1 cells ``inside & (u == level)``, zero-padded
+    to ``shape``, as a new half spectrum.
 
-    One axis at a time, in place: the last axis is ``rfft``-ed into the
-    leading block of ``out``, then each earlier axis is ``fft``-ed over the
-    rows that are not all zero yet.
+    One axis at a time, in place: the cells are built and ``rfft``-ed along
+    the last axis in blocks of whole axis-0 rows (at most ``_BLOCK_CELLS``
+    cells, one row when a row is larger; the whole line in 1D) into the
+    leading block of the result, then each earlier axis is ``fft``-ed over
+    the rows that are not all zero yet.  So no full-size grid of the cells
+    is ever held.
     """
-    out[...] = 0.0
-    ext = a.shape
-    np.fft.rfft(a, n=shape[-1], axis=-1, out=out[tuple(slice(e) for e in ext[:-1])])
+    ext = u.shape
+    out = np.zeros(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
+    rows = max(1, _BLOCK_CELLS // math.prod(ext[1:])) if len(ext) > 1 else ext[0]
+    cells = np.empty((min(rows, ext[0]),) + ext[1:])
+    tail = tuple(slice(e) for e in ext[1:-1])
+    for start in range(0, ext[0], rows):
+        stop = min(start + rows, ext[0])
+        block = cells[: stop - start]
+        np.logical_and(inside[start:stop], u[start:stop] == level, out=block)
+        target = out[(slice(start, stop),) + tail] if len(ext) > 1 else out
+        np.fft.rfft(block, n=shape[-1], axis=-1, out=target)
     for ax in range(len(ext) - 2, -1, -1):
-        rows = out[tuple(slice(e) for e in ext[:ax])]
-        np.fft.fft(rows, axis=ax, out=rows)
-
-
-def _correlation_pair_sums(field: SampledField, offsets: np.ndarray) -> np.ndarray:
-    """q = 2 pair sums S(v) = sum_x m(x) m(x+v) |u(x+v) - u(x)|^2 for every
-    offset, from one pass of FFT correlations.
-
-    With u zero outside the mask m, S is the inverse transform of
-    2 Re(conj(M) W) - 2 sum_k |U_k|^2, where M, W and U_k are the transforms
-    of m, w = |u|^2 and each component, zero-padded per axis by the largest
-    offset (at most the extent less one) so that no lag wraps round; an
-    offset that reaches past the grid pairs no cells and sums to 0.  Each
-    component is first centred on its mean over the inside cells: the
-    differences do not change, and the round-off no longer grows with the
-    mean.  A sum at or below tau = 1e-12 * sum_x m |u - mean|^2 is returned
-    as exact 0, so constant fields and offsets along a straight jump keep
-    their zeros and no negative round-off is returned.  The stated tolerance
-    against ``pair_power_sums(field, offsets, 2.0)`` is tau per offset; the
-    transforms' own round-off is a few ulps of the centred energy.
-
-    Memory: two padded half spectra and one real grid, allocated once.  The
-    means are taken first (a gather of the inside values per component, or
-    none on an all-inside mask, where ``comp.mean()`` is the same float).
-    Then the zeroed real grid holds w, then m, then each centred component
-    in turn; no write touches its outside cells after m, and every
-    transform and product writes in place.  w is summed before either
-    spectrum is allocated, so the second real grid that holds each further
-    component's square never coexists with them.
-    """
-    inside = field.mask.inside
-    ext = field.grid.extents
-    reach, shape = _padding(ext, offsets)
-    comps = [field.values[..., k] for k in range(field.d)]
-    if field.mask.all_inside:
-        means, where = [c.mean() for c in comps], True
-    else:
-        means, where = [c[inside].mean() for c in comps], inside
-
-    def centred(k, out):
-        """u_k - mean_k at the inside cells of ``out``, whose outside cells
-        must hold zeros."""
-        return np.subtract(comps[k], means[k], out=out, where=where)
-
-    real = np.zeros(ext)
-    w = real
-    np.square(centred(0, w), out=w)
-    if field.d > 1:
-        sq = np.zeros(ext)
-        for k in range(1, field.d):
-            w += np.square(centred(k, sq), out=sq)
-        del sq
-    tau = 1e-12 * float(w.sum())
-    spec = np.empty(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    _padded_spectrum(w, shape, spec)
-    acc = np.empty_like(spec)
-    np.copyto(real, inside)
-    _padded_spectrum(real, shape, acc)
-    # acc = Re(conj(M) W) - sum_k |U_k|^2, and S = 2 * inverse(acc)
-    np.conjugate(acc, out=acc)
-    acc *= spec
-    acc.imag = 0.0
-    re = acc.real
-    for k in range(field.d):
-        _padded_spectrum(centred(k, real), shape, spec)
-        re -= np.square(spec.real, out=spec.real)
-        re -= np.square(spec.imag, out=spec.imag)
-    del spec, real, w
-    sums = _lag_values(acc, shape, reach, offsets)
-    sums *= 2.0
-    sums[sums <= tau] = 0.0
-    return sums
+        part = out[tuple(slice(e) for e in ext[:ax])]
+        np.fft.fft(part, axis=ax, out=part)
+    return out

@@ -1,10 +1,12 @@
 """Analytic test-field catalog and jump-set descriptions.
 
-Each catalog entry can be evaluated at arbitrary points, knows whether it is
-an indicator, and, where meaningful, carries an exact description of its jump
-set (or of the jump set of its gradient, for the eikonal entries) with
-analytic surface measures.  Fields are addressed by kind name through
-``make_field`` so the CLI can build them from configuration files.
+Each catalog entry can be evaluated at arbitrary points and, where
+meaningful, carries an exact description of its jump set (or of the jump set
+of its gradient, for the eikonal entries) with analytic surface measures.
+Fields are addressed by kind name through ``make_field`` so the CLI can build
+them from configuration files.  A class's ``kind``, and ``dim`` where the
+kind fixes it, are class constants; its dataclass fields are exactly the
+parameters ``make_field`` takes.
 
 Every ``evaluate`` and ``gradient`` acts point by point.  ``sample_analytic``
 and ``sample_gradient`` rely on that: they evaluate over blocks of whole
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -81,10 +83,9 @@ class AnalyticField:
     eikonal entries; ``None`` means jump-free.
     """
 
-    kind: str = "?"
-    dim: int = 1
-    d: int = 1
-    is_indicator: bool = False
+    kind = "?"
+    dim = 1
+    d = 1
 
     def evaluate(self, pts: np.ndarray, h: float | None = None) -> np.ndarray:
         raise NotImplementedError
@@ -121,7 +122,7 @@ def _pts(pts: np.ndarray, dim: int) -> np.ndarray:
 class ConstantField(AnalyticField):
     value: tuple[float, ...] = (0.0,)
     dim: int = 1
-    kind: str = "constant"
+    kind = "constant"
 
     @property
     def d(self) -> int:  # type: ignore[override]
@@ -145,7 +146,7 @@ class LinearField(AnalyticField):
 
     slope: tuple[float, ...] = (1.0,)
     offset: float = 0.0
-    kind: str = "linear"
+    kind = "linear"
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -173,18 +174,16 @@ class Step1DField(AnalyticField):
     position: float = _IRR1
     low: float = 0.0
     high: float = 1.0
-    kind: str = "step-1d"
-    dim: int = 1
-
-    @property
-    def is_indicator(self) -> bool:  # type: ignore[override]
-        return {self.low, self.high} <= {0.0, 1.0}
+    kind = "step-1d"
 
     def evaluate(self, pts, h=None):
         p = _pts(pts, 1)
         return np.where(p[..., 0] > self.position, self.high, self.low)[..., None]
 
     def jump_spec(self, grid):
+        """The jump, when its position lies strictly inside the box."""
+        if not _inside_line(self.position, grid):
+            return None
         return JumpSpec((JumpPiece(1.0, (self.high,), (self.low,), (1.0,)),))
 
 
@@ -194,8 +193,7 @@ class PiecewiseConstant1DField(AnalyticField):
 
     positions: tuple[float, ...] = (-0.5 + _IRR1, _IRR2, 0.5 - _IRR1)
     levels: tuple[float, ...] = (0.0, 1.0, -0.5, 0.75)
-    kind: str = "piecewise-constant-multi"
-    dim: int = 1
+    kind = "piecewise-constant-multi"
 
     def __post_init__(self):
         if len(self.levels) != len(self.positions) + 1:
@@ -209,12 +207,19 @@ class PiecewiseConstant1DField(AnalyticField):
         return np.asarray(self.levels, float)[idx][..., None]
 
     def jump_spec(self, grid):
+        """One piece per position strictly inside the box where the levels
+        on its two sides differ."""
         pieces = []
-        for i, _ in enumerate(self.positions):
+        for i, x in enumerate(self.positions):
             lo, hi = self.levels[i], self.levels[i + 1]
-            if hi != lo:
+            if hi != lo and _inside_line(x, grid):
                 pieces.append(JumpPiece(1.0, (hi,), (lo,), (1.0,)))
         return JumpSpec(tuple(pieces)) if pieces else None
+
+
+def _inside_line(x: float, grid: Grid) -> bool:
+    """Whether the point x lies strictly inside a 1D grid's box."""
+    return grid.origin[0] < x < grid.upper[0]
 
 
 @dataclass(frozen=True)
@@ -223,9 +228,8 @@ class HalfPlaneField(AnalyticField):
 
     normal: tuple[float, float] = (1.0, 0.0)
     offset: float = 0.5 + _IRR1
-    kind: str = "half-plane-indicator"
-    dim: int = 2
-    is_indicator: bool = True
+    kind = "half-plane-indicator"
+    dim = 2
 
     def __post_init__(self):
         n = np.asarray(self.normal, float)
@@ -273,9 +277,8 @@ class PolygonField(AnalyticField):
         (0.75 + _IRR1, 0.75 + _IRR2),
         (0.25 + _IRR1, 0.75 + _IRR2),
     )
-    kind: str = "polygon-indicator"
-    dim: int = 2
-    is_indicator: bool = True
+    kind = "polygon-indicator"
+    dim = 2
 
     def __post_init__(self):
         if len(self.vertices) < 3:
@@ -324,8 +327,7 @@ class BallField(AnalyticField):
 
     center: tuple[float, ...] = (0.5 + _IRR1, 0.5 + _IRR2)
     radius: float = 0.25 + _IRR1
-    kind: str = "ball-indicator"
-    is_indicator: bool = True
+    kind = "ball-indicator"
 
     def __post_init__(self):
         # evaluate compares against radius**2, which overflows past ~1.3e154
@@ -343,6 +345,9 @@ class BallField(AnalyticField):
 
     def jump_spec(self, grid):
         r = self.radius
+        c = np.asarray(self.center, float)
+        if (c - r < grid.origin).any() or (c + r > np.asarray(grid.upper)).any():
+            raise ValueError("ball must lie inside the grid box")
         if self.dim == 1:
             pieces = (
                 JumpPiece(1.0, (1.0,), (0.0,), (-1.0,)),
@@ -364,7 +369,7 @@ class BlockRandomField(AnalyticField):
     low: float = 0.0
     high: float = 1.0
     dim: int = 2
-    kind: str = "block-random"
+    kind = "block-random"
 
     def __post_init__(self):
         if self.blocks < 1:
@@ -405,8 +410,7 @@ class HoelderField(AnalyticField):
     s: float = 0.75
     seed: int = 0
     terms: int | None = None
-    kind: str = "hoelder"
-    dim: int = 1
+    kind = "hoelder"
 
     def __post_init__(self):
         if not (0 < self.s <= 1):
@@ -440,8 +444,7 @@ class RampField(AnalyticField):
 
     x0: float = -0.25 + _IRR2
     x1: float = 0.25 + _IRR2
-    kind: str = "ramp"
-    dim: int = 1
+    kind = "ramp"
 
     def __post_init__(self):
         if not self.x1 > self.x0:
@@ -469,8 +472,7 @@ class Sine1DField(AnalyticField):
 
     amplitude: float = 1.0
     cycles: int = 1
-    kind: str = "sine-1d"
-    dim: int = 1
+    kind = "sine-1d"
 
     def evaluate(self, pts, h=None):
         p = _pts(pts, 1)[..., 0]
@@ -512,7 +514,7 @@ class PyramidField(AnalyticField):
 
     lo: tuple[float, ...] = (0.0, 0.0)
     hi: tuple[float, ...] = (1.0, 1.0)
-    kind: str = "pyramid-eikonal"
+    kind = "pyramid-eikonal"
 
     def __post_init__(self):
         sides = [b - a for a, b in zip(self.lo, self.hi)]
@@ -587,7 +589,7 @@ class ConeField(AnalyticField):
 
     center: tuple[float, ...] = (0.5 + _IRR1, 0.5 + _IRR2)
     radius0: float = 0.5
-    kind: str = "cone-eikonal"
+    kind = "cone-eikonal"
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -627,7 +629,7 @@ class ZigzagField(AnalyticField):
     halfwidth: float = 0.25
     offset: float = _IRR1
     dim: int = 2
-    kind: str = "zigzag-eikonal"
+    kind = "zigzag-eikonal"
 
     def __post_init__(self):
         if not self.halfwidth > 0:
@@ -661,9 +663,9 @@ class ZigzagField(AnalyticField):
         return out
 
     def jump_spec(self, grid):
-        height = 1.0
-        if self.dim == 2:
-            height = grid.upper[1] - grid.origin[1]
+        # each kink is a line or plane across the box: its measure is the
+        # product of the transverse sides (1 for a point in 1D)
+        height = math.prod((grid.upper[a] - grid.origin[a] for a in range(1, self.dim)), start=1.0)
         pieces = []
         for _, is_trough in self._kink_positions(grid):
             e1 = (1.0,) + (0.0,) * (self.dim - 1)
@@ -686,20 +688,12 @@ class ZigzagField(AnalyticField):
 # --------------------------------------------------------------------------
 
 FIELD_REGISTRY: dict[str, type] = {
-    "constant": ConstantField,
-    "linear": LinearField,
-    "step-1d": Step1DField,
-    "half-plane-indicator": HalfPlaneField,
-    "polygon-indicator": PolygonField,
-    "ball-indicator": BallField,
-    "piecewise-constant-multi": PiecewiseConstant1DField,
-    "block-random": BlockRandomField,
-    "hoelder": HoelderField,
-    "ramp": RampField,
-    "sine-1d": Sine1DField,
-    "pyramid-eikonal": PyramidField,
-    "cone-eikonal": ConeField,
-    "zigzag-eikonal": ZigzagField,
+    cls.kind: cls
+    for cls in (
+        ConstantField, LinearField, Step1DField, HalfPlaneField, PolygonField, BallField,
+        PiecewiseConstant1DField, BlockRandomField, HoelderField, RampField, Sine1DField,
+        PyramidField, ConeField, ZigzagField,
+    )
 }
 
 
@@ -740,13 +734,10 @@ def make_field(kind: str, /, **params) -> AnalyticField:
 
 
 def list_fields() -> dict[str, dict[str, str]]:
-    """Catalog kinds, each with its parameter names and declared types."""
+    """Catalog kinds, each with its parameter names and declared types: the
+    dataclass fields of its class."""
     return {
-        name: {
-            f.name: f.type
-            for f in cls.__dataclass_fields__.values()  # type: ignore[attr-defined]
-            if f.init and f.name not in ("kind", "is_indicator")
-        }
+        name: {f.name: f.type for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         for name, cls in FIELD_REGISTRY.items()
     }
 

@@ -29,7 +29,6 @@ from .kernels import (
     _directional_sum,
     _power_from_sq,
     bbm_sweep,
-    correlation_sweep,
     lattice_offsets,
     pair_power_sums,
 )
@@ -97,18 +96,14 @@ def verify_jump_formula(
 ) -> ComparisonReport:
     """Extrapolated kernel sweep against the analytic jump energy (q > 1).
 
-    The fit is the sweep's only reader and is compared at ``tolerance``, so
-    at q = 2 the sweep takes its pair sums from one FFT correlation pass
-    (``correlation_sweep``, within 1e-12 of the field's centred energy per
-    offset); any other q sums pair by pair (``bbm_sweep``).
+    The sweep is ``bbm_sweep(u, q, eps_list, fit_model)`` of the sampled
+    field, bit for bit at every q, and its fitted limit is compared with
+    the right-hand side at ``tolerance``.
     """
     if not q > 1:
         raise ValueError("the jump-energy identity needs q > 1")
     u = sample_analytic(spec, mask)
-    if q == 2:
-        sweep = correlation_sweep(u, eps_list, fit_model, kappa=kappa)
-    else:
-        sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa)
+    sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa)
     rhs = jump_energy_rhs(spec.jump_spec(mask.grid), q, mask.grid.dim)
     return equal_within(
         sweep.limit,

@@ -50,18 +50,10 @@ builds its validity mask and gathers the valid terms first.
 
 A {0, 1} field skips the windows altogether: each term is exactly 0 or 1, so
 its pair sums are integer counts, and ``_indicator_pair_counts`` (in
-``bvqlab._correlation``, with the other FFT pair sums) returns them all, bit
-for bit, by rounding two FFT cross-correlations of masks.
-
-One other consumer reads correlation sums.  ``correlation_sweep``, which
-``jumps.verify_jump_formula`` uses at q = 2, takes every per-displacement
-sum of its ladder from one zero-padded FFT correlation pass: each is within
-tau = 1e-12 * sum_x |u - mean|^2 of the direct sum, not bit for bit, and a
-sum at or below tau is returned as exact 0, so exact zeros (constant fields,
-displacements along a straight jump) are kept.  It shares the ladder checks
-of ``bbm_sweep`` and the rung reduction of ``bbm_ladder``.  Its fit is only
-compared at a tolerance; every other sum here, and so every untoleranced
-check built on them, is the pair-by-pair window sum bit for bit.
+``bvqlab._correlation``) returns them all, bit for bit, by rounding FFT
+cross-correlations of its cells.  So every pair sum here, and every check
+built on them, is the pair-by-pair window sum bit for bit; none carries a
+tolerance.
 """
 
 from __future__ import annotations
@@ -73,9 +65,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from . import defaults
-from ._correlation import _correlation_pair_sums, _indicator_pair_counts
+from ._correlation import _indicator_pair_counts
 from .errors import EmptyMaskError, RegimeError
-from .grid import DomainMask, SampledField, _squared_cells
+from .grid import _BLOCK_CELLS, DomainMask, SampledField, _squared_cells
 
 
 @dataclass(frozen=True)
@@ -311,9 +303,19 @@ def pair_power_sums(
 
 
 def _is_indicator(field: SampledField) -> bool:
-    """A {0, 1} field: one component, every grid value 0.0 or 1.0."""
-    v = field.values
-    return field.d == 1 and bool(((v == 0.0) | (v == 1.0)).all())
+    """A {0, 1} field: one component, every grid value 0.0 or 1.0.
+
+    Read in blocks of ``_BLOCK_CELLS`` values, so its boolean temporaries
+    stay block-sized, and it stops at the first block that fails.
+    """
+    if field.d != 1:
+        return False
+    v = field.values.reshape(-1)
+    for start in range(0, v.size, _BLOCK_CELLS):
+        block = v[start : start + _BLOCK_CELLS]
+        if not ((block == 0.0) | (block == 1.0)).all():
+            return False
+    return True
 
 
 def _check_regime(eps_len: float, h: float, kappa: float, diameter: float):
@@ -363,20 +365,11 @@ def bbm_ladder(
     so, ``math.fsum`` being correctly rounded, each value is the rung's
     single-scale value bit for bit.  The list may come in any order.
     """
-    return _ladder_values(u, q, eps_list, kappa, partial(pair_power_sums, u, q=q, x_mask=x_mask))
-
-
-def _ladder_values(u: SampledField, q: float, eps_list, kappa: float, pair_sums) -> list[float]:
-    """Validate every rung, get the pair sums of the largest rung's offsets
-    from ``pair_sums(offsets)`` and reduce each rung's subset of them.
-
-    The one place a bbm ladder is validated and reduced.
-    """
     rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
     if not rungs:
         raise ValueError("need at least one eps")
     offs, r2 = lattice_offsets(u.grid.dim, max(m2 for m2, _ in rungs))
-    terms = pair_sums(offs) / (u.grid.spacing * np.sqrt(r2))
+    terms = pair_power_sums(u, offs, q, x_mask) / (u.grid.spacing * np.sqrt(r2))
     return [_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs]
 
 
@@ -469,35 +462,6 @@ def bbm_sweep(
     each equals ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
     eps_list = list(eps_list)
-    eps_lengths = _sweep_lengths(u, eps_list, fit_model)
-    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
-    return sweep_functional(eps_lengths, values, fit_model)
-
-
-def correlation_sweep(
-    u: SampledField,
-    eps_list,
-    fit_model: str = "linear-in-eps",
-    *,
-    kappa: float = defaults.KAPPA,
-) -> EpsSweep:
-    """``bbm_sweep`` at q = 2 with every pair sum from one FFT correlation
-    pass (``_correlation_pair_sums``), for fits compared at a tolerance.
-
-    The ladder and its rungs are checked as in ``bbm_sweep`` and reduced as
-    in ``bbm_ladder``; only the per-offset sums differ, by at most tau each,
-    so the values are ``bbm_sweep(u, 2.0, ...)``'s to round-off, not bit
-    for bit.  Exact zero sums stay exact.  No untoleranced check reads it.
-    """
-    eps_list = list(eps_list)
-    eps_lengths = _sweep_lengths(u, eps_list, fit_model)
-    values = _ladder_values(u, 2.0, eps_list, kappa, partial(_correlation_pair_sums, u))
-    return sweep_functional(eps_lengths, values, fit_model)
-
-
-def _sweep_lengths(u: SampledField, eps_list: list, fit_model: str) -> list[float]:
-    """Check that a sweep's ladder decreases and its fit model can run on
-    it; return the eps lengths."""
     eps_lengths = [resolve_radius(e, u.grid.spacing)[1] for e in eps_list]
     if any(b >= a for a, b in zip(eps_lengths, eps_lengths[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
@@ -505,7 +469,8 @@ def _sweep_lengths(u: SampledField, eps_list: list, fit_model: str) -> list[floa
         raise ValueError(f"unknown fit model {fit_model!r}")
     if fit_model == "linear-in-eps" and min(defaults.FIT_POINTS, len(eps_lengths)) < 3:
         raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
-    return eps_lengths
+    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
+    return sweep_functional(eps_lengths, values, fit_model)
 
 
 # --------------------------------------------------------------------------

@@ -472,12 +472,22 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
           ({"kind": "block-random", "params": {"dim": 1, "seed": -1}}, "seed"),
           ({"kind": "hoelder", "params": {"seed": -1}}, "seed"),
       ]),
+    # a ball that leaves the box had a jump measure of 2 pi r
+    ({"experiment": "jump-verify", "field": {"kind": "ball-indicator", "params": {"center": [0.5, 0.5], "radius": 0.6}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "ball must lie inside the grid box"),
+    # a kind of fixed dimension took a dim that only a later check refused
+    *(({"field": {"kind": kind, "params": {"dim": 1}}}, f"field {kind} takes no parameter 'dim'")
+      for kind in ("step-1d", "piecewise-constant-multi", "half-plane-indicator",
+                   "polygon-indicator", "hoelder", "ramp", "sine-1d")),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
         "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
         "field-param-kind", "field-kind-missing", "ball-radius-overflow",
         "block-random-range-overflow", "block-random-range-negative", "block-random-seed",
-        "hoelder-seed"])
+        "hoelder-seed", "ball-leaves-box", "step-1d-dim", "piecewise-constant-multi-dim",
+        "half-plane-indicator-dim", "polygon-indicator-dim", "hoelder-dim", "ramp-dim",
+        "sine-1d-dim"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -486,6 +496,20 @@ def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     assert "Traceback" not in err
     # the output directory is created only after the experiment succeeds
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "step-1d", "params": {"position": 5.0}},
+    {"kind": "piecewise-constant-multi", "params": {"positions": [-3.0, 4.0], "levels": [0.0, 1.0, 2.0]}},
+])
+def test_jump_outside_the_box_is_jump_free(tmp_path, capsys, field):
+    # a constant field on the box: lhs 0, and now rhs 0 (it was 2 for the step)
+    cfg = write_config(tmp_path, "outside.json", field=field)
+    with pytest.warns(UserWarning, match="no jump pieces"):
+        assert main(["run", str(cfg)]) == EXIT_OK
+    (rep,) = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["lhs"] == 0.0 and rep["rhs"] == 0.0 and rep["passed"]
+    assert capsys.readouterr().out.startswith("PASS jump-energy identity")
 
 
 def test_integer_spelling_of_a_real_gives_the_same_bytes(tmp_path):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bvqlab import _rng
+from bvqlab import _rng, kernels
 from bvqlab import (
+    ConfigError,
     DomainMask,
     Grid,
     UnknownFieldError,
@@ -48,7 +49,7 @@ def test_indicator_values_exact(kind, square_mask):
     spec = make_field(kind)
     f = sample_analytic(spec, square_mask)
     assert set(np.unique(f.values)) <= {0.0, 1.0}
-    assert spec.is_indicator
+    assert kernels._is_indicator(f)  # so its pair sums are exact counts
 
 
 @pytest.mark.parametrize("kind", EIKONAL_KINDS)
@@ -220,3 +221,73 @@ def test_list_fields_covers_catalog():
     kinds = list_fields()
     for k in EIKONAL_KINDS + INDICATOR_KINDS + ["constant", "linear", "step-1d"]:
         assert k in kinds
+
+
+# --------------------------------------------------------------------------
+# Jump specs measure only what lies inside the grid box.
+# --------------------------------------------------------------------------
+
+
+def test_step_outside_the_box_is_jump_free(line_mask):
+    lo, hi = line_mask.grid.origin[0], line_mask.grid.upper[0]
+    for position in (lo - 4.0, lo, hi, hi + 4.0):
+        assert make_field("step-1d", position=position).jump_spec(line_mask.grid) is None
+    inside = make_field("step-1d", position=0.5 * (lo + hi)).jump_spec(line_mask.grid)
+    assert [p.measure for p in inside.pieces] == [1.0]
+
+
+def test_piecewise_constant_counts_only_positions_inside_the_box():
+    g = Grid.for_box([-1.0], [1.0], [64])
+    spec = make_field("piecewise-constant-multi", positions=(-3.0, -1.0, 0.25, 5.0), levels=(0.0, 1.0, 3.0, 2.0, 7.0))
+    (piece,) = spec.jump_spec(g).pieces  # only x = 0.25 lies strictly inside
+    assert piece.minus == (3.0,) and piece.plus == (2.0,) and piece.measure == 1.0
+    outside = make_field("piecewise-constant-multi", positions=(-2.0, 3.0), levels=(0.0, 1.0, 2.0))
+    assert outside.jump_spec(g) is None
+
+
+def test_ball_leaving_the_box_is_refused(square_mask):
+    g = square_mask.grid
+    for center, radius in (((0.5, 0.5), 0.6), ((0.1, 0.5), 0.2), ((0.5, 0.9), 0.15)):
+        with pytest.raises(ValueError, match="inside the grid box"):
+            make_field("ball-indicator", center=center, radius=radius).jump_spec(g)
+    (piece,) = make_field("ball-indicator", center=(0.5, 0.5), radius=0.5).jump_spec(g).pieces
+    assert piece.measure == pytest.approx(math.pi)
+    line = Grid.for_box([0.0], [1.0], [64])
+    with pytest.raises(ValueError, match="inside the grid box"):
+        make_field("ball-indicator", center=(0.9,), radius=0.2).jump_spec(line)
+
+
+@pytest.mark.parametrize("dim, hi, area", [(1, (2.0,), 1.0), (2, (2.0, 3.0), 3.0), (3, (2.0, 3.0, 1.0), 3.0), (3, (1.0, 0.5, 0.25), 0.125)])
+def test_zigzag_kink_measure_is_the_transverse_section(dim, hi, area):
+    g = Grid.for_box([0.0] * dim, list(hi), [int(round(16 * h)) for h in hi])
+    pieces = make_field("zigzag-eikonal", dim=dim).jump_spec(g).pieces
+    assert pieces and all(p.measure == area for p in pieces)
+
+
+# --------------------------------------------------------------------------
+# The parameters a kind takes are exactly its dataclass fields.
+# --------------------------------------------------------------------------
+
+FIXED_DIM_KINDS = {
+    "step-1d": 1, "piecewise-constant-multi": 1, "hoelder": 1, "ramp": 1, "sine-1d": 1,
+    "half-plane-indicator": 2, "polygon-indicator": 2,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXED_DIM_KINDS))
+def test_fixed_dimension_kinds_take_no_dim(kind):
+    assert "dim" not in list_fields()[kind]
+    assert make_field(kind).dim == FIXED_DIM_KINDS[kind]
+    with pytest.raises(ConfigError, match=f"field {kind} takes no parameter 'dim'"):
+        make_field(kind, dim=FIXED_DIM_KINDS[kind])
+
+
+def test_kind_is_a_class_constant_not_a_parameter():
+    kinds = list_fields()
+    for kind in ("constant", "block-random", "zigzag-eikonal"):
+        assert "dim" in kinds[kind]
+    for kind, params in kinds.items():
+        assert make_field(kind).kind == kind
+        assert "kind" not in params and "is_indicator" not in params
+        with pytest.raises(ConfigError, match="'kind'"):
+            make_field(kind, kind=kind)

@@ -13,7 +13,6 @@ from bvqlab import (
     SampledField,
     SmoothRationalPairCost,
     bbm_sweep,
-    bbm_value,
     dimensional_constant,
     dimensional_constant_closed_form,
     directional_value,
@@ -77,39 +76,22 @@ def test_verify_jump_formula_step():
     assert rep.rhs == pytest.approx(2.0)
 
 
-@pytest.mark.parametrize("q, direct_passes, correlation_passes", [(2.0, 0, 1), (3.0, 1, 0)])
-def test_jump_verify_sums_q2_by_correlation(monkeypatch, q, direct_passes, correlation_passes):
-    from bvqlab import kernels
-
-    calls = {"direct": 0, "correlation": 0}
-    real_direct, real_corr = kernels.pair_power_sums, kernels._correlation_pair_sums
-
-    def direct(*args, **kwargs):
-        calls["direct"] += 1
-        return real_direct(*args, **kwargs)
-
-    def correlation(*args, **kwargs):
-        calls["correlation"] += 1
-        return real_corr(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "pair_power_sums", direct)
-    monkeypatch.setattr(kernels, "_correlation_pair_sums", correlation)
-    g = Grid.for_box([-1.0], [1.0], [1024])
+@pytest.mark.parametrize("case", ["half-plane", "step-0-2"])
+def test_jump_verify_q2_sweep_is_bbm_sweep_bit_for_bit(case):
+    if case == "half-plane":  # a {0, 1} field: the sweep reads exact pair counts
+        g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [256, 256])
+        spec = make_field("half-plane-indicator", normal=(1.0, 0.0), offset=0.50243)
+        ladder = [GridRadius.from_cells(m) for m in (16, 12, 9)]
+    else:  # levels 0 and 2: the sweep reads window sums
+        g = Grid.for_box([-1.0], [1.0], [1024])
+        spec = make_field("step-1d", position=0.0, high=2.0)
+        ladder = [GridRadius.from_cells(m) for m in (64, 32, 16)]
     mask = DomainMask.full(g)
-    spec = make_field("piecewise-constant-multi")
-    ladder = [GridRadius.from_cells(m) for m in (64, 32, 16)]
-    rep = verify_jump_formula(spec, mask, q, ladder, tolerance=0.03)
+    rep = verify_jump_formula(spec, mask, 2.0, ladder, tolerance=0.05)
+    ref = bbm_sweep(sample_analytic(spec, mask), 2.0, ladder, "constant")
+    assert [v.hex() for v in rep.details["sweep_values"]] == [v.hex() for v in ref.values]
+    assert rep.lhs.hex() == ref.limit.hex()
     assert rep.passed
-    assert calls == {"direct": direct_passes, "correlation": correlation_passes}
-    # the sweep a direct pass gives, to round-off
-    u = sample_analytic(spec, mask)
-    ref = bbm_sweep(u, q, ladder, "constant")
-    assert rep.details["sweep_values"] == pytest.approx(list(ref.values), rel=1e-12, abs=0.0)
-    # bbm_sweep and bbm_value stay direct at q = 2
-    for run in (lambda: bbm_sweep(u, 2.0, ladder, "constant"), lambda: bbm_value(u, 2.0, ladder[0])):
-        calls.update(direct=0, correlation=0)
-        run()
-        assert calls == {"direct": 1, "correlation": 0}
 
 
 def test_verify_jump_formula_needs_q_above_one(line_mask):

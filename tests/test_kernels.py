@@ -424,61 +424,14 @@ def test_ladder_errors_before_any_pair_pass(line_mask, monkeypatch):
         bbm_sweep(u, 2.0, [32 * h, 16 * h], "linear-in-eps")  # too few to fit
     with pytest.raises(ValueError, match="unknown fit model"):
         bbm_sweep(u, 2.0, [32 * h, 16 * h, 8 * h], "quadratic")
+    with pytest.raises(ValueError, match="at least one eps"):
+        bbm_sweep(u, 2.0, [], "constant")
     with pytest.raises(RegimeError):
         gagliardo_dominates_bbm(u, 2.0, [16 * h, u.grid.diameter])
     with pytest.raises(RegimeError):
         gagliardo_dominates_bbm(u, 2.0, [16 * h, 4 * h])  # below kappa*h
     with pytest.raises(ValueError):
         gagliardo_dominates_bbm(u, 0.5, [16 * h])
-
-
-def test_correlation_sweep_checks_the_ladder_before_any_pass(line_mask, monkeypatch):
-    from bvqlab import kernels
-    from bvqlab.kernels import correlation_sweep
-
-    def boom(*args, **kwargs):
-        raise AssertionError("pair sums ran before the ladder was validated")
-
-    monkeypatch.setattr(kernels, "pair_power_sums", boom)
-    monkeypatch.setattr(kernels, "_correlation_pair_sums", boom)
-    u = random_block_field(line_mask, seed=11)
-    h = u.grid.spacing
-    with pytest.raises(ValueError, match="strictly decreasing"):
-        correlation_sweep(u, [16 * h, 32 * h, 8 * h], "constant")
-    with pytest.raises(RegimeError):
-        correlation_sweep(u, [u.grid.diameter, 16 * h, 8 * h], "constant")
-    with pytest.raises(RegimeError):
-        correlation_sweep(u, [16 * h, 4 * h], "constant")  # below kappa*h
-    with pytest.raises(ValueError, match=">= 3 eps values"):
-        correlation_sweep(u, [32 * h, 16 * h], "linear-in-eps")
-    with pytest.raises(ValueError, match="unknown fit model"):
-        correlation_sweep(u, [32 * h, 16 * h, 8 * h], "quadratic")
-    with pytest.raises(ValueError, match="at least one eps"):
-        correlation_sweep(u, [], "constant")
-
-
-@pytest.mark.parametrize("case", ["line", "disc"])
-def test_correlation_sweep_reads_the_q2_sweep(line_mask, monkeypatch, case):
-    from bvqlab import kernels
-    from bvqlab.kernels import correlation_sweep
-
-    u, _, cells = _ladder_field(line_mask, case)
-    ladder = [c * u.grid.spacing for c in cells]
-    direct = bbm_sweep(u, 2.0, ladder, "constant")
-    calls = []
-    real = kernels._correlation_pair_sums
-
-    def counted(*args, **kwargs):
-        calls.append(len(args[1]))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(kernels, "_correlation_pair_sums", counted)
-    sweep = correlation_sweep(u, ladder, "constant")
-    m2 = kernels.resolve_radius(ladder[0], u.grid.spacing)[0]
-    assert calls == [len(kernels.lattice_offsets(u.grid.dim, m2)[0])]
-    assert sweep.eps == direct.eps and sweep.fit_model == direct.fit_model
-    assert sweep.values == pytest.approx(direct.values, rel=1e-12, abs=0.0)
-    assert sweep.limit == pytest.approx(direct.limit, rel=1e-12, abs=0.0)
 
 
 def test_grid_radius_validation():

@@ -10,14 +10,12 @@ The cropped masked pair sums are compared bit for bit with the uncropped
 per-offset loop instead, because cropping changes no operation on a kept
 sample.
 
-The q = 2 correlation pass is compared with the direct pair sums at its
-stated bound tau = 1e-12 * sum_x m |u - mean|^2 per offset, and
-``verify_two_sided`` with a pair-by-pair oracle of its two kernel sums at
-1e-12 relative and of both verdicts.
+The pair sums of constant fields, and of a half plane along its jump line,
+are exact zeros.  ``verify_two_sided`` is compared with a pair-by-pair
+oracle of its two kernel sums at 1e-12 relative and of both verdicts.
 """
 
 import itertools
-import tracemalloc
 import math
 
 import numpy as np
@@ -37,7 +35,7 @@ from bvqlab import (
     sample_analytic,
     verify_two_sided,
 )
-from bvqlab.kernels import _correlation_pair_sums, lattice_offsets, pair_power_sums, resolve_radius
+from bvqlab.kernels import lattice_offsets, pair_power_sums, resolve_radius
 from conftest import single_pair_sum
 
 REL = 1e-12
@@ -224,47 +222,9 @@ def test_cropped_pair_sums_match_uncropped_bit_for_bit(extents, m2, inside_p, ki
 
 
 # --------------------------------------------------------------------------
-# The q = 2 correlation pass: within tau of the direct pair sums, exact zeros
-# kept, memory bounded by the padded grid.
+# Exact zeros: the FFT pair counts of a {0, 1} field, like the window sums,
+# are +0.0 wherever no pair differs.
 # --------------------------------------------------------------------------
-
-
-def _tau(u):
-    """1e-12 * sum over inside cells of |u - mean|^2, computed pair-free."""
-    vals = u.values[u.mask.inside]
-    return 1e-12 * math.fsum(((vals - vals.mean(axis=0)) ** 2).ravel())
-
-
-def _assert_within_tau(u, m2):
-    offs, _ = lattice_offsets(u.grid.dim, m2)
-    corr = _correlation_pair_sums(u, offs)
-    direct = pair_power_sums(u, offs, 2.0)
-    assert np.abs(corr - direct).max() <= _tau(u)
-    assert (corr >= 0.0).all()
-    return corr, direct
-
-
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("inside_p", [1.0, 0.7])
-@pytest.mark.parametrize(
-    "extents, m2", [([97], 400), ([23, 19], 50), ([30, 6], 100), ([9, 8, 10], 14)]  # [30, 6]: offsets past the grid
-)
-def test_correlation_sums_within_tau(extents, m2, inside_p, d):
-    u = _random_field(extents, d, seed=sum(extents) + d, inside_p=inside_p)
-    _assert_within_tau(u, m2)
-    # the samples outside the mask are never read
-    dirty = np.where(u.mask.inside[..., None], u.values, np.nan)
-    corr = _assert_within_tau(SampledField(u.mask, dirty, d=d), m2)[0]
-    offs, _ = lattice_offsets(u.grid.dim, m2)
-    assert corr.tobytes() == _correlation_pair_sums(u, offs).tobytes()
-
-
-@pytest.mark.parametrize("extents, m2", [([97], 400), ([64, 48], 100)])
-def test_correlation_sums_centre_a_large_mean(extents, m2):
-    u = _random_field(extents, 1, seed=5, inside_p=0.9)
-    shifted = SampledField(u.mask, np.where(u.mask.inside[..., None], u.values + 1e6, 0.0))
-    corr, direct = _assert_within_tau(shifted, m2)
-    assert np.abs(corr - direct).max() <= _tau(u)  # the bound of the unshifted field
 
 
 def test_correlation_sums_keep_exact_zeros():
@@ -272,37 +232,15 @@ def test_correlation_sums_keep_exact_zeros():
     rng = np.random.default_rng(3)
     mask = DomainMask(g, rng.random(g.extents) < 0.8)
     offs, _ = lattice_offsets(2, 64)
-    const = SampledField(mask, np.where(mask.inside, 3.7, 0.0))
-    assert _correlation_pair_sums(const, offs).tobytes() == np.zeros(len(offs)).tobytes()
+    for level in (1.0, 3.7):  # the count path, then the window path
+        const = SampledField(mask, np.where(mask.inside, level, 0.0))
+        assert pair_power_sums(const, offs, 2.0).tobytes() == np.zeros(len(offs)).tobytes()
     half = sample_analytic(make_field("half-plane-indicator", normal=(1.0, 0.0), offset=0.503), DomainMask.full(g))
-    corr, direct = _assert_within_tau(half, 64)
+    counts = pair_power_sums(half, offs, 2.0)
     along = offs[:, 0] == 0  # parallel to the jump line x = 0.503
     assert along.sum() == 16
-    assert (direct[along] == 0.0).all() and (corr[along] == 0.0).all()
-    assert (corr[~along] > 0.0).all()
-
-
-def test_correlation_memory_is_bounded_by_the_padded_grid():
-    masked = _random_field([192, 160], 1, seed=9, inside_p=0.9)
-    full = _random_field([192, 160], 1, seed=9, inside_p=1.0)
-    vector = _random_field([192, 160], 3, seed=9, inside_p=0.9)
-    assert not masked.mask.all_inside and full.mask.all_inside
-    for u in (masked, full, vector):
-        for m, bound in ((8, 3.5), (32, 2.83)):
-            offs, _ = lattice_offsets(2, m * m)
-            padded_bytes = 8 * (192 + m) * (160 + m)
-            tracemalloc.start()
-            try:
-                _correlation_pair_sums(u, offs)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # two half spectra and one real grid: 2.7-2.95x here, whether the
-            # pass serves 196 offsets or 3,208 (3.4x for a first FFT call,
-            # which imports numpy.fft's modules); a gather of the inside
-            # values and a grid per centred component took 2.8-3.1x for
-            # d = 1 and 3.25-3.9x for d = 3
-            assert peak < bound * padded_bytes, (m, u.d, u.mask.all_inside, peak / padded_bytes)
+    assert counts[along].tobytes() == np.zeros(16).tobytes()
+    assert (counts[~along] > 0.0).all()
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,35 @@ def test_count_path_reads_offsets_past_the_grid_as_zero():
     assert got[0] == got[-1] == got[-2] == 0.0 and math.copysign(1.0, got[0]) == 1.0
 
 
+@pytest.mark.parametrize("mask_kind", ["full", "random"])
+@pytest.mark.parametrize("kind", ["half", "past"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_unmasked_count_path_on_asymmetric_offset_lists(dim, kind, mask_kind, monkeypatch):
+    # without an x mask one correlation C serves v and -v, S(v) = C(v) + C(-v),
+    # which must hold for lists that do not hold -v with v
+    calls = _spy_windows(monkeypatch)
+    ext = np.array(GRIDS[dim])
+    first, last = (0,) * dim, tuple(ext - 1)  # the one pair of v = ext - 1
+    u = _field(dim, 1, mask_kind, "01", seed=40 + dim)
+    vals = u.values.copy()
+    vals[last] = 1.0 - vals[first]
+    u = SampledField(u.mask, vals)
+    assert u.mask.inside[first] and u.mask.inside[last]
+    offs, _ = lattice_offsets(dim, RADII[dim])
+    if kind == "half":  # the first half of a lattice list: no -v of any v
+        offs = offs[: len(offs) // 2]
+    else:  # every third lattice offset, the longest one that pairs cells, and three past the grid
+        past = np.array([ext - 1, -ext, (ext[0] + 3) * np.eye(dim, dtype=int)[0]])
+        offs = np.concatenate([offs[::3], past])
+    assert not np.array_equal(offs[::-1], -offs)
+    for q in (1.0, 2.0, 3.0):
+        got = pair_power_sums(u, offs, q)
+        assert got.tobytes() == reference_pair_power_sums(u, offs, q).tobytes(), q
+    assert not calls
+    if kind == "past":
+        assert got[-3] == 1.0 and got[-2] == got[-1] == 0.0
+
+
 def _unit(v):
     v = np.asarray(v, dtype=float)
     return (v / np.linalg.norm(v)).tolist()
@@ -199,7 +228,7 @@ def test_shift_stencils_equal_the_reference():
 
 
 # --------------------------------------------------------------------------
-# Memory: one buffer per pass, two padded half spectra per count.
+# Memory: one buffer per pass, two padded half spectra per count pass.
 # --------------------------------------------------------------------------
 
 
@@ -229,16 +258,29 @@ def test_window_path_memory_is_one_buffer(d, x_kind, bound):
     assert peak < bound, peak
 
 
+def test_indicator_check_holds_block_sized_temporaries():
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
+    vals = (np.indices(g.extents).sum(axis=0) % 5 < 2).astype(float)
+    for last, expect in ((1.0, True), (0.5, False)):  # a non-{0, 1} value in the last block
+        vals[-1, -1] = last
+        u = SampledField(DomainMask.full(g), vals)
+        assert kernels._is_indicator(u) is expect
+        # three boolean blocks of 2^14 cells; one full-size boolean grid is 256 KiB
+        assert _peak(lambda: kernels._is_indicator(u)) < 64 * 1024
+
+
 def test_count_path_memory_is_bounded_by_the_padded_grid():
     g = Grid.for_box([0.0, 0.0], [1.2, 1.0], [192, 160])
     mask = _mask(g, "disc")
     u = SampledField(mask, (np.indices(g.extents).sum(axis=0) % 7 < 3).astype(float)[..., None])
-    x_mask = mask.erode(2 * g.spacing)
-    for m in (4, 8, 32):
-        offs, _ = lattice_offsets(2, m * m)
-        padded_bytes = 8 * (192 + m) * (160 + m)
-        peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask))
-        # two half spectra (about one padded grid of floats each), the
-        # real input of the transform being taken and its boolean cells:
-        # 3.3-4.2 padded grids here
-        assert peak < 5.0 * padded_bytes, (m, peak / padded_bytes)
+    pair_power_sums(u, lattice_offsets(2, 4)[0], 2.0)  # first-call imports and FFT set-up
+    for x_mask in (mask.erode(2 * g.spacing), None):
+        for m in (4, 8, 32):
+            offs, _ = lattice_offsets(2, m * m)
+            padded_bytes = 8 * (192 + m) * (160 + m)
+            peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask))
+            # two half spectra (about one padded grid of floats each) and
+            # one block of at most _BLOCK_CELLS cells: 2.45-2.65 padded grids
+            # here, with or without an x mask.  A full-size float grid of the
+            # cells and its boolean masks took 3.3-3.5.
+            assert peak < 2.9 * padded_bytes, (m, x_mask is None, peak / padded_bytes)
