@@ -1,8 +1,19 @@
 """The exact pair counts of a {0, 1} field for every lattice offset at once,
-from zero-padded FFT cross-correlations.
+from one zero-padded FFT correlation of its signed cells.
 
 ``kernels.pair_power_sums`` decides when they stand in for its window sums;
 its module docstring states why they equal those sums bit for bit.
+
+Memory: a correlation is built in column blocks of the last (``rfft``) axis
+of its padded half spectrum (the whole line in 1D).  A half spectrum of S
+complex values is cut into about sqrt(S / ``grid._BLOCK_CELLS``) blocks of
+about sqrt(S * ``grid._BLOCK_CELLS``) values each.  For each column block
+the cells are ``rfft``-ed again in blocks of whole axis-0 rows and that
+block's columns kept; the leading axes are then transformed, multiplied and
+inverted in place, and the result is cut to the lags -reach..reach into one
+small lag table.  One ``irfft`` along the last axis finishes.  So a pass
+holds one or two column blocks, one row block and the lag table, never a
+full padded spectrum, and runs the row ``rfft``s once per column block.
 """
 
 from __future__ import annotations
@@ -11,7 +22,7 @@ import math
 
 import numpy as np
 
-from .grid import _BLOCK_CELLS, SampledField
+from .grid import _BLOCK_CELLS, SampledField, _bounding_box
 
 
 def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -> np.ndarray:
@@ -24,40 +35,34 @@ def _indicator_pair_counts(field: SampledField, offsets: np.ndarray, x_inside) -
         S(v) = #{x in X, x + v in Y : u(x) != u(x + v)},
 
     X being ``x_inside`` (the field mask when ``None``; it need not lie in
-    the field mask) and Y the field mask.  S is the sum of the zero-padded
-    FFT cross-correlations C_10 of X & (u = 1) against Y & (u = 0) and C_01
-    of X & (u = 0) against Y & (u = 1), rounded to the nearest integer; so it
-    equals the window sum bit for bit.  Without ``x_inside``, X = Y and
-    C_01(v) = C_10(-v), so one product and one inverse give
-    S(v) = C_10(v) + C_10(-v) for any offset list.  A sum more than 0.25
-    from an integer raises ``RuntimeError`` instead of being rounded.
+    the field mask) and Y the field mask.  With s = 2u - 1 = +-1 on the
+    cells, a pair differs exactly when s(x) s(x + v) = -1, so
 
-    Memory: each product holds two padded half spectra, and the second is
-    freed before the inverse; every product writes in place.
+        S(v) = (N(v) - C(v)) / 2,
+
+    C the correlation of s X against s Y and N(v) = #{x in X : x + v in Y}.
+    C is one zero-padded FFT correlation rounded to the nearest integer: an
+    autocorrelation without ``x_inside`` (one spectrum, squared), a cross
+    product with it.  N is the product over axes of the overlaps of two
+    intervals when X and Y both fill their bounding boxes (every full or
+    eroded box), and the same rounded correlation of the 0/1 masks
+    otherwise.  Every term is an exact integer below 2^53, so S equals the
+    window sum bit for bit.  A correlation more than 0.25 from an integer
+    raises ``RuntimeError`` instead of being rounded.
     """
-    y_in = field.mask.inside
     u = field.values[..., 0]
     reach, shape = _padding(field.grid.extents, offsets)
-
-    def cross(x_in, level):
-        """The half spectrum of C: X & (u = level) against Y & (u = 1 - level)."""
-        acc = _padded_spectrum(x_in, u, level, shape)
-        np.conjugate(acc, out=acc)
-        acc *= _padded_spectrum(y_in, u, 1.0 - level, shape)
-        return acc
-
-    if x_inside is None:
-        n = len(offsets)
-        both = _lag_values(cross(y_in, 1.0), shape, reach, np.concatenate([offsets, -offsets]))
-        corr = both[:n] + both[n:]
+    # X and Y, or Y alone when X is Y: one filler per side correlated
+    sides = [field.mask.inside] if x_inside is None else [x_inside, field.mask.inside]
+    signed = _rounded(_correlation_values(shape, reach, offsets, [_cells(m, u) for m in sides]))
+    boxes = [_filled_box(m) for m in sides]
+    if None in boxes:
+        pairs = _rounded(_correlation_values(shape, reach, offsets, [_cells(m) for m in sides]))
     else:
-        corr = _lag_values(cross(x_inside, 1.0), shape, reach, offsets)
-        corr += _lag_values(cross(x_inside, 0.0), shape, reach, offsets)
-    counts = np.rint(corr)
-    off = float(np.abs(corr - counts).max(initial=0.0))
-    if off > 0.25:
-        raise RuntimeError(f"pair-count correlation is {off:g} from an integer")
-    counts += 0.0  # a count rounded from just below 0 is -0.0; the window sum is +0.0
+        pairs = _box_overlaps(boxes[0], boxes[-1], offsets)
+    counts = pairs - signed
+    counts *= 0.5
+    counts += 0.0  # a count rounded from just below 0 can leave -0.0; the window sum is +0.0
     return counts
 
 
@@ -69,47 +74,135 @@ def _padding(extents, offsets: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return reach, (np.array(extents) + reach).tolist()
 
 
-def _lag_values(acc: np.ndarray, shape, reach: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """The inverse transform of the half spectrum ``acc`` at every offset.
+def _rounded(corr: np.ndarray) -> np.ndarray:
+    """``corr`` rounded to the nearest integers; ``RuntimeError`` if one is
+    more than 0.25 away."""
+    counts = np.rint(corr)
+    off = float(np.abs(corr - counts).max(initial=0.0))
+    if off > 0.25:
+        raise RuntimeError(f"pair-count correlation is {off:g} from an integer")
+    return counts
 
-    Each axis but the last is inverted in place and cut to its lags
-    -reach..reach before the next; an offset beyond reach on some axis pairs
-    no cells and reads 0.  ``acc`` is consumed.
-    """
-    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, shape)]
-    for ax in range(len(shape) - 1):
-        np.fft.ifft(acc, axis=ax, out=acc)
-        acc = acc.take(lags[ax], axis=ax)
-    corr = np.fft.irfft(acc, n=shape[-1], axis=-1).take(lags[-1], axis=-1)
+
+def _filled_box(inside: np.ndarray):
+    """Per-axis [lo, hi) of the cells of ``inside`` when they fill their
+    bounding box, else ``None``."""
+    box = _bounding_box(inside)
+    return box if np.count_nonzero(inside) == math.prod(hi - lo for lo, hi in box) else None
+
+
+def _box_overlaps(x_box, y_box, offsets: np.ndarray) -> np.ndarray:
+    """N(v) = #{x in X : x + v in Y} for the boxes X and Y: the product over
+    axes of |[x_lo, x_hi) & [y_lo - v, y_hi - v)|, as exact floats."""
+    n = np.ones(len(offsets), dtype=np.int64)
+    for (xl, xh), (yl, yh), v in zip(x_box, y_box, offsets.T):
+        n *= np.maximum(np.minimum(xh, yh - v) - np.maximum(xl, yl - v), 0)
+    return n.astype(np.float64)
+
+
+def _cells(inside: np.ndarray, u: np.ndarray | None = None):
+    """A filler ``fill(rows, out)`` writing, for the axis-0 rows ``rows``,
+    the cells of ``inside``: 1 on them (s = 2u - 1 when ``u`` is given),
+    0 elsewhere."""
+    if u is None:
+        def fill(rows, out):
+            out[...] = inside[rows]
+    else:
+        def fill(rows, out):
+            np.multiply(u[rows], 2.0, out=out)
+            out -= 1.0
+            np.copyto(out, 0.0, where=~inside[rows])
+    return fill
+
+
+def _correlation_values(shape, reach: np.ndarray, offsets: np.ndarray, fills) -> np.ndarray:
+    """sum_x a(x) b(x + v) at every offset v, as the FFT gives it, for the
+    cells a and b of the fillers ``fills`` ([a, b], or [a] for b = a),
+    zero-padded to ``shape``.  An offset beyond reach on some axis pairs no
+    cells and reads 0."""
+    table = _lag_table(shape, reach, fills)
+    lags = np.arange(-reach[-1], reach[-1] + 1) % shape[-1]
+    corr = np.fft.irfft(table, n=shape[-1], axis=-1).take(lags, axis=-1)
     values = np.zeros(len(offsets))
     near = (np.abs(offsets) <= reach).all(axis=1)
     values[near] = corr[tuple((offsets[near] + reach).T)]
     return values
 
 
-def _padded_spectrum(inside: np.ndarray, u: np.ndarray, level: float, shape) -> np.ndarray:
-    """The real FFT of the 0/1 cells ``inside & (u == level)``, zero-padded
-    to ``shape``, as a new half spectrum.
+def _lag_table(shape, reach: np.ndarray, fills) -> np.ndarray:
+    """The half spectrum of the correlation of ``fills``, inverted along
+    every axis but the last and cut there to the lags -reach..reach.
 
-    One axis at a time, in place: the cells are built and ``rfft``-ed along
-    the last axis in blocks of whole axis-0 rows (at most ``_BLOCK_CELLS``
-    cells, one row when a row is larger; the whole line in 1D) into the
-    leading block of the result, then each earlier axis is ``fft``-ed over
-    the rows that are not all zero yet.  So no full-size grid of the cells
-    is ever held.
+    Built one column block of the last axis at a time (the module docstring
+    gives the memory model): each filler's block of the padded spectrum,
+    then |A|^2 (one filler) or conj(A) B (two) in place, then the in-place
+    inverse and cut of each leading axis in turn.
     """
-    ext = u.shape
-    out = np.zeros(shape[:-1] + [shape[-1] // 2 + 1], dtype=complex)
-    rows = max(1, _BLOCK_CELLS // math.prod(ext[1:])) if len(ext) > 1 else ext[0]
-    cells = np.empty((min(rows, ext[0]),) + ext[1:])
+    ext = [p - r for p, r in zip(shape, reach.tolist())]
+    lead, half = shape[:-1], shape[-1] // 2 + 1
+    lead_cells = math.prod(lead)
+    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, lead)]
+    # sqrt(S / _BLOCK_CELLS) balanced column blocks for a half spectrum of S
+    # complex values, so block memory and the repeated row rffts both grow
+    # as sqrt(S); blocks of _BLOCK_CELLS each made a 1024^2 pass 7x slower
+    count = math.ceil(math.sqrt(half * lead_cells / _BLOCK_CELLS)) if lead else 1
+    width = -(-half // count)
+    rows = max(1, _BLOCK_CELLS // math.prod(ext[1:])) if lead else ext[0]
+    cells = np.empty([min(rows, ext[0])] + ext[1:])
+    # a block of every column takes each row block's rfft straight; a
+    # narrower one copies its columns from the staged row rffts
+    staged = np.empty(cells.shape[:-1] + (half,), dtype=complex) if width < half else None
+    # flat, so that every column block is a contiguous array: numpy buffers
+    # an in-place ufunc on a strided view, 128 KiB per complex operand
+    flats = [np.empty(lead_cells * width, dtype=complex) for _ in fills]
+    table = np.empty([len(g) for g in lags] + [half], dtype=complex)
+    for c0 in range(0, half, width):
+        cols = slice(c0, min(c0 + width, half))
+        spectra = [flat[: lead_cells * (cols.stop - c0)].reshape(lead + [-1]) for flat in flats]
+        for fill, block in zip(fills, spectra):
+            _spectrum_block(fill, ext, shape[-1], cols, cells, staged, block)
+        acc = spectra[0]
+        if len(spectra) == 1:
+            parts = acc.view(np.float64)
+            re, im = parts[..., 0::2], parts[..., 1::2]
+            np.multiply(re, re, out=re)
+            np.multiply(im, im, out=im)
+            re += im
+            im[...] = 0.0
+        else:
+            np.conjugate(acc, out=acc)
+            acc *= spectra[1]
+        for ax, keep in enumerate(lags):
+            np.fft.ifft(acc, axis=ax, out=acc)
+            acc = acc.take(keep, axis=ax)
+        table[..., cols] = acc
+    return table
+
+
+def _spectrum_block(fill, ext, n_last: int, cols: slice, cells, staged, block) -> None:
+    """Columns ``cols`` of the half spectrum of the cells ``fill`` writes,
+    zero-padded to ``ext`` plus reach with ``n_last`` along the last axis,
+    written into ``block``.
+
+    The cells are built in ``cells``, blocks of whole axis-0 rows, and
+    ``rfft``-ed along the last axis straight into the block's rows (into
+    ``staged``, whose columns ``cols`` are then copied, when the block holds
+    only some columns); each earlier axis is then ``fft``-ed in place over
+    the rows that are not all zero yet.
+    """
+    block[...] = 0.0
     tail = tuple(slice(e) for e in ext[1:-1])
-    for start in range(0, ext[0], rows):
-        stop = min(start + rows, ext[0])
-        block = cells[: stop - start]
-        np.logical_and(inside[start:stop], u[start:stop] == level, out=block)
-        target = out[(slice(start, stop),) + tail] if len(ext) > 1 else out
-        np.fft.rfft(block, n=shape[-1], axis=-1, out=target)
+    for start in range(0, ext[0], len(cells)):
+        stop = min(start + len(cells), ext[0])
+        part = cells[: stop - start]
+        fill(slice(start, stop), part)
+        target = block[(slice(start, stop),) + tail] if len(ext) > 1 else block
+        if staged is None:
+            np.fft.rfft(part, n=n_last, axis=-1, out=target)
+        else:
+            row_spectra = staged[: stop - start]
+            np.fft.rfft(part, n=n_last, axis=-1, out=row_spectra)
+            target[...] = row_spectra[..., cols]
     for ax in range(len(ext) - 2, -1, -1):
-        part = out[tuple(slice(e) for e in ext[:ax])]
+        part = block[tuple(slice(e) for e in ext[:ax])]
         np.fft.fft(part, axis=ax, out=part)
-    return out

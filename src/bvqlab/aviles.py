@@ -139,10 +139,15 @@ def mollify(
     kern[tuple((-offs % shape).T)] = weights  # corr weight w_v sits at index -v
     f_hat = np.fft.rfftn(f, s=shape, axes=axes)
     k_hat = np.fft.rfftn(kern, axes=axes)
-    hess_hat = -k_hat[..., 1:, None] * f_hat[..., None, 1:]  # [a, b]: gw_a against g_b
-    prod = np.concatenate(
-        [f_hat * k_hat[..., :1], hess_hat.reshape(f_hat.shape[:-1] + (n * n,))], axis=-1
-    )
+    del f, kern
+    # one spectrum of every product; negating a rounded product rounds the
+    # negated one, so the Hessian channels are -(gw_a * g_b) bit for bit
+    prod = np.empty(f_hat.shape[:-1] + (1 + n + n * n,), dtype=complex)
+    np.multiply(f_hat, k_hat[..., :1], out=prod[..., : 1 + n])
+    hess = prod[..., 1 + n :].reshape(f_hat.shape[:-1] + (n, n))  # [a, b]: gw_a against g_b
+    np.multiply(k_hat[..., 1:, None], f_hat[..., None, 1:], out=hess)
+    np.negative(hess, out=hess)
+    del f_hat, k_hat
     out = np.fft.irfftn(prod, s=shape, axes=axes)[tuple(slice(e) for e in psi.grid.extents)]
     out[~inner.inside] = 0.0
     full_psi = out[..., 0]

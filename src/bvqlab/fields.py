@@ -37,19 +37,25 @@ _IRR2 = (math.sqrt(2.0) - 1.0) / 113.0       # ~ 0.003666
 
 @dataclass(frozen=True)
 class JumpPiece:
-    """One piece of a jump set: analytic measure, traces, unit normal."""
+    """One piece of a jump set: analytic measure, traces, unit normal.
+
+    ``normal`` is ``None`` for a whole sphere, whose normals cover the unit
+    sphere evenly.  The traces may differ by any amount, however small, but
+    not be equal.
+    """
 
     measure: float
     plus: tuple[float, ...]
     minus: tuple[float, ...]
-    normal: tuple[float, ...]
+    normal: tuple[float, ...] | None
 
     def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if abs(float(np.linalg.norm(n)) - 1.0) > 1e-12:
-            raise ValueError("piece normal must be a unit vector")
-        if np.allclose(self.plus, self.minus):
-            raise ValueError("piece traces must differ")
+        if self.normal is not None:
+            n = np.asarray(self.normal, dtype=float)
+            if abs(float(np.linalg.norm(n)) - 1.0) > 1e-12:
+                raise ValueError("piece normal must be a unit vector")
+        if np.array_equal(self.plus, self.minus):
+            raise ValueError(f"piece traces plus and minus must differ, both are {self.plus}")
         if not self.measure > 0:
             raise ValueError("piece measure must be positive")
 
@@ -355,9 +361,7 @@ class BallField(AnalyticField):
             )
             return JumpSpec(pieces)
         measure = 2 * math.pi * r if self.dim == 2 else 4 * math.pi * r**2
-        normal = (1.0,) * self.dim
-        normal = tuple(v / math.sqrt(self.dim) for v in normal)
-        return JumpSpec((JumpPiece(measure, (1.0,), (0.0,), normal),))
+        return JumpSpec((JumpPiece(measure, (1.0,), (0.0,), None),))
 
 
 @dataclass(frozen=True)

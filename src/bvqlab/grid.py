@@ -101,6 +101,16 @@ def _squared_edt(target: np.ndarray) -> np.ndarray:
     return d2.astype(np.int64)
 
 
+def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Per-axis [lo, hi) index range of the True cells of a non-empty mask."""
+    box = []
+    for a in range(inside.ndim):
+        others = tuple(b for b in range(inside.ndim) if b != a)
+        hit = np.flatnonzero(inside.any(axis=others))
+        box.append((int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
 # Cells per sampling block: whole axis-0 rows, at least one row.  A 2D
 # block's centres take 256 KiB, a 3D one's 384 KiB.  Measured on catalog
 # fields from 512^2 to 2048^2 and 64^3 to 128^3: 2^14 was as fast as

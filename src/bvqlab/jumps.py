@@ -206,7 +206,11 @@ def directional_w_limit(
 
 
 def w_limit_rhs(jump: JumpSpec | None, w_cost, k) -> float:
-    """Analytic limit: sum over pieces of W(u+, u-) |k . normal| * measure."""
+    """Analytic limit: sum over pieces of W(u+, u-) |k . normal| * measure.
+
+    A whole sphere (``normal`` ``None``) takes the mean of |k . n| over the
+    unit sphere, |k| C_N / |B^N|: 2|k|/pi in 2D and |k|/2 in 3D.
+    """
     if jump is None or not jump.pieces:
         return 0.0
     k = np.asarray(k, dtype=float)
@@ -217,7 +221,12 @@ def w_limit_rhs(jump: JumpSpec | None, w_cost, k) -> float:
                 np.asarray(p.plus, float)[None, :], np.asarray(p.minus, float)[None, :]
             )[0]
         )
-        total += w_val * abs(float(k @ np.asarray(p.normal))) * p.measure
+        if p.normal is None:
+            mean = dimensional_constant_closed_form(k.size) / unit_ball_volume(k.size)
+            proj = float(np.linalg.norm(k)) * mean
+        else:
+            proj = abs(float(k @ np.asarray(p.normal)))
+        total += w_val * proj * p.measure
     return total
 
 

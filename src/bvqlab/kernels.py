@@ -50,10 +50,13 @@ builds its validity mask and gathers the valid terms first.
 
 A {0, 1} field skips the windows altogether: each term is exactly 0 or 1, so
 its pair sums are integer counts, and ``_indicator_pair_counts`` (in
-``bvqlab._correlation``) returns them all, bit for bit, by rounding FFT
-cross-correlations of its cells.  So every pair sum here, and every check
-built on them, is the pair-by-pair window sum bit for bit; none carries a
-tolerance.
+``bvqlab._correlation``) returns them all, bit for bit, as
+S(v) = (N(v) - C(v)) / 2: C one rounded FFT correlation of the signed cells
+2u - 1, N the number of pairs the masks admit (in closed form for boxes).
+Its spectra are built in column blocks of about sqrt(S * ``grid._BLOCK_CELLS``)
+of a half spectrum's S complex values, so a pass holds O(block + lag table)
+memory, not a padded grid.  So every pair sum here, and every check built on them, is the
+pair-by-pair window sum bit for bit; none carries a tolerance.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ import numpy as np
 from . import defaults
 from ._correlation import _indicator_pair_counts
 from .errors import EmptyMaskError, RegimeError
-from .grid import _BLOCK_CELLS, DomainMask, SampledField, _squared_cells
+from .grid import _BLOCK_CELLS, DomainMask, SampledField, _bounding_box, _squared_cells
 
 
 @dataclass(frozen=True)
@@ -160,16 +163,6 @@ def _offset_slices(extents, offsets, box=None):
     return tuple(sx), [
         tuple([slice(s.start + o, s.stop + o) for s, o in zip(sx, v)]) for v in offsets
     ]
-
-
-def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Per-axis [lo, hi) index range of the True cells of a non-empty mask."""
-    box = []
-    for a in range(inside.ndim):
-        others = tuple(b for b in range(inside.ndim) if b != a)
-        hit = np.flatnonzero(inside.any(axis=others))
-        box.append((int(hit[0]), int(hit[-1]) + 1))
-    return tuple(box)
 
 
 def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:

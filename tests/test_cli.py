@@ -512,6 +512,21 @@ def test_jump_outside_the_box_is_jump_free(tmp_path, capsys, field):
     assert capsys.readouterr().out.startswith("PASS jump-energy identity")
 
 
+def test_jump_verify_runs_on_a_jump_below_1e_8(tmp_path):
+    cfg = write_config(tmp_path, "tiny.json", field={"kind": "step-1d", "params": {"position": 0.0, "high": 1e-9}})
+    assert main(["run", str(cfg)]) == EXIT_OK
+    (rep,) = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert rep["rhs"] > 0.0 and rep["passed"]
+
+
+def test_jump_verify_refuses_equal_step_levels_naming_the_traces(tmp_path, capsys):
+    cfg = write_config(tmp_path, "flat.json", field={"kind": "step-1d", "params": {"position": 0.0, "high": 0.0}})
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "plus and minus must differ" in err
+    assert "Traceback" not in err
+
+
 def test_integer_spelling_of_a_real_gives_the_same_bytes(tmp_path):
     outputs = []
     for q in (3, 3.0):

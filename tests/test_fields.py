@@ -14,6 +14,7 @@ from bvqlab import (
     sample_analytic,
     sample_gradient,
 )
+from bvqlab.fields import JumpPiece
 
 EIKONAL_KINDS = ["pyramid-eikonal", "cone-eikonal", "zigzag-eikonal"]
 INDICATOR_KINDS = ["half-plane-indicator", "polygon-indicator", "ball-indicator"]
@@ -255,6 +256,20 @@ def test_ball_leaving_the_box_is_refused(square_mask):
     line = Grid.for_box([0.0], [1.0], [64])
     with pytest.raises(ValueError, match="inside the grid box"):
         make_field("ball-indicator", center=(0.9,), radius=0.2).jump_spec(line)
+
+
+def test_ball_jump_is_one_whole_sphere(square_mask):
+    # a ball's normals cover the sphere: no single normal stands for them
+    (piece,) = make_field("ball-indicator", center=(0.5, 0.5), radius=0.3).jump_spec(square_mask.grid).pieces
+    assert piece.normal is None and piece.measure == pytest.approx(2 * math.pi * 0.3)
+
+
+def test_jump_piece_traces_may_differ_by_any_amount_but_not_be_equal():
+    for plus, minus in (((1e-9,), (0.0,)), ((0.0, 1e-12), (0.0, 0.0)), ((1.0,), (1.0 + 2.0**-52,))):
+        assert JumpPiece(1.0, plus, minus, (1.0,)).amplitude() > 0.0
+    for traces in (((0.5,), (0.5,)), ((0.0, 1.0), (-0.0, 1.0))):
+        with pytest.raises(ValueError, match="plus and minus must differ"):
+            JumpPiece(1.0, *traces, (1.0,))
 
 
 @pytest.mark.parametrize("dim, hi, area", [(1, (2.0,), 1.0), (2, (2.0, 3.0), 3.0), (3, (2.0, 3.0, 1.0), 3.0), (3, (1.0, 0.5, 0.25), 0.125)])

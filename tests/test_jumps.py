@@ -210,6 +210,28 @@ def test_w_limit_rhs_projects_normal():
     assert w_limit_rhs(jump, PowerPairCost(2.0), k) == pytest.approx(abs(math.cos(0.7)))
 
 
+@pytest.mark.parametrize("k", [[1.0, 0.0], [0.0, -1.0], [2**-0.5, 2**-0.5], [0.6, -0.8]])
+def test_w_limit_rhs_of_a_ball_is_the_same_for_every_direction(k):
+    # the sphere mean of |k . n| is 2/pi in 2D: W * 2 pi r * 2/pi = 4 r W
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
+    jump = make_field("ball-indicator", center=(0.5, 0.5), radius=0.3).jump_spec(g)
+    assert w_limit_rhs(jump, PowerPairCost(2.0), k) == pytest.approx(4 * 0.3, rel=1e-14)
+    # and 1/2 in 3D: W * 4 pi r^2 / 2
+    g3 = Grid.for_box([0.0] * 3, [1.0] * 3, [8, 8, 8])
+    jump3 = make_field("ball-indicator", center=(0.5, 0.5, 0.5), radius=0.3).jump_spec(g3)
+    assert w_limit_rhs(jump3, PowerPairCost(2.0), k + [0.0]) == pytest.approx(2 * math.pi * 0.09, rel=1e-14)
+
+
+def test_w_limit_rhs_of_a_ball_matches_the_measured_limit():
+    # exact lattice shifts on 512^2: 8 cells along e1, (6, -8) cells along (0.6, -0.8)
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
+    spec = make_field("ball-indicator", center=(0.5, 0.5), radius=0.3)
+    u = sample_analytic(spec, DomainMask.full(g))
+    for k, cells in (([1.0, 0.0], 8), ([0.6, -0.8], 10)):
+        val = directional_w_limit(u, PowerPairCost(2.0), k, cells * g.spacing)
+        assert val == pytest.approx(w_limit_rhs(spec.jump_spec(g), PowerPairCost(2.0), k), rel=0.01), k
+
+
 # --------------------------------------------------------------------------
 # two-sided comparability
 # --------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from bvqlab import (
     SmoothRationalPairCost,
     directional_value,
     directional_w_limit,
+    make_field,
+    sample_analytic,
 )
 from bvqlab import _correlation, kernels
 from bvqlab.kernels import lattice_offsets, pair_power_sums
@@ -137,12 +139,21 @@ def test_pair_sums_equal_the_reference_bit_for_bit(dim, d, mask_kind, x_kind, mo
 
 
 def test_count_path_refuses_a_correlation_off_an_integer(monkeypatch):
+    # on a disc both C (call 1) and N (call 2) are rounded correlations
     u = _field(2, 1, "disc", "01", seed=3)
     offs, _ = lattice_offsets(2, 10)
-    real = _correlation._lag_values
-    monkeypatch.setattr(_correlation, "_lag_values", lambda *a: real(*a) + 0.3)
-    with pytest.raises(RuntimeError, match="from an integer"):
-        pair_power_sums(u, offs, 2.0)
+    real = _correlation._correlation_values
+    for which in (1, 2):
+        calls = []
+
+        def off_by(*args):
+            calls.append(1)
+            return real(*args) + (0.3 if len(calls) == which else 0.0)
+
+        monkeypatch.setattr(_correlation, "_correlation_values", off_by)
+        with pytest.raises(RuntimeError, match="from an integer"):
+            pair_power_sums(u, offs, 2.0)
+        assert len(calls) == which
 
 
 def test_count_path_reads_offsets_past_the_grid_as_zero():
@@ -180,6 +191,128 @@ def test_unmasked_count_path_on_asymmetric_offset_lists(dim, kind, mask_kind, mo
     assert not calls
     if kind == "past":
         assert got[-3] == 1.0 and got[-2] == got[-1] == 0.0
+
+
+# --------------------------------------------------------------------------
+# The count pass S = (N - C) / 2, branch by branch, against the window path:
+# C as an autocorrelation (no x mask) or a cross product (x mask), N in
+# closed form (both masks fill their bounding boxes) or as a correlation of
+# the 0/1 masks.
+# --------------------------------------------------------------------------
+
+
+def _box(g, lo, hi):
+    """The cells with lo <= index < hi on every axis (lo, hi per axis or one
+    number for all)."""
+    idx = np.indices(g.extents)
+    lo, hi = np.broadcast_to(lo, g.dim), np.broadcast_to(hi, g.dim)
+    return DomainMask(g, np.logical_and.reduce([(i >= a) & (i < b) for i, a, b in zip(idx, lo, hi)]))
+
+
+def _disc(g):
+    """The disc mask; in 1D, where a disc fills its box, with a gap."""
+    inside = _mask(g, "disc").inside.copy()
+    if g.dim == 1:
+        inside[g.extents[0] // 3] = False
+    return DomainMask(g, inside)
+
+
+def _branch_masks(g, kind):
+    """(field mask, x mask or None, the correlations and N the pass takes):
+    1 is an autocorrelation, 2 a cross product, "box" the closed-form N."""
+    ext = np.array(g.extents)
+    if kind == "auto-full":
+        return DomainMask.full(g), None, [1, "box"]
+    if kind == "auto-box":
+        return _box(g, 1, ext - 1), None, [1, "box"]
+    if kind == "auto-disc":
+        return _disc(g), None, [1, 1]
+    if kind == "cross-eroded-box":
+        full = DomainMask.full(g)
+        return full, full.erode(2.0 * g.spacing), [2, "box"]
+    if kind == "cross-box-outside":  # X sticks out of Y on every axis
+        return _box(g, 2, ext), _box(g, 0, ext // 2 + 1), [2, "box"]
+    if kind == "cross-disc":
+        disc = _disc(g)
+        return disc, disc.erode(g.spacing), [2, 2]
+    # "cross-loose": a random X that holds cells outside the disc Y
+    disc = _disc(g)
+    pick = np.random.default_rng(g.dim).random(g.extents) < 0.6
+    pick[~disc.inside] = True
+    return disc, DomainMask(g, pick), [2, 2]
+
+
+BRANCHES = ["auto-full", "auto-box", "auto-disc", "cross-eroded-box", "cross-box-outside", "cross-disc", "cross-loose"]
+
+
+def _offset_list(dim, kind):
+    offs, _ = lattice_offsets(dim, RADII[dim])
+    ext = np.array(GRIDS[dim])
+    if kind == "lattice":
+        return offs
+    if kind == "half":  # no -v of any v
+        return offs[: len(offs) // 2]
+    # every third lattice offset, the longest one that pairs cells, and
+    # three that pair none: -ext, and past the grid on the first axis and
+    # on the last
+    past = np.array([ext - 1, -ext, (ext[0] + 3) * np.eye(dim, dtype=int)[0], -(ext[-1] + 1) * np.eye(dim, dtype=int)[-1]])
+    return np.concatenate([offs[::3], past])
+
+
+@pytest.mark.parametrize("block_cells", [None, 16])
+@pytest.mark.parametrize("offset_kind", ["lattice", "half", "past"])
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_count_pass_branches_equal_the_window_path(dim, branch, offset_kind, block_cells, monkeypatch):
+    # block_cells = 16 cuts the small spectra into 4 (2D) and 7 (3D) column
+    # blocks fed from one-row blocks, as a large grid's are
+    if block_cells is not None:
+        monkeypatch.setattr(_correlation, "_BLOCK_CELLS", block_cells)
+    g = _grid(dim)
+    mask, x_mask, expect = _branch_masks(g, branch)
+    rng = np.random.default_rng(7 * dim + len(branch))
+    u = SampledField(mask, (rng.random(g.extents) < 0.45).astype(float))
+    offs = _offset_list(dim, offset_kind)
+    taken = []
+    real_corr, real_box = _correlation._correlation_values, _correlation._box_overlaps
+
+    def corr(shape, reach, offsets, fills):
+        taken.append(len(fills))
+        return real_corr(shape, reach, offsets, fills)
+
+    def box(*args):
+        taken.append("box")
+        return real_box(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(_correlation, "_correlation_values", corr)
+        m.setattr(_correlation, "_box_overlaps", box)
+        counts = pair_power_sums(u, offs, 2.0, x_mask)
+    assert taken == expect
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_is_indicator", lambda field: False)
+        for q in (1.0, 2.0, 3.0):
+            assert counts.tobytes() == pair_power_sums(u, offs, q, x_mask).tobytes(), q
+    if offset_kind == "past":
+        assert counts[-3:].tobytes() == np.zeros(3).tobytes()
+
+
+@pytest.mark.parametrize("eroded", [False, True])
+def test_half_plane_jump_count_pass_is_the_window_sum_at_scale(eroded, monkeypatch):
+    # the half-plane-jump benchmark field at its finest rung, m = 18 on 512^2
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
+    mask = DomainMask.full(g)
+    u = sample_analytic(make_field("half-plane-indicator", normal=(1.0, 0.0), offset=0.50243), mask)
+    x_mask = mask.erode(18 * g.spacing) if eroded else None
+    offs, _ = lattice_offsets(2, 18 * 18)
+    counts = pair_power_sums(u, offs, 2.0, x_mask)
+    # a jump across x_1 = c, more than 18 cells from the faces, is straddled
+    # by |v_1| rows of pairs times the pairs along axis 1: n - |v_2| on the
+    # full box, and the 476 kept cells of the eroded one
+    along = 512 - np.abs(offs[:, 1]) if x_mask is None else 476
+    assert counts.tobytes() == (np.abs(offs[:, 0]) * along).astype(float).tobytes()
+    monkeypatch.setattr(kernels, "_is_indicator", lambda field: False)
+    assert counts.tobytes() == pair_power_sums(u, offs, 2.0, x_mask).tobytes()
 
 
 def _unit(v):
@@ -228,7 +361,8 @@ def test_shift_stencils_equal_the_reference():
 
 
 # --------------------------------------------------------------------------
-# Memory: one buffer per pass, two padded half spectra per count pass.
+# Memory: one buffer per window pass; column blocks and a lag table per
+# count pass.
 # --------------------------------------------------------------------------
 
 
@@ -279,8 +413,28 @@ def test_count_path_memory_is_bounded_by_the_padded_grid():
             offs, _ = lattice_offsets(2, m * m)
             padded_bytes = 8 * (192 + m) * (160 + m)
             peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask))
-            # two half spectra (about one padded grid of floats each) and
-            # one block of at most _BLOCK_CELLS cells: 2.45-2.65 padded grids
-            # here, with or without an x mask.  A full-size float grid of the
-            # cells and its boolean masks took 3.3-3.5.
+            # one column block per side (the whole half spectrum at m = 4,
+            # half of it at m = 8 and 32), one row block of cells and its
+            # staged rfft: 2.23-2.65 padded grids with the x mask (two
+            # sides), 1.64-1.88 without.  Two full half spectra took
+            # 2.45-2.65, and a full-size float grid of the cells and its
+            # boolean masks 3.3-3.5.
             assert peak < 2.9 * padded_bytes, (m, x_mask is None, peak / padded_bytes)
+
+
+@pytest.mark.parametrize("mask_kind", ["full", "disc"])
+def test_count_pass_memory_at_scale_is_blocks_and_a_lag_table(mask_kind):
+    # on 512^2 a column block holds a third or a quarter of a half spectrum,
+    # so the pass holds less than one padded grid: 0.53-0.56 here without
+    # an x mask and 0.78-0.89 with one (both sides' blocks, the staged row
+    # rffts, and the lag table and its inverse); two full padded half
+    # spectra took 2.25
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
+    mask = DomainMask.full(g) if mask_kind == "full" else _mask(g, "disc")
+    u = sample_analytic(make_field("half-plane-indicator"), mask)
+    pair_power_sums(u, lattice_offsets(2, 4)[0], 2.0)  # first-call imports and FFT set-up
+    for m in (18, 32):
+        offs, _ = lattice_offsets(2, m * m)
+        for x_mask in (None, mask.erode(m * g.spacing)):
+            peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask)) / (8 * (512 + m) ** 2)
+            assert peak < 1.0, (m, x_mask is None, peak)
