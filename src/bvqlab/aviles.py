@@ -29,11 +29,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import defaults
-from .errors import RegimeError
 from .fields import JumpSpec
 from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
+    _check_kappa_h,
     bbm_sweep,
     bbm_value,  # unused here; bench/tests/test_bench.py pins aviles.bbm_value
     lattice_offsets,
@@ -117,8 +117,7 @@ def mollify(
         raise ValueError("grad must be a d = dim field on the grid and mask of psi")
     h = psi.grid.spacing
     m2, eps_len = resolve_radius(eps, h)
-    if eps_len < kappa * h:
-        raise RegimeError("mollification scale below kappa*h")
+    _check_kappa_h(eps_len, h, kappa)
     if inner is None:
         inner = psi.mask.erode(eps_len)
     elif (inner.inside & ~psi.mask._farther_than(eps_len)).any():

@@ -5,10 +5,13 @@ axis-aligned eps-cubes inside the domain; each cube is scored by
 
     eps^(N-1) / vol(Q)^2 * double integral over Q x Q of |u(y) - u(x)|.
 
-The packing search is a greedy selection over a shifted candidate lattice
+The packing search is one greedy selection over a shifted candidate lattice
 (stride eps/4 by default), so the returned functional value is a feasible
 lower bound of the true sup; every check that consumes it is stated so that
-a lower bound keeps the check sound.
+a lower bound keeps the check sound (the tests check it against an exact
+search on small candidate sets).  Cube sides pass the one kappa*h guard of
+:mod:`bvqlab.kernels`, and ``cube_score`` and ``CubePacking.validate``
+share one check that a cube lies on the grid and in the mask.
 
 Scoring is batched.  One ``sliding_window_view`` of the inside flags finds
 every candidate cube of the stride lattice at once.  The value windows of
@@ -36,10 +39,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
-from .errors import RegimeError
 from .grid import DomainMask, SampledField
 from .kernels import (
     GridRadius,
+    _check_kappa_h,
     bbm_ladder,
     bbm_value,  # unused here; bench/tests/test_bench.py pins cubes.bbm_value
     resolve_radius,
@@ -69,15 +72,19 @@ class CubePacking:
             raise ValueError(f"{self.count} cubes exceed the cap {cap}")
         m = self.side_cells
         for o in self.origins:
-            block = tuple(slice(a, a + m) for a in o)
-            if any(a < 0 or a + m > e for a, e in zip(o, mask.grid.extents)):
-                raise ValueError("cube leaves the grid")
-            if not mask.inside[block].all():
-                raise ValueError("cube leaves the domain mask")
+            _check_cube(mask, o, m)
         for i, a in enumerate(self.origins):
             for b in self.origins[i + 1 :]:
                 if all(abs(x - y) < m for x, y in zip(a, b)):
                     raise ValueError("cubes overlap")
+
+
+def _check_cube(mask: DomainMask, origin, side: int) -> None:
+    """Refuse a side^N cube at ``origin`` that leaves the grid or the mask."""
+    if any(a < 0 or a + side > e for a, e in zip(origin, mask.grid.extents)):
+        raise ValueError("cube leaves the grid")
+    if not mask.inside[tuple(slice(a, a + side) for a in origin)].all():
+        raise ValueError("cube leaves the domain mask")
 
 
 def packing_cap(eps: float, dim: int) -> int:
@@ -136,12 +143,7 @@ def cube_score(u: SampledField, origin_cells, side_cells: int) -> float:
     """Normalized mean oscillation of one eps-cube (zero for constants)."""
     m = int(side_cells)
     o = tuple(int(a) for a in np.atleast_1d(origin_cells))
-    g = u.grid
-    if any(a < 0 or a + m > e for a, e in zip(o, g.extents)):
-        raise ValueError("cube leaves the grid")
-    block = tuple(slice(a, a + m) for a in o)
-    if not u.mask.inside[block].all():
-        raise ValueError("cube leaves the domain mask")
+    _check_cube(u.mask, o, m)
     return float(_cube_scores(u, np.array([o]), m)[0])
 
 
@@ -162,8 +164,7 @@ def _cube_side(eps, h: float, kappa: float) -> tuple[int, float]:
     side = math.isqrt(m2)
     if side * side != m2:
         raise ValueError("cube side must be a whole number of cells")
-    if eps_len < kappa * h:
-        raise RegimeError("eps below kappa*h")
+    _check_kappa_h(eps_len, h, kappa)
     return side, eps_len
 
 
@@ -182,9 +183,7 @@ def _greedy_select(scored, side_cells: int, cap: int):
     ``scored`` may be a lazy iterable: the walk stops reading it there."""
     chosen = []
     for score, origin in scored:
-        if len(chosen) >= cap:
-            break
-        if score <= 0.0:
+        if len(chosen) >= cap or score <= 0.0:
             break
         if all(
             any(abs(a - b) >= side_cells for a, b in zip(origin, kept))
@@ -194,52 +193,17 @@ def _greedy_select(scored, side_cells: int, cap: int):
     return chosen
 
 
-def _exact_select(scored, side_cells: int, cap: int):
-    n = len(scored)
-    conflict = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if all(
-                abs(a - b) < side_cells
-                for a, b in zip(scored[i][1], scored[j][1])
-            ):
-                conflict[i] |= 1 << j
-                conflict[j] |= 1 << i
-    best_val, best_set = 0.0, []
-
-    def walk(idx, banned, total, picked):
-        nonlocal best_val, best_set
-        if total > best_val:
-            best_val, best_set = total, list(picked)
-        if idx == n or len(picked) >= cap:
-            return
-        remaining = sum(s for s, _ in scored[idx:])
-        if total + remaining <= best_val:
-            return
-        for i in range(idx, n):
-            if banned & (1 << i):
-                continue
-            picked.append(scored[i])
-            walk(i + 1, banned | conflict[i], total + scored[i][0], picked)
-            picked.pop()
-
-    walk(0, 0, 0.0, [])
-    return best_set
-
-
 def cube_functional(
     u: SampledField,
     eps,
-    strategy: str = "greedy",
     stride_cells: int | None = None,
     *,
     kappa: float = defaults.KAPPA,
 ) -> tuple[float, CubePacking]:
     """Best found disjoint-cube packing value at scale eps.
 
-    ``greedy`` scores every candidate on a stride-eps/4 lattice and keeps the
-    top disjoint cubes (lexicographic tie-break); ``exact-small`` enumerates
-    packings and needs at most 20 candidates.  Either way the value is a
+    Scores every candidate on a stride-eps/4 lattice and keeps the top
+    disjoint cubes greedily (lexicographic tie-break), so the value is a
     feasible packing score, i.e. a lower bound for the supremum over all
     packings.  ``stride_cells`` below 1 is refused; a cube wider than the
     grid leaves no candidate and gives the empty packing.
@@ -255,19 +219,10 @@ def cube_functional(
     # by score, highest first, then by origin: columns are lexsort keys, last primary
     order = np.lexsort((*origins.T[::-1], np.negative(scores)))
     scored = ((float(scores[i]), tuple(origins[i].tolist())) for i in order)
-    cap = packing_cap(eps_len, u.grid.dim)
-    if strategy == "greedy":
-        chosen = _greedy_select(scored, side, cap)
-    elif strategy == "exact-small":
-        if len(order) > 20:
-            raise ValueError("exact-small strategy allows at most 20 candidates")
-        chosen = _exact_select(list(scored), side, cap)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    chosen = _greedy_select(scored, side, packing_cap(eps_len, u.grid.dim))
     packing = CubePacking(eps_len, side, tuple(o for _, o in chosen))
     packing.validate(u.mask)
-    total = math.fsum(s for s, _ in chosen)
-    return total, packing
+    return math.fsum(s for s, _ in chosen), packing
 
 
 def check_b_bound(
@@ -300,7 +255,7 @@ def check_b_bound(
     kernel_sides = bbm_ladder(u, q, [wide for _, _, wide in rungs], kappa=kappa)
     reports = []
     for (eps, eps_len, wide), kernel in zip(rungs, kernel_sides):
-        value, packing = cube_functional(u, eps, "greedy", stride_cells, kappa=kappa)
+        value, packing = cube_functional(u, eps, stride_cells, kappa=kappa)
         rhs = n ** ((n + 1) / (2.0 * q)) * kernel ** (1.0 / q)
         reports.append(
             leq(

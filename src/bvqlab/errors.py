@@ -16,8 +16,9 @@ class ConfigError(BvqError):
 class RegimeError(BvqError):
     """A scale parameter left the regime where the discretization is valid.
 
-    Raised when eps drops below kappa*h, when an erosion empties the working
-    mask, or when eps exceeds the domain diameter.
+    Raised when eps drops below kappa*h or one cell, reaches the domain
+    diameter, or shifts off the grid.  An erosion that empties the working
+    mask raises ``EmptyMaskError``; the CLI maps both to exit 3.
     """
 
 

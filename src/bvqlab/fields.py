@@ -99,10 +99,6 @@ class AnalyticField:
     def gradient(self, pts: np.ndarray) -> np.ndarray:
         raise ValueError(f"{self.kind} has no analytic gradient")
 
-    def evaluate_with_gradient(self, pts: np.ndarray, h: float | None = None):
-        """(values, gradients) in one pass; subclasses fuse shared work."""
-        return self.evaluate(pts, h), self.gradient(pts)
-
     def jump_spec(self, grid: Grid) -> JumpSpec | None:
         return None
 
@@ -555,6 +551,7 @@ class PyramidField(AnalyticField):
         dists = self._edge_distances(p)
         return self._dirs()[dists.argmin(axis=-1)]
 
+    # unused in the package; bench/tests/test_bench.py pins this method
     def evaluate_with_gradient(self, pts, h=None):
         p = _pts(pts, self.dim)
         dists = self._edge_distances(p)

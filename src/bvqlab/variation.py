@@ -9,7 +9,7 @@ import numpy as np
 from . import defaults
 from .grid import DomainMask, Grid, SampledField
 # bbm_value is unused here; bench/tests/test_bench.py pins variation.bbm_value
-from .kernels import _power_from_sq, bbm_sweep, bbm_value
+from .kernels import _power_in_place, bbm_sweep, bbm_value
 from .reports import ComparisonReport, leq
 
 
@@ -59,7 +59,7 @@ def q_variation_pow(sig: Signal1D, q: float) -> float:
     best = np.zeros(n)
     for j in range(1, n):
         d = v[j] - v[:j]
-        inc = _power_from_sq(np.einsum("ik,ik->i", d, d), q)
+        inc = _power_in_place(np.einsum("ik,ik->i", d, d), q)
         best[j] = float(np.max(best[:j] + inc))
     return float(best.max())
 

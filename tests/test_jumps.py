@@ -232,6 +232,22 @@ def test_w_limit_rhs_of_a_ball_matches_the_measured_limit():
         assert val == pytest.approx(w_limit_rhs(spec.jump_spec(g), PowerPairCost(2.0), k), rel=0.01), k
 
 
+def test_off_lattice_shifts_read_the_ball_w_limit_low():
+    # the multilinear stencil smears the jump over a cell: on 512^2 lattice
+    # shifts read 1.1992 and 1.1996 against 4 r W = 1.2, off-lattice ones
+    # 1.1428 ((1, 1)/sqrt 2, 8h) and 1.1483 ((0.6, -0.8), 8h), 4-5% low
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
+    spec = make_field("ball-indicator", radius=0.3)
+    u = sample_analytic(spec, DomainMask.full(g))
+    cost = PowerPairCost(2.0)
+    assert w_limit_rhs(spec.jump_spec(g), cost, [1.0, 0.0]) == pytest.approx(1.2, rel=1e-14)
+    for k, cells in (([1.0, 0.0], 8), ([0.6, -0.8], 10)):
+        assert abs(directional_w_limit(u, cost, k, cells * g.spacing) / 1.2 - 1.0) < 0.005, k
+    for k in ([2**-0.5, 2**-0.5], [0.6, -0.8]):
+        low = 1.0 - directional_w_limit(u, cost, k, 8 * g.spacing) / 1.2
+        assert 0.03 < low < 0.06, k
+
+
 # --------------------------------------------------------------------------
 # two-sided comparability
 # --------------------------------------------------------------------------
