@@ -9,8 +9,8 @@ sides from the field catalog.
 
 import os as _os
 
-# BLAS serves only small fits and eigenvalue problems here, which gain
-# nothing from threads, while starting OpenBLAS's thread pool cost each
+# BLAS serves only small dot products here, and no LAPACK routine runs;
+# they gain nothing from threads, while starting OpenBLAS's thread pool cost each
 # process about 0.09 s on a 2-core machine.  Set before numpy is first
 # imported; a value the user set wins, and a process that imported numpy
 # earlier keeps its pool.

@@ -4,9 +4,11 @@ Gamma at half-integers n/2 comes from the recurrence Gamma(x + 1) = x Gamma(x)
 (``half_gamma``), which is exact for the small integer values and keeps the
 closed forms of :mod:`bvqlab.jumps` and :mod:`bvqlab.mollifier` bit-stable;
 other arguments go to ``math.gamma``, or ``math.lgamma`` where Gamma would
-overflow.  Gauss-Jacobi nodes are the eigenvalues of the symmetric Jacobi
-matrix (Golub and Welsch, 1969), polished by Newton steps on the three-term
-recurrence; the weights come from the derivative formula and are rescaled to
+overflow.  Gauss-Jacobi nodes are found without LAPACK: Newton steps on the
+three-term recurrence start from WKB phase guesses (after Hale and Townsend,
+2013), and a Sturm count on the symmetric Jacobi matrix confirms that each
+node is a distinct zero; a rule that fails the count is rebuilt by Sturm
+bisection.  The weights come from the derivative formula and are rescaled to
 the exact total mass of the weight function.
 """
 
@@ -16,7 +18,10 @@ import math
 
 import numpy as np
 
-_NEWTON_STEPS = 2
+_NEWTON_TOL = 1e-13  # largest final Newton step of an accepted rule
+_MAX_NEWTON = 12
+_PHASE_POINTS_PER_NODE = 4  # quadrature points of the WKB phase per node
+_BISECTION_STEPS = 54  # halves [-1, 1] down to below one ulp
 _GAMMA_MAX = 171.0  # math.gamma overflows from here on
 
 
@@ -48,49 +53,169 @@ def beta_fn(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
-def _jacobi_pair(n: int, a: float, b: float, x: np.ndarray):
-    """(P_n, (1 - x^2) P_n') of the Jacobi polynomial P_n^(a, b) at x.
-
-    P_n comes from the three-term recurrence; the derivative from
-    (2n+a+b)(1-x^2) P_n' = n((a-b) - (2n+a+b) x) P_n + 2(n+a)(n+b) P_{n-1}.
-    """
-    p_prev = np.ones_like(x)
-    p = 0.5 * (a - b + (a + b + 2.0) * x)
-    for k in range(2, n + 1):
-        c = 2.0 * k + a + b
-        p_prev, p = p, (
-            (c - 1.0) * (c * (c - 2.0) * x + a * a - b * b) * p
-            - 2.0 * (k + a - 1.0) * (k + b - 1.0) * c * p_prev
-        ) / (2.0 * k * (k + a + b) * (c - 2.0))
-    c = 2.0 * n + a + b
-    dp = (n * ((a - b) - c * x) * p + 2.0 * (n + a) * (n + b) * p_prev) / c
-    return p, dp
-
-
-def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point Gauss rule on [-1, 1]
-    for the weight (1 - x)^a (1 + x)^b, a, b > -1 (``roots_jacobi``'s order).
-
-    The weights sum to mu0 = 2^(a+b+1) B(a+1, b+1) exactly, up to rounding.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not (a > -1 and b > -1):
-        raise ValueError("Jacobi exponents must exceed -1")
+def _jacobi_matrix(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and squared off-diagonal of the symmetric Jacobi matrix of the
+    weight (1 - x)^a (1 + x)^b; its eigenvalues are the n Gauss nodes."""
     k = np.arange(n, dtype=float)
     s = 2.0 * k + a + b
     with np.errstate(divide="ignore", invalid="ignore"):
         # a + b = 0 makes the k = 0 entry 0/0, a + b = -1 the k = 1 factor k(k+a+b)/(s-1)
         diag = np.where(k == 0, (b - a) / (a + b + 2.0), (b * b - a * a) / (s * (s + 2.0)))
         k, s = k[1:], s[1:]
-        off = (2.0 / s) * np.sqrt(
+        off2 = (4.0 / (s * s)) * (
             (k + a) * (k + b) / (s + 1.0) * np.where(k == 1, 1.0, k * (k + a + b) / (s - 1.0))
         )
-    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _jacobi_pair(n, a, b, x)
-        x = x - p * ((1.0 - x) * (1.0 + x)) / dp
-    _, dp = _jacobi_pair(n, a, b, x)
+    return diag, off2
+
+
+def _sturm_count(diag: np.ndarray, off2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues of the Jacobi matrix below each point of x.
+
+    Counts the negative pivots of the LDL^T factorization of T - x I.  A zero
+    pivot sends the next one to an infinity of the opposite sign, and its own
+    sign bit decides, so exactly one of the two is counted.
+    """
+    q = diag[0] - x
+    count = np.signbit(q).astype(int)
+    t = np.empty_like(q)
+    with np.errstate(divide="ignore"):
+        for d, e2 in zip(diag[1:].tolist(), off2.tolist()):
+            np.divide(e2, q, out=q)
+            np.subtract(d, x, out=t)
+            np.subtract(t, q, out=q)
+            count += np.signbit(q)
+    return count
+
+
+def _recurrence(n: int, a: float, b: float) -> list[tuple[float, float, float]]:
+    """(alpha_k, beta_k, gamma_k), k = 2..n, of P_k = (alpha_k x + beta_k) P_{k-1}
+    - gamma_k P_{k-2} for the Jacobi polynomials P_k^(a, b)."""
+    k = np.arange(2, n + 1, dtype=float)
+    c = 2.0 * k + a + b
+    den = 2.0 * k * (k + a + b) * (c - 2.0)
+    alpha = (c - 1.0) * c * (c - 2.0) / den
+    beta = (c - 1.0) * (a * a - b * b) / den
+    gamma = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c / den
+    return list(zip(alpha.tolist(), beta.tolist(), gamma.tolist()))
+
+
+def _jacobi_pair(n: int, a: float, b: float, coef, x: np.ndarray):
+    """(P_n, (1 - x^2) P_n') of the Jacobi polynomial P_n^(a, b) at x.
+
+    P_n comes from the three-term recurrence ``coef`` (``_recurrence``); the
+    derivative from (2n+a+b)(1-x^2) P_n' = n((a-b) - (2n+a+b) x) P_n
+    + 2(n+a)(n+b) P_{n-1}.
+    """
+    p_prev = np.ones_like(x)
+    p = 0.5 * (a - b + (a + b + 2.0) * x)
+    t = np.empty_like(x)
+    for alpha, beta, gamma in coef:
+        np.multiply(x, alpha, out=t)
+        t += beta
+        t *= p
+        p_prev *= gamma
+        t -= p_prev
+        p_prev, p, t = p, t, p_prev
+    c = 2.0 * n + a + b
+    dp = (n * ((a - b) - c * x) * p + 2.0 * (n + a) * (n + b) * p_prev) / c
+    return p, dp
+
+
+def _phase_guesses(n: int, a: float, b: float) -> np.ndarray:
+    """Ascending starting guesses for the n zeros of P_n^(a, b), from the WKB phase.
+
+    With x = cos t, v(t) = sin(t/2)^(a+1/2) cos(t/2)^(b+1/2) P_n(cos t) solves
+    v'' + F v = 0, and the Langer form F = rho^2 - a^2 / (4 sin^2(t/2))
+    - b^2 / (4 cos^2(t/2)), rho = n + (a+b+1)/2, puts the k-th zero where the
+    phase int sqrt(F) dt from the turning point near t = 0 reaches
+    (k - 1/4) pi.  The phase is integrated numerically between the two
+    turning points.  An exponent in (-1, 0) has no turning point: its term is
+    left out of F, shifts the phase by a pi / 2 and adds the first-order
+    boundary correction of Hale and Townsend (2013).
+    """
+    rho = n + 0.5 * (a + b + 1.0)
+    r2 = rho * rho
+    al, bl = max(a, 0.0), max(b, 0.0)
+    # the turning points cos t solve rho^2 (1 - x^2) = al^2 (1 + x)/2 + bl^2 (1 - x)/2
+    lin = 0.5 * (al * al - bl * bl)
+    disc = math.sqrt(lin * lin + 4.0 * r2 * (r2 - 0.5 * (al * al + bl * bl)))
+    t0 = math.acos(min((disc - lin) / (2.0 * r2), 1.0))
+    t1 = math.acos(max((-disc - lin) / (2.0 * r2), -1.0))
+    m = _PHASE_POINTS_PER_NODE * n + 32
+    s = np.linspace(0.0, math.pi, m + 1)
+    t = t0 + (t1 - t0) * 0.5 * (1.0 - np.cos(s))  # clusters points at both turning points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = r2 - al * al / (4.0 * np.sin(0.5 * t) ** 2) - bl * bl / (4.0 * np.cos(0.5 * t) ** 2)
+    g = np.sqrt(np.maximum(np.nan_to_num(f), 0.0)) * np.sin(s) * (0.5 * (t1 - t0))
+    phase = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * (math.pi / m))])
+    target = (np.arange(n, 0, -1) - 0.25 + 0.5 * min(a, 0.0)) * math.pi
+    t = np.interp(target, phase, t)
+    if a < 0:
+        t += (0.25 - a * a) / (4.0 * r2) / np.tan(0.5 * t)
+    if b < 0:
+        t -= (0.25 - b * b) / (4.0 * r2) * np.tan(0.5 * t)
+    return np.cos(t)
+
+
+def _newton(n: int, a: float, b: float, coef, x: np.ndarray) -> np.ndarray | None:
+    """Newton steps on P_n from x until every step is below ``_NEWTON_TOL``;
+    None when that takes more than ``_MAX_NEWTON`` steps."""
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_NEWTON):
+            p, dp = _jacobi_pair(n, a, b, coef, x)
+            step = p * ((1.0 - x) * (1.0 + x)) / dp
+            x = x - step
+            if np.abs(step).max() <= _NEWTON_TOL:
+                return x
+    return None
+
+
+def _is_gauss_rule(x: np.ndarray | None, diag: np.ndarray, off2: np.ndarray) -> bool:
+    """True when x holds n finite, strictly ascending nodes in (-1, 1) and the
+    Sturm counts at -1, the midpoints between nodes and 1 read 0, 1, ..., n:
+    each Newton limit is then a zero of P_n in its own eigenvalue interval."""
+    if x is None or not np.isfinite(x).all():
+        return False
+    if not (-1.0 < x[0] and x[-1] < 1.0 and (x[1:] > x[:-1]).all()):
+        return False
+    pts = np.concatenate([[-1.0], 0.5 * (x[1:] + x[:-1]), [1.0]])
+    return bool((_sturm_count(diag, off2, pts) == np.arange(len(x) + 1)).all())
+
+
+def _bisected_nodes(diag: np.ndarray, off2: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the Jacobi matrix to about one ulp, by Sturm bisection."""
+    n = len(diag)
+    lo, hi, index = np.full(n, -1.0), np.full(n, 1.0), np.arange(n)
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = _sturm_count(diag, off2, mid) > index  # eigenvalue `index` lies below mid
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the n-point Gauss rule on [-1, 1]
+    for the weight (1 - x)^a (1 + x)^b, a, b > -1 (``roots_jacobi``'s order).
+
+    Newton steps on P_n start from ``_phase_guesses``; the result is kept
+    only if ``_is_gauss_rule`` accepts it.  Otherwise the nodes are isolated
+    by Sturm bisection on the Jacobi matrix and polished by Newton, and that
+    rule must pass the same check, or ``ArithmeticError`` is raised.  The
+    weights sum to mu0 = 2^(a+b+1) B(a+1, b+1) exactly, up to rounding.
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not (a > -1 and b > -1):
+        raise ValueError("Jacobi exponents must exceed -1")
+    diag, off2 = _jacobi_matrix(n, a, b)
+    coef = _recurrence(n, a, b)
+    x = _newton(n, a, b, coef, _phase_guesses(n, a, b))
+    if not _is_gauss_rule(x, diag, off2):
+        x = _newton(n, a, b, coef, _bisected_nodes(diag, off2))
+        if not _is_gauss_rule(x, diag, off2):
+            raise ArithmeticError(f"no checked {n}-point Gauss-Jacobi rule for a={a!r}, b={b!r}")
+    _, dp = _jacobi_pair(n, a, b, coef, x)
     # w = C / ((1 - x^2) P_n'^2), C = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!)
     c = math.exp(
         (a + b + 1.0) * math.log(2.0) + math.lgamma(n + a + 1.0) + math.lgamma(n + b + 1.0)

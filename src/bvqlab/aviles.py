@@ -10,7 +10,10 @@ and both are computed from these identities with the exact gradient of psi,
 which the caller samples once on the grid and passes in as a field, never by
 differencing psi_eps.  Nothing here reads the analytic catalog.  The
 integrals become lattice sums over the offsets inside the eps-ball,
-evaluated as zero-padded FFT correlations.  The energies measured here are
+evaluated as zero-padded FFT correlations, one spectrum at a time, into one
+grid-sized result per rung.  A sweep holds one rung at a time: each is
+reduced to its energies before the next is mollified.  The energies
+measured here are
 
     I_p(eps) = int eps^(p-1) |hess psi_eps|^p
              + int (1/eps) (1 - |grad psi_eps|^2)^(p/(p-1))
@@ -34,6 +37,7 @@ from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
     _check_kappa_h,
+    _check_sweep_ladder,
     bbm_sweep,
     bbm_value,  # unused here; bench/tests/test_bench.py pins aviles.bbm_value
     lattice_offsets,
@@ -53,9 +57,9 @@ ZERO_ATOL = 1e-12
 class MollifiedField:
     """psi_eps with its convolution gradient and scaled hessian on an inner mask.
 
-    Arrays are full-grid shaped; only entries under ``inner.inside`` are
-    meaningful.  ``hess`` stores hess psi_eps (the identity above divided by
-    eps).
+    Arrays are full-grid shaped views of one array of 1 + N + N^2 channels;
+    entries outside ``inner.inside`` are zero.  ``hess`` stores
+    hess psi_eps (the identity above divided by eps).
     """
 
     inner: DomainMask
@@ -107,6 +111,16 @@ def mollify(
     Samples outside ``psi.mask`` are zeroed first; no inner sample reads them.
     ``inner`` defaults to the mask eroded by eps and may be any mask eroded
     at least that much (fixed across a sweep, typically).
+
+    Memory: one spectrum at a time.  Each of the 1 + N kernels is
+    transformed once, and each input channel (psi, then g_1..g_N) is
+    transformed again for every product it enters, multiplied in place,
+    inverted and cropped into one grid-sized result of 1 + N + N^2
+    channels, of which the returned fields are views.  Besides that result
+    a call holds one grid-sized input copy, two padded half spectra and one
+    padded inverse at most: about 19 grid floats at its peak in 2D with
+    eps = 1/4 of the grid width, against 49 for the batched transform it
+    replaced, with the same bits in every channel.
     """
     n = psi.grid.dim
     if (
@@ -125,47 +139,65 @@ def mollify(
     offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
     z = offs * (h / eps_len)
     w = eta.value(z)
+    # kernel 0 is w, kernels 1..n the components of gw
     weights = np.concatenate(
         [(w / w.sum())[:, None], eta.gradient(z) * (h / eps_len) ** n], axis=1
     )
-    # channel 0 is psi, channels 1..n the exact gradient
-    f = np.concatenate([psi.values[..., :1], grad.values], axis=-1)
-    f[~psi.mask.inside] = 0.0
+    ext = psi.grid.extents
     m = math.isqrt(m2)
-    shape = tuple(e + 2 * m for e in psi.grid.extents)
+    shape = tuple(e + 2 * m for e in ext)
     axes = tuple(range(n))
-    kern = np.zeros(shape + (1 + n,))
-    kern[tuple((-offs % shape).T)] = weights  # corr weight w_v sits at index -v
-    f_hat = np.fft.rfftn(f, s=shape, axes=axes)
-    k_hat = np.fft.rfftn(kern, axes=axes)
-    del f, kern
-    # one spectrum of every product; negating a rounded product rounds the
-    # negated one, so the Hessian channels are -(gw_a * g_b) bit for bit
-    prod = np.empty(f_hat.shape[:-1] + (1 + n + n * n,), dtype=complex)
-    np.multiply(f_hat, k_hat[..., :1], out=prod[..., : 1 + n])
-    hess = prod[..., 1 + n :].reshape(f_hat.shape[:-1] + (n, n))  # [a, b]: gw_a against g_b
-    np.multiply(k_hat[..., 1:, None], f_hat[..., None, 1:], out=hess)
-    np.negative(hess, out=hess)
-    del f_hat, k_hat
-    out = np.fft.irfftn(prod, s=shape, axes=axes)[tuple(slice(e) for e in psi.grid.extents)]
+    at = tuple((-offs % shape).T)  # corr weight w_v sits at index -v
+    crop = tuple(slice(e) for e in ext)
+    outside = ~psi.mask.inside
+    # input 0 is psi, inputs 1..n the exact gradient
+    inputs = [psi.values[..., 0]] + [grad.values[..., b] for b in range(n)]
+    buf = np.empty(ext)
+    out = np.empty(ext + (1 + n + n * n,))
+    for j in range(1 + n):
+        kern = np.zeros(shape)
+        kern[at] = weights[:, j]
+        k_hat = np.fft.rfftn(kern)
+        del kern
+        # kernel 0 against every input gives psi_eps and grad psi_eps; kernel
+        # 1 + a against g_b gives the Hessian channel [a, b], negated in place
+        # (negating a rounded product rounds the negated one)
+        for c in range(1 if j else 0, 1 + n):
+            np.copyto(buf, inputs[c])
+            buf[outside] = 0.0
+            f_hat = np.fft.rfftn(buf, s=shape, axes=axes)
+            if j == 0:
+                np.multiply(f_hat, k_hat, out=f_hat)
+                channel = c
+            else:
+                np.multiply(k_hat, f_hat, out=f_hat)
+                np.negative(f_hat, out=f_hat)
+                channel = n + (j - 1) * n + c
+            out[..., channel] = np.fft.irfftn(f_hat, s=shape, axes=axes)[crop]
+            del f_hat
+        del k_hat
     out[~inner.inside] = 0.0
-    full_psi = out[..., 0]
-    full_grad = out[..., 1 : 1 + n]
-    full_hess = out[..., 1 + n :].reshape(psi.grid.extents + (n, n)) / eps_len
-    return MollifiedField(inner, eps_len, eta, full_psi, full_grad, full_hess)
+    out[..., 1 + n :] /= eps_len
+    return MollifiedField(
+        inner, eps_len, eta, out[..., 0], out[..., 1 : 1 + n], out[..., 1 + n :].reshape(ext + (n, n))
+    )
 
 
-def _mollified_ladder(psi, grad, eta, eps_list, kappa):
-    """Yield (mollified field, |hess|, defect) per eps, one rung at a time.
+def _ladder_measures(psi, grad, eta, eps_list, kappa, measure):
+    """(inner mask, [measure(mollified field) for each eps]).
 
-    Every rung shares the mask eroded by the largest eps, so the energies of
-    a sweep are integrated over one region; only one rung is held at once.
+    Every rung's kappa*h guard runs first.  Every rung shares the mask
+    eroded by the largest eps, so the energies of a sweep are integrated
+    over one region.  ``measure`` reduces a rung to numbers, and nothing
+    holds the rung's field or its per-sample arrays once it returns, so only
+    one rung is alive while the next is mollified.
     """
     h = psi.grid.spacing
-    inner = psi.mask.erode(max(resolve_radius(e, h)[1] for e in eps_list))
-    for e in eps_list:
-        mf = mollify(psi, grad, eta, e, inner, kappa=kappa)
-        yield mf, mf.hessian_frobenius(), mf.eikonal_defect()
+    lengths = [resolve_radius(e, h)[1] for e in eps_list]
+    for e_len in lengths:
+        _check_kappa_h(e_len, h, kappa)
+    inner = psi.mask.erode(max(lengths))
+    return inner, [measure(mollify(psi, grad, eta, e, inner, kappa=kappa)) for e in eps_list]
 
 
 def _energy(mf: MollifiedField, hn, defect, a: float, b: float) -> tuple[float, float]:
@@ -211,7 +243,8 @@ def check_ag_upper_bound(
     bound built from the kernel sweeps of ``grad`` with ``defaults.AG_SLACK``
     slack, and it must not increase along the sweep (within
     ``defaults.TREND_SLACK``).  p = 2 is rejected: the defect-moment exponent
-    degenerates there.
+    degenerates there.  The ladder (``_check_sweep_ladder``) and every rung's
+    kappa*h guard are checked before any rung is mollified.
     """
     if not q > 1:
         raise ValueError("q must exceed 1")
@@ -219,11 +252,12 @@ def check_ag_upper_bound(
         raise ValueError(
             "p must exceed 2: the defect moment exponent p/(p-2) degenerates at p = 2"
         )
-    lhs_vals, eps_lens = [], []
-    for mf, hn, defect in _mollified_ladder(psi, grad, eta, eps_list, kappa):
-        lhs_vals.append(sum(_energy(mf, hn, defect, q, p / 2.0)))
-        eps_lens.append(mf.eps)
-    inner = mf.inner  # the last rung's inner mask is shared by every rung
+    eps_lens = _check_sweep_ladder(eps_list, psi.grid.spacing, fit_model)
+
+    def lhs(mf):
+        return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
+
+    inner, lhs_vals = _ladder_measures(psi, grad, eta, eps_list, kappa, lhs)
     sweep_q = bbm_sweep(grad, q, eps_list, fit_model, inner, kappa=kappa)
     sweep_p = (
         sweep_q
@@ -273,25 +307,31 @@ def check_ag_chain(
     scale (two smallest eps) and against the bound built from the
     extrapolated sweep of ``grad``.  The energies and the q = p = 3 bound
     values come from the same code path as ``check_ag_upper_bound``, so the
-    two instances agree bit for bit.
+    two instances agree bit for bit.  As there, the ladder and every rung's
+    kappa*h guard are checked before any rung is mollified.
     """
     if psi.grid.dim not in (1, 2):
         raise ValueError("the cubic chain check runs in dimension 1 or 2")
+    eps_lens = _check_sweep_ladder(eps_list, psi.grid.spacing, fit_model)
     slack = defaults.AG_SLACK
     cell = psi.grid.spacing**psi.grid.dim
-    young_lhs, mids, eps_lens, young_ok = [], [], [], True
-    for mf, hn, defect in _mollified_ladder(psi, grad, eta, eps_list, kappa):
-        e_len = mf.eps
-        young_lhs.append(YOUNG_CONSTANT * cell * math.fsum(hn * defect))
-        mids.append(sum(_energy(mf, hn, defect, 3.0, 1.5)))
-        eps_lens.append(e_len)
+
+    def young_and_middle(mf):
+        hn, defect = mf.hessian_frobenius(), mf.eikonal_defect()
         hl = hn.astype(np.longdouble)
         dl = defect.astype(np.longdouble)
-        lhs_pt = e_len**2 * hl**3 + dl**1.5 / e_len
+        lhs_pt = mf.eps**2 * hl**3 + dl**1.5 / mf.eps
         rhs_pt = np.longdouble(YOUNG_CONSTANT) * hl * dl
-        young_ok = young_ok and bool((lhs_pt >= rhs_pt).all())
-    # the last rung's inner mask is shared by every rung
-    sweep3 = bbm_sweep(grad, 3.0, eps_list, fit_model, mf.inner, kappa=kappa)
+        return (
+            YOUNG_CONSTANT * cell * math.fsum(hn * defect),
+            sum(_energy(mf, hn, defect, 3.0, 1.5)),
+            bool((lhs_pt >= rhs_pt).all()),
+        )
+
+    inner, rungs = _ladder_measures(psi, grad, eta, eps_list, kappa, young_and_middle)
+    young_lhs, mids, young_oks = (list(column) for column in zip(*rungs))
+    young_ok = all(young_oks)
+    sweep3 = bbm_sweep(grad, 3.0, eps_list, fit_model, inner, kappa=kappa)
     matched_bounds = [_moment_bound(eta, 3.0, 3.0, a3, a3) for a3 in sweep3.values]
     limit_bound = _moment_bound(eta, 3.0, 3.0, sweep3.limit, sweep3.limit)
     matched_ok = all(

@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _rng
+from ._special import gauss_jacobi
 from .errors import ConfigError, UnknownFieldError
 from .grid import DomainMask, Grid, SampledField, _sample_rows
 
@@ -489,9 +490,7 @@ class Sine1DField(AnalyticField):
         if abs(half - round(half)) < 1e-12:
             # integer count of half periods: each contributes 2*|amplitude|
             return 2.0 * abs(self.amplitude) * round(half)
-        from numpy.polynomial.legendre import leggauss
-
-        t, w = leggauss(256)
+        t, w = gauss_jacobi(256, 0.0, 0.0)  # Gauss-Legendre
         x = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
         g = abs(self.amplitude) * self.cycles * math.pi * np.abs(
             np.cos(self.cycles * math.pi * x)

@@ -1,8 +1,9 @@
 """Analytic jump energies, dimensional constants, and identity checks.
 
 The right-hand sides here are exact: surface measures come from the jump
-descriptions in the field catalog, and the dimensional constant is a sphere
-quadrature cross-checked against its Gamma-function closed form.  The left
+descriptions in the field catalog, and the dimensional constant is a
+Gauss-Legendre sphere quadrature (``_special.gauss_jacobi``) cross-checked
+against its Gamma-function closed form.  The left
 sides are kernel measurements from :mod:`bvqlab.kernels`; comparison reports
 tie the two together.
 
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import defaults
-from ._special import half_gamma
+from ._special import gauss_jacobi, half_gamma
 from .fields import AnalyticField, JumpSpec, sample_analytic, warn_if_jump_free
 from .grid import DomainMask, SampledField
 from .kernels import (
@@ -58,7 +59,7 @@ def dimensional_constant(dim: int) -> float:
     if dim == 1:
         val = 2.0  # S^0 = {-1, +1}, |z_1| = 1 at both points
     else:
-        t, w = np.polynomial.legendre.leggauss(64)
+        t, w = gauss_jacobi(64, 0.0, 0.0)  # Gauss-Legendre
         if dim == 2:
             # (1/2) * 4 * int_0^{pi/2} cos(theta) dtheta
             theta = 0.25 * math.pi * (t + 1.0)

@@ -407,13 +407,34 @@ class EpsSweep:
 FIT_MODELS = ("constant", "linear-in-eps")
 
 
+def _check_sweep_ladder(eps_list, h: float, fit_model: str) -> list[float]:
+    """The eps lengths of a sweep's ladder, after the checks that need no field.
+
+    The ladder must be non-empty and strictly decreasing, ``fit_model`` one of
+    ``FIT_MODELS``, and ``linear-in-eps`` needs at least three fit points.
+    """
+    eps_lengths = [resolve_radius(e, h)[1] for e in eps_list]
+    if not eps_lengths:
+        raise ValueError("need at least one eps")
+    if any(b >= a for a, b in zip(eps_lengths, eps_lengths[1:])):
+        raise ValueError("eps ladder must be strictly decreasing")
+    if fit_model not in FIT_MODELS:
+        raise ValueError(f"unknown fit model {fit_model!r}")
+    if fit_model == "linear-in-eps" and min(defaults.FIT_POINTS, len(eps_lengths)) < 3:
+        raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
+    return eps_lengths
+
+
 def sweep_functional(eps_lengths, values, fit_model: str = "linear-in-eps") -> EpsSweep:
     """Extrapolate a functional's values along a checked eps ladder.
 
     ``eps_lengths`` is strictly decreasing, ``fit_model`` one of
     ``FIT_MODELS``, and ``linear-in-eps`` has at least three fit points;
-    ``bbm_sweep`` checks all three before any value is computed.  The fit
-    uses the ``defaults.FIT_POINTS`` smallest scales.
+    ``_check_sweep_ladder`` checks all three, and ``bbm_sweep`` calls it before
+    any value is computed.  The fit uses the ``defaults.FIT_POINTS`` smallest
+    scales.  ``linear-in-eps`` is the least-squares line through them in
+    closed form about the mean scale: every sum is a ``math.fsum``, and the
+    limit is the line's value at eps = 0.
     """
     vals = np.array(values, dtype=float)
     e = np.asarray(eps_lengths)[-defaults.FIT_POINTS:]
@@ -422,9 +443,12 @@ def sweep_functional(eps_lengths, values, fit_model: str = "linear-in-eps") -> E
         limit = float(v.mean())
         resid = float(np.sqrt(np.mean((v - limit) ** 2)))
     else:
-        coef = np.polyfit(e, v, 1)
-        limit = float(coef[1])
-        resid = float(np.sqrt(np.mean((np.polyval(coef, e) - v) ** 2)))
+        e, v = e.tolist(), v.tolist()
+        e_mean, v_mean = math.fsum(e) / len(e), math.fsum(v) / len(v)
+        de = [x - e_mean for x in e]
+        slope = math.fsum(d * (y - v_mean) for d, y in zip(de, v)) / math.fsum(d * d for d in de)
+        limit = v_mean - slope * e_mean
+        resid = math.sqrt(math.fsum((limit + slope * x - y) ** 2 for x, y in zip(e, v)) / len(e))
     diffs = np.diff(vals)
     span = max(abs(vals).max(), 1e-300)
     monotone = bool((diffs <= 0.01 * span).all() or (diffs >= -0.01 * span).all())
@@ -454,13 +478,7 @@ def bbm_sweep(
     each equals ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
     eps_list = list(eps_list)
-    eps_lengths = [resolve_radius(e, u.grid.spacing)[1] for e in eps_list]
-    if any(b >= a for a, b in zip(eps_lengths, eps_lengths[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
-    if fit_model not in FIT_MODELS:
-        raise ValueError(f"unknown fit model {fit_model!r}")
-    if fit_model == "linear-in-eps" and min(defaults.FIT_POINTS, len(eps_lengths)) < 3:
-        raise ValueError("linear-in-eps extrapolation needs >= 3 eps values")
+    eps_lengths = _check_sweep_ladder(eps_list, u.grid.spacing, fit_model)
     values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
     return sweep_functional(eps_lengths, values, fit_model)
 

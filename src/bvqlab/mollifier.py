@@ -172,7 +172,7 @@ def _ball_rule_cached(dim: int, n: int):
     else:
         na = n + (n % 2)
         theta = 2.0 * math.pi * (np.arange(na) + 0.5) / na
-        mu, wmu = np.polynomial.legendre.leggauss(n)  # mu = cos(polar angle)
+        mu, wmu = gauss_jacobi(n, 0.0, 0.0)  # Gauss-Legendre in mu = cos(polar angle)
         smu = np.sqrt(1.0 - mu * mu)
         wa = 2.0 * math.pi / na
         xs, ys, zs, ws = [], [], [], []

@@ -21,6 +21,7 @@ from bvqlab import (
     verify_gamma_consistency,
 )
 from bvqlab.aviles import YOUNG_CONSTANT, _moment_bound
+from bvqlab.errors import RegimeError
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +230,105 @@ def test_chain_rejects_bad_ladder(roof_setup):
     g, mask, psi, grad, eta = roof_setup
     with pytest.raises(ValueError, match="strictly decreasing"):
         check_ag_chain(psi, grad, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
+
+
+BAD_LADDERS = [
+    ([], "constant", "at least one eps"),
+    ([], "linear-in-eps", "at least one eps"),
+    ([16, 32, 24], "constant", "strictly decreasing"),
+    ([32, 16], "linear-in-eps", ">= 3 eps values"),
+    ([32, 24, 16], "quadratic", "unknown fit model"),
+]
+
+
+@pytest.mark.parametrize("cells, fit_model, message", BAD_LADDERS)
+def test_ag_checks_refuse_a_bad_ladder_before_any_mollify(roof_setup, monkeypatch, cells, fit_model, message):
+    from bvqlab import aviles
+
+    def boom(*args, **kwargs):
+        raise AssertionError("mollify ran before the ladder was checked")
+
+    monkeypatch.setattr(aviles, "mollify", boom)
+    g, mask, psi, grad, eta = roof_setup
+    ladder = [GridRadius.from_cells(m) for m in cells]
+    with pytest.raises(ValueError, match=message):
+        check_ag_chain(psi, grad, eta, ladder, fit_model=fit_model)
+    with pytest.raises(ValueError, match=message):
+        check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder, fit_model=fit_model)
+
+
+def test_ag_checks_refuse_a_rung_below_kappa_h_before_any_mollify(roof_setup, monkeypatch):
+    from bvqlab import aviles
+
+    def boom(*args, **kwargs):
+        raise AssertionError("mollify ran before every rung's kappa*h guard")
+
+    monkeypatch.setattr(aviles, "mollify", boom)
+    g, mask, psi, grad, eta = roof_setup
+    ladder = [GridRadius.from_cells(m) for m in (32, 24, 4)]  # 4 cells < kappa = 8 cells
+    with pytest.raises(RegimeError, match="below kappa"):
+        check_ag_chain(psi, grad, eta, ladder)
+    with pytest.raises(RegimeError, match="below kappa"):
+        check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder)
+
+
+@pytest.mark.parametrize("check", ["chain", "upper"])
+def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch, check):
+    import weakref
+
+    from bvqlab import aviles
+
+    g, mask, psi, grad, eta = pyramid_setup
+    ladder = [GridRadius.from_cells(m) for m in (32, 24, 16, 12)]
+    real_mollify, real_sweep = aviles.mollify, aviles.bbm_sweep
+    held = []  # weak references to every rung's field and to the array behind it
+
+    def alive():
+        return [r for r in held if r() is not None]
+
+    def mollify_one(*args, **kwargs):
+        assert not alive(), "an earlier rung is still held while the next is mollified"
+        mf = real_mollify(*args, **kwargs)
+        held.extend([weakref.ref(mf), weakref.ref(mf.psi.base)])
+        return mf
+
+    def sweep(*args, **kwargs):
+        assert not alive(), "a mollified rung is still held during the gradient sweep"
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(aviles, "mollify", mollify_one)
+    monkeypatch.setattr(aviles, "bbm_sweep", sweep)
+    if check == "chain":
+        rep = check_ag_chain(psi, grad, eta, ladder)
+    else:
+        rep = check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder)
+    assert rep.passed
+    assert len(held) == 2 * len(ladder)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_mollify_peak_memory_in_grid_floats(n):
+    # one spectrum at a time: the peak stays under 24 grid floats (the
+    # batched transform took 49) at eps = n/4 cells, where the padded grid
+    # is 2.25 times the grid
+    import tracemalloc
+
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [n, n])
+    mask = DomainMask.full(g)
+    spec = make_field("pyramid-eikonal")
+    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
+    eta = build_mollifier("polynomial-bump", 2, k=2)
+    eps = GridRadius.from_cells(n // 4)
+    inner = mask.erode(eps.length(g.spacing))
+    mollify(psi, grad, eta, eps, inner)  # first-call set-up
+    tracemalloc.start()
+    try:
+        mf = mollify(psi, grad, eta, eps, inner)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 8 * n * n, peak / (8 * n * n)
+    assert mf.psi.base is mf.grad.base is mf.hess.base  # views of one result
 
 
 def test_chain_rejects_3d():

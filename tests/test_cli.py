@@ -157,6 +157,63 @@ def test_worker_override_bit_identical(tmp_path):
     assert a == b
 
 
+def test_every_experiment_runs_without_lapack(tmp_path):
+    # no LAPACK at run time: with numpy.polynomial blocked and numpy's
+    # eigen-solvers, least squares, solves, inverses and polyfit made to
+    # raise, one small config of each experiment kind runs to exit 0 (an
+    # internal error is exit 5), among them every linear-in-eps fit, the 2D
+    # sphere constant, a sine mass by quadrature (a non-integer count of half
+    # periods) and the mollifier's Gauss-Jacobi rules; so does a 3D ball rule
+    ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
+    configs = [
+        dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)
+        for experiment, field, grid, extra in KIND_CASES
+    ] + [
+        dict(experiment="jump-verify"),
+        dict(experiment="constants"),
+        dict(experiment="q1-bv", field={"kind": "sine-1d", "params": {"cycles": 3}},
+             grid={"lo": [0.0], "hi": [0.9], "n": [2048]}, eps_ladder=ladder,
+             fit_model="linear-in-eps", tolerance=0.1),
+        dict(experiment="two-sided",
+             field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
+             eps_ladder={"start_cells": 9, "ratio": 0.9, "count": 2}),
+        dict(experiment="ag-upper",
+             field={"kind": "cone-eikonal", "params": {}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
+        dict(experiment="ag-chain",
+             field={"kind": "pyramid-eikonal", "params": {}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}),
+    ]
+    assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
+    paths = [
+        str(write_config(tmp_path, f"c{i}.json", out_dir=str(tmp_path / f"out{i}"), **c))
+        for i, c in enumerate(configs)
+    ]
+    code = (
+        "import sys; sys.modules['numpy.polynomial'] = None\n"
+        "import numpy\n"
+        "def refuse(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(name + ' called')\n"
+        "    return call\n"
+        "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig', 'lstsq', 'svd', 'solve', 'inv'):\n"
+        "    setattr(numpy.linalg, name, refuse('numpy.linalg.' + name))\n"
+        "numpy.polyfit = refuse('numpy.polyfit')\n"
+        "from bvqlab import build_mollifier\n"
+        "from bvqlab.cli import main\n"
+        f"print([main(['run', p]) for p in {paths!r}])\n"
+        "print(len(build_mollifier('polynomial-bump', 3, resolution=64).ball_rule()[1]))\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('numpy.polynomial') and mod))\n"
+    )
+    codes, ball_nodes, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
+    assert codes == str([EXIT_OK] * len(configs))
+    assert ball_nodes == str(64 * 64 * 64)
+    assert loaded == "[]"
+
+
 KIND_CASES = [
     ("bbm-sweep", {"kind": "step-1d", "params": {"position": 0.0}},
      {"lo": [-1.0], "hi": [1.0], "n": [1024]}, {}),

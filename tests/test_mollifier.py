@@ -158,6 +158,75 @@ def test_gauss_jacobi_matches_scipy(n):
             assert (np.abs(w - ws) / ws).max() <= 1e-10, (a, b)
 
 
+ROBUST_EXPONENTS = [-0.9, -0.5, 0.0, 1.0, 7.5, 44.0, 100.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128, 256, 512])
+def test_gauss_jacobi_rules_are_well_formed(n):
+    from bvqlab._special import beta_fn, gauss_jacobi
+
+    for a in ROBUST_EXPONENTS:
+        for b in ROBUST_EXPONENTS:
+            x, w = gauss_jacobi(n, a, b)
+            assert x.shape == w.shape == (n,)
+            assert np.isfinite(x).all() and np.isfinite(w).all(), (a, b)
+            assert -1.0 < x[0] and x[-1] < 1.0 and (np.diff(x) > 0).all(), (a, b)
+            # mu0 as the package computes it (through lgamma once a + b + 2
+            # reaches 171, where it is 1.1e-13 off scipy's at a = b = 100)
+            mu0 = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0)
+            assert abs(math.fsum(w) - mu0) <= 1e-13 * mu0, (a, b)
+            # the rule integrates x exactly: its mean is (b - a) / (a + b + 2),
+            # here within 6e-12 (the weights next to a singular endpoint,
+            # a or b < 0, are the least accurate)
+            mean = math.fsum(w * x) / math.fsum(w)
+            assert abs(mean - (b - a) / (a + b + 2.0)) <= 1e-11, (a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128, 256, 512])
+def test_gauss_legendre_matches_numpy(n):
+    # numpy.polynomial is the oracle only; the package never imports it
+    from numpy.polynomial.legendre import leggauss
+
+    from bvqlab._special import gauss_jacobi
+
+    x, w = gauss_jacobi(n, 0.0, 0.0)
+    xl, wl = leggauss(n)
+    assert np.abs(x - xl).max() <= 1e-14
+    assert np.abs(w - wl).max() <= 1e-14
+
+
+def test_gauss_jacobi_rebuilds_a_rule_that_fails_the_sturm_check(monkeypatch):
+    from scipy.special import roots_jacobi
+
+    from bvqlab import _special
+
+    bisected, rebuild = [], _special._bisected_nodes
+
+    def bisect(diag, off2):
+        bisected.append(len(diag))
+        return rebuild(diag, off2)
+
+    monkeypatch.setattr(_special, "_bisected_nodes", bisect)
+    # every guess at 0: Newton sends several nodes to one zero, which the
+    # Sturm count at the midpoints refuses
+    monkeypatch.setattr(_special, "_phase_guesses", lambda n, a, b: np.zeros(n))
+    for n, a, b in [(8, -0.9, 100.0), (64, 2.0, 1.0), (128, 44.0, 0.5)]:
+        x, w = _special.gauss_jacobi(n, a, b)
+        xs, ws = roots_jacobi(n, a, b)
+        assert np.abs(x - xs).max() <= 1e-14, (n, a, b)
+        assert (np.abs(w - ws) / ws).max() <= 1e-10, (n, a, b)
+    assert bisected == [8, 64, 128]
+
+
+def test_gauss_jacobi_never_returns_an_unchecked_rule(monkeypatch):
+    from bvqlab import _special
+
+    monkeypatch.setattr(_special, "_phase_guesses", lambda n, a, b: np.zeros(n))
+    monkeypatch.setattr(_special, "_bisected_nodes", lambda diag, off2: np.zeros(len(diag)))
+    with pytest.raises(ArithmeticError, match="no checked 16-point"):
+        _special.gauss_jacobi(16, 1.0, 2.0)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_radial_moments_match_beta_closed_form(dim, k):

@@ -1,4 +1,5 @@
-"""mollify against a direct shift-and-add lattice sum on tiny grids."""
+"""mollify against a direct shift-and-add lattice sum on tiny grids, and bit
+for bit against the batched seven-channel transform it replaced."""
 
 import math
 
@@ -109,3 +110,80 @@ def test_values_outside_mask_never_reach_the_transform(bad):
     for a, b in ((got.psi, ref.psi), (got.grad, ref.grad), (got.hess, ref.hess)):
         assert np.isfinite(a).all()
         assert np.array_equal(a, b)
+
+
+def _batched_mollify(psi, grad, eta, eps, inner=None):
+    """(psi_eps, grad psi_eps, hess psi_eps) from one batched transform.
+
+    The earlier ``mollify`` body: every input channel and every kernel
+    channel in one spectrum each, all 1 + N + N^2 products in one spectrum
+    and one batched inverse.  ``mollify`` must equal it bit for bit.
+    """
+    n = psi.grid.dim
+    h = psi.grid.spacing
+    m2, eps_len = resolve_radius(eps, h)
+    if inner is None:
+        inner = psi.mask.erode(eps_len)
+    offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
+    z = offs * (h / eps_len)
+    w = eta.value(z)
+    weights = np.concatenate(
+        [(w / w.sum())[:, None], eta.gradient(z) * (h / eps_len) ** n], axis=1
+    )
+    f = np.concatenate([psi.values[..., :1], grad.values], axis=-1)
+    f[~psi.mask.inside] = 0.0
+    m = math.isqrt(m2)
+    shape = tuple(e + 2 * m for e in psi.grid.extents)
+    axes = tuple(range(n))
+    kern = np.zeros(shape + (1 + n,))
+    kern[tuple((-offs % shape).T)] = weights
+    f_hat = np.fft.rfftn(f, s=shape, axes=axes)
+    k_hat = np.fft.rfftn(kern, axes=axes)
+    prod = np.empty(f_hat.shape[:-1] + (1 + n + n * n,), dtype=complex)
+    np.multiply(f_hat, k_hat[..., :1], out=prod[..., : 1 + n])
+    hess = prod[..., 1 + n :].reshape(f_hat.shape[:-1] + (n, n))
+    np.multiply(k_hat[..., 1:, None], f_hat[..., None, 1:], out=hess)
+    np.negative(hess, out=hess)
+    out = np.fft.irfftn(prod, s=shape, axes=axes)[tuple(slice(e) for e in psi.grid.extents)]
+    out[~inner.inside] = 0.0
+    full_hess = out[..., 1 + n :].reshape(psi.grid.extents + (n, n)) / eps_len
+    return out[..., 0], out[..., 1 : 1 + n], full_hess
+
+
+def _bit_cases():
+    line = Grid.for_box([-1.0], [1.0], [96])
+    square = Grid.for_box([0.0, 0.0], [1.0, 1.0], [40, 40])
+    cube = Grid.for_box([0.0] * 3, [1.0] * 3, [16, 16, 16])
+    roof = make_field("pyramid-eikonal", lo=(-1.0,), hi=(1.0,))
+    return {
+        "1d-full": (roof, DomainMask.full(line), 9.4 * line.spacing),
+        "1d-eroded": (roof, DomainMask.full(line).erode(5 * line.spacing), GridRadius(64)),
+        "2d-full": (make_field("pyramid-eikonal"), DomainMask.full(square), 7 * square.spacing),
+        "2d-eroded": (
+            make_field("cone-eikonal"),
+            DomainMask.full(square).erode(3 * square.spacing),
+            6.5 * square.spacing,
+        ),
+        "3d-full": (make_field("pyramid-eikonal", lo=(0.0,) * 3, hi=(1.0,) * 3), DomainMask.full(cube), 3 * cube.spacing),
+        "3d-eroded": (
+            make_field("cone-eikonal", center=(0.5,) * 3),
+            DomainMask.full(cube).erode(cube.spacing),
+            GridRadius(8),
+        ),
+    }
+
+
+@pytest.mark.parametrize("explicit_inner", [False, True])
+@pytest.mark.parametrize("case", list(_bit_cases()))
+def test_mollify_equals_the_batched_transform_bit_for_bit(case, explicit_inner):
+    spec, mask, eps = _bit_cases()[case]
+    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
+    eta = build_mollifier("polynomial-bump", mask.grid.dim, k=2)
+    inner = None
+    if explicit_inner:  # eroded one cell more than eps needs
+        inner = mask.erode(resolve_radius(eps, mask.grid.spacing)[1] + mask.grid.spacing)
+    mf = mollify(psi, grad, eta, eps, inner, kappa=2.0)  # small grids: eps from 2 cells
+    ref = _batched_mollify(psi, grad, eta, eps, inner)
+    for got, want in zip((mf.psi, mf.grad, mf.hess), ref):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
