@@ -8,7 +8,8 @@ the smoothed field psi_eps(x) = int eta(z) psi(x + eps z) dz has
 
 and both are computed from these identities with the exact gradient of psi,
 which the caller samples once on the grid and passes in as a field, never by
-differencing psi_eps.  Nothing here reads the analytic catalog.  The
+differencing psi_eps.  The energies below read only these two, so psi
+itself is never sampled, and nothing here reads the analytic catalog.  The
 integrals become lattice sums over the offsets inside the eps-ball,
 evaluated as zero-padded FFT correlations, one spectrum at a time, into one
 grid-sized result per rung.  A sweep holds one rung at a time: each is
@@ -55,17 +56,15 @@ ZERO_ATOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class MollifiedField:
-    """psi_eps with its convolution gradient and scaled hessian on an inner mask.
+    """grad psi_eps and hess psi_eps on an inner mask.
 
-    Arrays are full-grid shaped views of one array of 1 + N + N^2 channels;
+    Arrays are full-grid shaped views of one array of N + N^2 channels;
     entries outside ``inner.inside`` are zero.  ``hess`` stores
     hess psi_eps (the identity above divided by eps).
     """
 
     inner: DomainMask
     eps: float
-    eta: Mollifier
-    psi: np.ndarray = field(repr=False)
     grad: np.ndarray = field(repr=False)
     hess: np.ndarray = field(repr=False)
 
@@ -89,7 +88,6 @@ class MollifiedField:
 
 
 def mollify(
-    psi: SampledField,
     grad: SampledField,
     eta: Mollifier,
     eps,
@@ -97,44 +95,44 @@ def mollify(
     *,
     kappa: float = defaults.KAPPA,
 ) -> MollifiedField:
-    """Smooth a sampled eikonal field at scale eps over an eroded inner mask.
+    """Smooth an eikonal field, given by its gradient, at scale eps over an
+    eroded inner mask.
 
-    ``grad`` holds the exact gradient g of psi, sampled as a d = dim field on
-    psi's grid and mask.  Over the lattice offsets v with |v|^2 <= m2 (the
-    exact integer radius of eps) and v = 0, with weights w_v = eta(v h/eps)
-    scaled to unit sum and gw_v = grad eta(v h/eps) (h/eps)^N,
+    ``grad`` holds the exact gradient g of psi, sampled as a d = dim field.
+    Over the lattice offsets v with |v|^2 <= m2 (the exact integer radius of
+    eps) and v = 0, with weights w_v = eta(v h/eps) scaled to unit sum and
+    gw_v = grad eta(v h/eps) (h/eps)^N,
 
-        psi_eps(x) = sum_v w_v psi(x + v h),   grad psi_eps(x) = sum_v w_v g(x + v h),
+        grad psi_eps(x) = sum_v w_v g(x + v h),
         hess psi_eps(x)[a, b] = -(1/eps) sum_v gw_v[a] g_b(x + v h),
 
     evaluated as FFT correlations zero-padded so nothing wraps around.
-    Samples outside ``psi.mask`` are zeroed first; no inner sample reads them.
-    ``inner`` defaults to the mask eroded by eps and may be any mask eroded
-    at least that much (fixed across a sweep, typically).
+    Samples outside ``grad.mask`` are zeroed first; no inner sample reads
+    them.  ``inner`` defaults to the mask eroded by eps and may be any mask
+    on the field grid eroded at least that much (fixed across a sweep,
+    typically).
 
     Memory: one spectrum at a time.  Each of the 1 + N kernels is
-    transformed once, and each input channel (psi, then g_1..g_N) is
-    transformed again for every product it enters, multiplied in place,
-    inverted and cropped into one grid-sized result of 1 + N + N^2
+    transformed once, and each gradient channel g_c is transformed again
+    for every product it enters, multiplied in place, inverted and cropped
+    into channel j N + c (kernel j) of one grid-sized result of N + N^2
     channels, of which the returned fields are views.  Besides that result
     a call holds one grid-sized input copy, two padded half spectra and one
-    padded inverse at most: about 19 grid floats at its peak in 2D with
+    padded inverse at most: about 18 grid floats at its peak in 2D with
     eps = 1/4 of the grid width, against 49 for the batched transform it
     replaced, with the same bits in every channel.
     """
-    n = psi.grid.dim
-    if (
-        grad.d != n
-        or grad.grid != psi.grid
-        or not np.array_equal(grad.mask.inside, psi.mask.inside)
-    ):
-        raise ValueError("grad must be a d = dim field on the grid and mask of psi")
-    h = psi.grid.spacing
+    n = grad.grid.dim
+    if grad.d != n:
+        raise ValueError("grad must be a d = dim field")
+    h = grad.grid.spacing
     m2, eps_len = resolve_radius(eps, h)
     _check_kappa_h(eps_len, h, kappa)
     if inner is None:
-        inner = psi.mask.erode(eps_len)
-    elif (inner.inside & ~psi.mask._farther_than(eps_len)).any():
+        inner = grad.mask.erode(eps_len)
+    elif inner.grid != grad.grid:
+        raise ValueError("inner mask must share the field grid")
+    elif (inner.inside & ~grad.mask._farther_than(eps_len)).any():
         raise ValueError("inner mask must keep distance > eps from the boundary")
     offs = np.concatenate([np.zeros((1, n), dtype=int), lattice_offsets(n, m2)[0]])
     z = offs * (h / eps_len)
@@ -143,47 +141,41 @@ def mollify(
     weights = np.concatenate(
         [(w / w.sum())[:, None], eta.gradient(z) * (h / eps_len) ** n], axis=1
     )
-    ext = psi.grid.extents
+    ext = grad.grid.extents
     m = math.isqrt(m2)
     shape = tuple(e + 2 * m for e in ext)
     axes = tuple(range(n))
     at = tuple((-offs % shape).T)  # corr weight w_v sits at index -v
     crop = tuple(slice(e) for e in ext)
-    outside = ~psi.mask.inside
-    # input 0 is psi, inputs 1..n the exact gradient
-    inputs = [psi.values[..., 0]] + [grad.values[..., b] for b in range(n)]
+    outside = ~grad.mask.inside
     buf = np.empty(ext)
-    out = np.empty(ext + (1 + n + n * n,))
+    out = np.empty(ext + (n + n * n,))
     for j in range(1 + n):
         kern = np.zeros(shape)
         kern[at] = weights[:, j]
         k_hat = np.fft.rfftn(kern)
         del kern
-        # kernel 0 against every input gives psi_eps and grad psi_eps; kernel
-        # 1 + a against g_b gives the Hessian channel [a, b], negated in place
-        # (negating a rounded product rounds the negated one)
-        for c in range(1 if j else 0, 1 + n):
-            np.copyto(buf, inputs[c])
+        # kernel 0 against g_c gives grad psi_eps; kernel 1 + a against g_c
+        # gives the Hessian entry [a, c], negated in place (negating a
+        # rounded product rounds the negated one)
+        for c in range(n):
+            np.copyto(buf, grad.values[..., c])
             buf[outside] = 0.0
             f_hat = np.fft.rfftn(buf, s=shape, axes=axes)
             if j == 0:
                 np.multiply(f_hat, k_hat, out=f_hat)
-                channel = c
             else:
                 np.multiply(k_hat, f_hat, out=f_hat)
                 np.negative(f_hat, out=f_hat)
-                channel = n + (j - 1) * n + c
-            out[..., channel] = np.fft.irfftn(f_hat, s=shape, axes=axes)[crop]
+            out[..., j * n + c] = np.fft.irfftn(f_hat, s=shape, axes=axes)[crop]
             del f_hat
         del k_hat
     out[~inner.inside] = 0.0
-    out[..., 1 + n :] /= eps_len
-    return MollifiedField(
-        inner, eps_len, eta, out[..., 0], out[..., 1 : 1 + n], out[..., 1 + n :].reshape(ext + (n, n))
-    )
+    out[..., n:] /= eps_len
+    return MollifiedField(inner, eps_len, out[..., :n], out[..., n:].reshape(ext + (n, n)))
 
 
-def _ladder_measures(psi, grad, eta, eps_list, kappa, measure):
+def _ladder_measures(grad, eta, eps_list, kappa, measure):
     """(inner mask, [measure(mollified field) for each eps]).
 
     Every rung's kappa*h guard runs first.  Every rung shares the mask
@@ -192,12 +184,12 @@ def _ladder_measures(psi, grad, eta, eps_list, kappa, measure):
     holds the rung's field or its per-sample arrays once it returns, so only
     one rung is alive while the next is mollified.
     """
-    h = psi.grid.spacing
+    h = grad.grid.spacing
     lengths = [resolve_radius(e, h)[1] for e in eps_list]
     for e_len in lengths:
         _check_kappa_h(e_len, h, kappa)
-    inner = psi.mask.erode(max(lengths))
-    return inner, [measure(mollify(psi, grad, eta, e, inner, kappa=kappa)) for e in eps_list]
+    inner = grad.mask.erode(max(lengths))
+    return inner, [measure(mollify(grad, eta, e, inner, kappa=kappa)) for e in eps_list]
 
 
 def _energy(mf: MollifiedField, hn, defect, a: float, b: float) -> tuple[float, float]:
@@ -226,7 +218,6 @@ def _moment_bound(eta: Mollifier, q: float, p: float, a_q: float, a_p: float) ->
 
 
 def check_ag_upper_bound(
-    psi: SampledField,
     grad: SampledField,
     eta: Mollifier,
     q: float,
@@ -252,12 +243,12 @@ def check_ag_upper_bound(
         raise ValueError(
             "p must exceed 2: the defect moment exponent p/(p-2) degenerates at p = 2"
         )
-    eps_lens = _check_sweep_ladder(eps_list, psi.grid.spacing, fit_model)
+    eps_lens = _check_sweep_ladder(eps_list, grad.grid.spacing, fit_model)
 
     def lhs(mf):
         return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
 
-    inner, lhs_vals = _ladder_measures(psi, grad, eta, eps_list, kappa, lhs)
+    inner, lhs_vals = _ladder_measures(grad, eta, eps_list, kappa, lhs)
     sweep_q = bbm_sweep(grad, q, eps_list, fit_model, inner, kappa=kappa)
     sweep_p = (
         sweep_q
@@ -287,7 +278,6 @@ def check_ag_upper_bound(
 
 
 def check_ag_chain(
-    psi: SampledField,
     grad: SampledField,
     eta: Mollifier,
     eps_list,
@@ -310,11 +300,11 @@ def check_ag_chain(
     two instances agree bit for bit.  As there, the ladder and every rung's
     kappa*h guard are checked before any rung is mollified.
     """
-    if psi.grid.dim not in (1, 2):
+    if grad.grid.dim not in (1, 2):
         raise ValueError("the cubic chain check runs in dimension 1 or 2")
-    eps_lens = _check_sweep_ladder(eps_list, psi.grid.spacing, fit_model)
+    eps_lens = _check_sweep_ladder(eps_list, grad.grid.spacing, fit_model)
     slack = defaults.AG_SLACK
-    cell = psi.grid.spacing**psi.grid.dim
+    cell = grad.grid.spacing**grad.grid.dim
 
     def young_and_middle(mf):
         hn, defect = mf.hessian_frobenius(), mf.eikonal_defect()
@@ -328,7 +318,7 @@ def check_ag_chain(
             bool((lhs_pt >= rhs_pt).all()),
         )
 
-    inner, rungs = _ladder_measures(psi, grad, eta, eps_list, kappa, young_and_middle)
+    inner, rungs = _ladder_measures(grad, eta, eps_list, kappa, young_and_middle)
     young_lhs, mids, young_oks = (list(column) for column in zip(*rungs))
     young_ok = all(young_oks)
     sweep3 = bbm_sweep(grad, 3.0, eps_list, fit_model, inner, kappa=kappa)

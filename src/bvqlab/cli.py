@@ -256,25 +256,25 @@ def _exp_b_space(cfg):
 
 
 def _exp_ag_upper(cfg):
-    spec, mask, u = _sample(cfg)
+    mask = DomainMask.full(cfg.grid)
+    grad = sample_gradient(cfg.field, mask)
     eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
     rep = check_ag_upper_bound(
-        u, sample_gradient(spec, mask), eta, cfg.q, cfg.p, cfg.ladder,
-        kappa=cfg.kappa, fit_model=cfg.fit_model,
+        grad, eta, cfg.q, cfg.p, cfg.ladder, kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
     rows = list(zip(rep.details["eps"], rep.details["lhs_values"]))
     return ["eps", "lhs_energy"], rows, [rep]
 
 
 def _exp_ag_chain(cfg):
-    spec, mask, u = _sample(cfg)
-    grad = sample_gradient(spec, mask)
+    mask = DomainMask.full(cfg.grid)
+    grad = sample_gradient(cfg.field, mask)
     eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
-    rep = check_ag_chain(u, grad, eta, cfg.ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
+    rep = check_ag_chain(grad, eta, cfg.ladder, kappa=cfg.kappa, fit_model=cfg.fit_model)
     reports = [rep]
     d = rep.details
     rows = list(zip(d["eps"], d["young_lhs"], d["middle_energy"], d["matched_bounds"]))
-    jump = spec.jump_spec(mask.grid)
+    jump = cfg.field.jump_spec(mask.grid)
     if jump is not None:
         reports.append(
             verify_gamma_consistency(

@@ -763,7 +763,9 @@ def sample_gradient(spec: AnalyticField, mask: DomainMask) -> SampledField:
     """Sample the exact gradient of a catalog field as a d = dim field, over
     blocks of whole grid rows like ``sample_analytic``."""
     if spec.dim != mask.grid.dim:
-        raise ValueError("field/grid dimension mismatch")
+        raise ValueError(
+            f"field dimension {spec.dim} does not match grid dimension {mask.grid.dim}"
+        )
     g = _sample_rows(mask.grid, spec.gradient, (spec.dim,), np.float64)
     return SampledField(mask, g, d=spec.dim)
 

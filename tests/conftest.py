@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bvqlab import DomainMask, Grid, SampledField, make_field, sample_analytic
+from bvqlab.kernels import lattice_offsets, resolve_radius
 
 
 @pytest.fixture
@@ -164,3 +165,41 @@ def reference_sample(spec, grid: Grid, gradient: bool = False) -> np.ndarray:
     pts = reference_points(grid)
     out = spec.gradient(pts) if gradient else spec.evaluate(pts, h=grid.spacing)
     return np.asarray(out, dtype=np.float64).reshape(grid.extents + (-1,))
+
+
+# --------------------------------------------------------------------------
+# Mollification as a direct shift-and-add lattice sum, with psi_eps from
+# the samples of psi: the tolerance reference for ``aviles.mollify``.
+# --------------------------------------------------------------------------
+
+
+def _shift_add(f, weights, offs):
+    """out[x] = sum_v weights[v] * f[x + v], with f zero beyond the grid."""
+    out = np.zeros(f.shape[:-1] + weights.shape[1:] + f.shape[-1:])
+    for v, wv in zip(offs, weights):
+        sx, sy = [], []
+        for ext, o in zip(f.shape[:-1], v):
+            sx.append(slice(max(0, -o), min(ext, ext - o)))
+            sy.append(slice(max(0, o), min(ext, ext + o)))
+        out[tuple(sx)] += wv[..., None] * f[tuple(sy)][..., None, :]
+    return out
+
+
+def _oracle(psi, grad, eta, eps):
+    grid = psi.grid
+    n, h = grid.dim, grid.spacing
+    m2, eps_len = resolve_radius(eps, h)
+    offs = [(0,) * n] + [tuple(int(c) for c in v) for v in lattice_offsets(n, m2)[0]]
+    z = np.asarray(offs, dtype=float) * (h / eps_len)
+    w = eta.value(z)
+    w = w / w.sum()
+    gw = eta.gradient(z) * (h / eps_len) ** n
+    outside = ~psi.mask.inside
+    vals = np.array(psi.values)
+    vals[outside] = 0.0
+    g = np.array(grad.values)
+    g[outside] = 0.0
+    psi_eps = _shift_add(vals, w[:, None], offs)[..., 0, 0]
+    grad = _shift_add(g, w[:, None], offs)[..., 0, :]
+    hess = -_shift_add(g, gw, offs) / eps_len
+    return psi_eps, grad, hess

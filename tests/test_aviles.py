@@ -22,6 +22,7 @@ from bvqlab import (
 )
 from bvqlab.aviles import YOUNG_CONSTANT, _moment_bound
 from bvqlab.errors import RegimeError
+from conftest import _oracle
 
 
 @pytest.fixture(scope="module")
@@ -29,9 +30,8 @@ def roof_setup():
     g = Grid.for_box([-1.0], [1.0], [1024])
     mask = DomainMask.full(g)
     spec = make_field("pyramid-eikonal", lo=(-1.0,), hi=(1.0,))
-    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", 1, k=2, resolution=512)
-    return g, mask, psi, grad, eta
+    return g, mask, sample_gradient(spec, mask), eta
 
 
 @pytest.fixture(scope="module")
@@ -39,19 +39,16 @@ def pyramid_setup():
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [128, 128])
     mask = DomainMask.full(g)
     spec = make_field("pyramid-eikonal")
-    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
-    return g, mask, psi, grad, eta
+    return g, mask, sample_gradient(spec, mask), eta
 
 
 def test_linear_psi_smoothing_is_exact(square_mask):
     spec = make_field("linear", slope=(0.6, 0.8))
-    u = sample_analytic(spec, square_mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     h = square_mask.grid.spacing
-    mf = mollify(u, sample_gradient(spec, square_mask), eta, 16 * h)
+    mf = mollify(sample_gradient(spec, square_mask), eta, 16 * h)
     ins = mf.inner.inside
-    assert np.abs(mf.psi[ins] - u.values[ins][:, 0]).max() < 1e-12
     assert np.abs(mf.grad[ins] - np.array([0.6, 0.8])).max() < 1e-12
     assert np.abs(mf.hess[ins]).max() < 1e-12
     t1, t2 = ag_energy(mf, 2.0)
@@ -60,30 +57,39 @@ def test_linear_psi_smoothing_is_exact(square_mask):
 
 def test_constant_psi_all_zero(square_mask):
     spec = make_field("constant", value=(2.0,), dim=2)
-    u = sample_analytic(spec, square_mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
-    mf = mollify(u, sample_gradient(spec, square_mask), eta, 16 * square_mask.grid.spacing)
+    mf = mollify(sample_gradient(spec, square_mask), eta, 16 * square_mask.grid.spacing)
     ins = mf.inner.inside
     assert np.abs(mf.grad[ins]).max() < 1e-14
     assert np.abs(mf.hess[ins]).max() < 1e-14
 
 
-def test_mollify_rejects_a_gradient_off_the_grid_and_mask_of_psi(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
-    eps = 16 * g.spacing
-    disc = DomainMask.from_predicate(g, lambda p: np.linalg.norm(p - 0.5, axis=-1) < 0.45)
-    coarse = DomainMask.full(Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64]))
-    spec = make_field("pyramid-eikonal")
-    for bad in (psi, sample_gradient(spec, disc), sample_gradient(spec, coarse)):
-        with pytest.raises(ValueError, match="grad must be a d = dim field"):
-            mollify(psi, bad, eta, eps)
+def test_mollify_rejects_a_gradient_that_is_not_a_d_equals_dim_field(pyramid_setup):
+    g, mask, grad, eta = pyramid_setup
+    psi = sample_analytic(make_field("pyramid-eikonal"), mask)  # d = 1 in 2D
+    with pytest.raises(ValueError, match="grad must be a d = dim field"):
+        mollify(psi, eta, 16 * g.spacing)
+
+
+def test_mollify_rejects_an_inner_mask_on_another_grid():
+    # same 64^2 extents, four times the cell area: taken as the result's grid,
+    # it would scale every energy by 4
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
+    wide = Grid.for_box([0.0, 0.0], [2.0, 2.0], [64, 64])
+    grad = sample_gradient(make_field("pyramid-eikonal"), DomainMask.full(g))
+    eta = build_mollifier("polynomial-bump", 2, k=2)
+    eps = GridRadius.from_cells(16)
+    inner = DomainMask.full(wide).erode(eps.length(wide.spacing))
+    assert inner.grid.extents == g.extents
+    with pytest.raises(ValueError, match="inner mask must share the field grid"):
+        mollify(grad, eta, eps, inner)
 
 
 def test_roof_hessian_closed_form(roof_setup):
     # smoothing -|x|-type profiles: hess psi_eps(x) = -(2/eps) eta(x/eps)
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     eps = 64 * g.spacing
-    mf = mollify(psi, grad, eta, eps)
+    mf = mollify(grad, eta, eps)
     ins = mf.inner.inside
     x = g.points()[ins.ravel()][:, 0]
     sel = np.abs(x) < 0.9 * eps
@@ -98,18 +104,21 @@ def test_roof_hessian_closed_form(roof_setup):
 
 
 def test_gradient_norm_never_exceeds_one(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
-    mf = mollify(psi, grad, eta, GridRadius.from_cells(16))
+    g, mask, grad, eta = pyramid_setup
+    mf = mollify(grad, eta, GridRadius.from_cells(16))
     assert mf.gradient_norms().max() <= 1.0 + 1e-12
 
 
 def test_gradient_conv_vs_centered_differences(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    # psi_eps from the shift-and-add oracle, differenced against the
+    # convolution gradient
+    g, mask, grad, eta = pyramid_setup
     h = g.spacing
     eps = 16 * h
-    mf = mollify(psi, grad, eta, eps)
+    mf = mollify(grad, eta, eps)
     ins = mf.inner.inside
-    fd = np.gradient(mf.psi, h, axis=0), np.gradient(mf.psi, h, axis=1)
+    psi_eps = _oracle(sample_analytic(make_field("pyramid-eikonal"), mask), grad, eta, eps)[0]
+    fd = np.gradient(psi_eps, h, axis=0), np.gradient(psi_eps, h, axis=1)
     # compare on cells whose full FD stencil stays in the inner mask
     core = ins.copy()
     core[1:, :] &= ins[:-1, :]
@@ -123,9 +132,9 @@ def test_gradient_conv_vs_centered_differences(pyramid_setup):
 
 
 def test_roof_energy_matches_dense_quadrature_oracle(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     eps = 64 * g.spacing
-    mf = mollify(psi, grad, eta, eps)
+    mf = mollify(grad, eta, eps)
     t1, t2 = ag_energy(mf, 2.0)
     # oracle: 1D closed-form smoothed profile, dense midpoint quadrature
     t = np.linspace(-1.0, 1.0, 200001)[:-1] + 1.0 / 200000
@@ -140,43 +149,42 @@ def test_roof_energy_matches_dense_quadrature_oracle(roof_setup):
 
 
 def test_roof_energy_eps_independent(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     inner = mask.erode(64 * g.spacing)
     vals = []
     for m in (64, 48, 32, 16):
-        mf = mollify(psi, grad, eta, GridRadius.from_cells(m), inner)
+        mf = mollify(grad, eta, GridRadius.from_cells(m), inner)
         t1, t2 = ag_energy(mf, 2.0)
         vals.append(t1 + t2)
     assert max(vals) - min(vals) < 0.05 * max(vals)
 
 
 def test_ag_energy_requires_p_above_one(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
-    mf = mollify(psi, grad, eta, 32 * g.spacing)
+    g, mask, grad, eta = roof_setup
+    mf = mollify(grad, eta, 32 * g.spacing)
     with pytest.raises(ValueError):
         ag_energy(mf, 1.0)
 
 
 def test_upper_bound_rejects_p2(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     with pytest.raises(ValueError):
-        check_ag_upper_bound(psi, grad, eta, 3.0, 2.0, [GridRadius.from_cells(16)])
+        check_ag_upper_bound(grad, eta, 3.0, 2.0, [GridRadius.from_cells(16)])
 
 
 def test_upper_bound_linear_field(square_mask):
-    spec = make_field("linear", slope=(1.0, 0.0))
-    u, grad = sample_analytic(spec, square_mask), sample_gradient(spec, square_mask)
+    grad = sample_gradient(make_field("linear", slope=(1.0, 0.0)), square_mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     ladder = [GridRadius.from_cells(m) for m in (16, 12, 8)]
-    rep = check_ag_upper_bound(u, grad, eta, 3.0, 3.0, ladder)
+    rep = check_ag_upper_bound(grad, eta, 3.0, 3.0, ladder)
     assert rep.passed
     assert rep.lhs < 1e-12  # roundoff-level energy for an exactly linear field
 
 
 def test_upper_bound_pyramid(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 16, 12)]
-    rep = check_ag_upper_bound(psi, grad, eta, 3.0, 3.0, ladder)
+    rep = check_ag_upper_bound(grad, eta, 3.0, 3.0, ladder)
     assert rep.passed
     assert rep.details["trend_ok"]
     lhs_vals = rep.details["lhs_values"]
@@ -185,19 +193,19 @@ def test_upper_bound_pyramid(pyramid_setup):
 
 
 def test_chain_roof(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in (64, 48, 32, 16)]
-    rep = check_ag_chain(psi, grad, eta, ladder)
+    rep = check_ag_chain(grad, eta, ladder)
     assert rep.passed
     assert rep.details["young_exact_ok"]
     assert rep.lhs <= rep.mid  # Young step in the aggregate too
 
 
 def test_chain_pyramid_and_upper_bound_bit_identity(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 16, 12)]
-    chain = check_ag_chain(psi, grad, eta, ladder)
-    upper = check_ag_upper_bound(psi, grad, eta, 3.0, 3.0, ladder)
+    chain = check_ag_chain(grad, eta, ladder)
+    upper = check_ag_upper_bound(grad, eta, 3.0, 3.0, ladder)
     assert chain.passed
     # same code path, bit for bit
     assert chain.details["limit_bound"] == upper.rhs
@@ -207,7 +215,7 @@ def test_chain_pyramid_and_upper_bound_bit_identity(pyramid_setup):
 def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
     from bvqlab import kernels
 
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in (64, 48, 32, 16)]
     calls = []
     real = kernels.pair_power_sums
@@ -217,7 +225,7 @@ def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "pair_power_sums", counted)
-    rep = check_ag_chain(psi, grad, eta, ladder)
+    rep = check_ag_chain(grad, eta, ladder)
     assert calls == [len(kernels.lattice_offsets(1, 64 * 64)[0])]
     monkeypatch.undo()
     inner = mask.erode(64 * g.spacing)
@@ -227,9 +235,9 @@ def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
 
 
 def test_chain_rejects_bad_ladder(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     with pytest.raises(ValueError, match="strictly decreasing"):
-        check_ag_chain(psi, grad, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
+        check_ag_chain(grad, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
 
 
 BAD_LADDERS = [
@@ -249,12 +257,12 @@ def test_ag_checks_refuse_a_bad_ladder_before_any_mollify(roof_setup, monkeypatc
         raise AssertionError("mollify ran before the ladder was checked")
 
     monkeypatch.setattr(aviles, "mollify", boom)
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in cells]
     with pytest.raises(ValueError, match=message):
-        check_ag_chain(psi, grad, eta, ladder, fit_model=fit_model)
+        check_ag_chain(grad, eta, ladder, fit_model=fit_model)
     with pytest.raises(ValueError, match=message):
-        check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder, fit_model=fit_model)
+        check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder, fit_model=fit_model)
 
 
 def test_ag_checks_refuse_a_rung_below_kappa_h_before_any_mollify(roof_setup, monkeypatch):
@@ -264,12 +272,12 @@ def test_ag_checks_refuse_a_rung_below_kappa_h_before_any_mollify(roof_setup, mo
         raise AssertionError("mollify ran before every rung's kappa*h guard")
 
     monkeypatch.setattr(aviles, "mollify", boom)
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 4)]  # 4 cells < kappa = 8 cells
     with pytest.raises(RegimeError, match="below kappa"):
-        check_ag_chain(psi, grad, eta, ladder)
+        check_ag_chain(grad, eta, ladder)
     with pytest.raises(RegimeError, match="below kappa"):
-        check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder)
+        check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder)
 
 
 @pytest.mark.parametrize("check", ["chain", "upper"])
@@ -278,7 +286,7 @@ def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch,
 
     from bvqlab import aviles
 
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 16, 12)]
     real_mollify, real_sweep = aviles.mollify, aviles.bbm_sweep
     held = []  # weak references to every rung's field and to the array behind it
@@ -289,7 +297,7 @@ def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch,
     def mollify_one(*args, **kwargs):
         assert not alive(), "an earlier rung is still held while the next is mollified"
         mf = real_mollify(*args, **kwargs)
-        held.extend([weakref.ref(mf), weakref.ref(mf.psi.base)])
+        held.extend([weakref.ref(mf), weakref.ref(mf.grad.base)])
         return mf
 
     def sweep(*args, **kwargs):
@@ -299,9 +307,9 @@ def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch,
     monkeypatch.setattr(aviles, "mollify", mollify_one)
     monkeypatch.setattr(aviles, "bbm_sweep", sweep)
     if check == "chain":
-        rep = check_ag_chain(psi, grad, eta, ladder)
+        rep = check_ag_chain(grad, eta, ladder)
     else:
-        rep = check_ag_upper_bound(psi, grad, eta, 3.0, 4.0, ladder)
+        rep = check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder)
     assert rep.passed
     assert len(held) == 2 * len(ladder)
 
@@ -316,29 +324,28 @@ def test_mollify_peak_memory_in_grid_floats(n):
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [n, n])
     mask = DomainMask.full(g)
     spec = make_field("pyramid-eikonal")
-    psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
+    grad = sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     eps = GridRadius.from_cells(n // 4)
     inner = mask.erode(eps.length(g.spacing))
-    mollify(psi, grad, eta, eps, inner)  # first-call set-up
+    mollify(grad, eta, eps, inner)  # first-call set-up
     tracemalloc.start()
     try:
-        mf = mollify(psi, grad, eta, eps, inner)
+        mf = mollify(grad, eta, eps, inner)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 8 * n * n, peak / (8 * n * n)
-    assert mf.psi.base is mf.grad.base is mf.hess.base  # views of one result
+    assert mf.grad.base is mf.hess.base  # views of one result
 
 
 def test_chain_rejects_3d():
     g = Grid.for_box([0.0] * 3, [1.0] * 3, [16] * 3)
     mask = DomainMask.full(g)
-    spec = make_field("constant", value=(1.0,), dim=3)
-    u, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
+    grad = sample_gradient(make_field("constant", value=(1.0,), dim=3), mask)
     eta = build_mollifier("polynomial-bump", 3, k=2)
     with pytest.raises(ValueError):
-        check_ag_chain(u, grad, eta, [GridRadius.from_cells(4)])
+        check_ag_chain(grad, eta, [GridRadius.from_cells(4)])
 
 
 def test_young_constant_value():
@@ -362,7 +369,7 @@ def test_gamma_limit_pyramid_value():
 
 
 def test_gamma_consistency_pyramid(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     ladder = [GridRadius.from_cells(m) for m in (24, 16, 12, 8)]
     rep = verify_gamma_consistency(
         grad, make_field("pyramid-eikonal").jump_spec(g), ladder, tolerance=0.05
@@ -374,7 +381,7 @@ def test_gamma_consistency_pyramid(pyramid_setup):
 
 
 def test_moment_bound_shares_d_eta(pyramid_setup):
-    g, mask, psi, grad, eta = pyramid_setup
+    g, mask, grad, eta = pyramid_setup
     a = 1.2345
     assert _moment_bound(eta, 3.0, 3.0, a, a) == pytest.approx(
         mollifier_d_eta(eta) * a, rel=1e-12
@@ -382,7 +389,7 @@ def test_moment_bound_shares_d_eta(pyramid_setup):
 
 
 def test_mollify_rejects_shallow_inner_mask(roof_setup):
-    g, mask, psi, grad, eta = roof_setup
+    g, mask, grad, eta = roof_setup
     shallow = mask.erode(8 * g.spacing)
     with pytest.raises(ValueError):
-        mollify(psi, grad, eta, 32 * g.spacing, inner=shallow)
+        mollify(grad, eta, 32 * g.spacing, inner=shallow)

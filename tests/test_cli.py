@@ -380,17 +380,18 @@ def test_ag_upper_experiment(tmp_path):
 def test_ag_runs_sample_the_gradient_once(tmp_path, monkeypatch, experiment, grid, ladder, reports):
     from bvqlab import fields
 
-    real = fields.sample_gradient
-    calls = []
+    calls = {"sample_gradient": [], "sample_analytic": []}
+    for fn, seen in calls.items():
+        real = getattr(fields, fn)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, real=real, seen=seen, **kwargs):
+            seen.append(args)
+            return real(*args, **kwargs)
 
-    # every module that holds the function by name
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "bvqlab" and getattr(mod, "sample_gradient", None) is real:
-            monkeypatch.setattr(mod, "sample_gradient", counted)
+        # every module that holds the function by name
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "bvqlab" and getattr(mod, fn, None) is real:
+                monkeypatch.setattr(mod, fn, counted)
     start, ratio, count = ladder
     cfg = write_config(
         tmp_path, "ag.json", experiment=experiment,
@@ -400,7 +401,8 @@ def test_ag_runs_sample_the_gradient_once(tmp_path, monkeypatch, experiment, gri
     )
     assert main(["run", str(cfg)]) == EXIT_OK
     assert len(json.loads((tmp_path / "out_ag" / "report.json").read_text())) == reports
-    assert len(calls) == 1
+    assert len(calls["sample_gradient"]) == 1
+    assert calls["sample_analytic"] == []  # the energies never read psi itself
 
 
 def test_vq_run_computes_the_q_variation_once(tmp_path, monkeypatch):
@@ -778,18 +780,21 @@ def test_every_experiment_runs_without_numpy_random(tmp_path):
     assert loaded == "[]"
 
 
-@pytest.mark.parametrize("ladder,fit_model,code,message", [
+@pytest.mark.parametrize("params,ladder,fit_model,code,message", [
     # two rungs are too few for the linear fit of the gradient sweep
-    ({"start_cells": 32, "ratio": 0.5, "count": 2}, "linear-in-eps", EXIT_CONFIG,
-     "config error: linear-in-eps extrapolation needs >= 3 eps values"),
+    ({"lo": [-1.0], "hi": [1.0]}, {"start_cells": 32, "ratio": 0.5, "count": 2}, "linear-in-eps",
+     EXIT_CONFIG, "config error: linear-in-eps extrapolation needs >= 3 eps values"),
     # the largest rung erodes the whole domain
-    ({"start_cells": 512, "ratio": 0.5, "count": 3}, "constant", EXIT_REGIME,
-     "regime guard: erosion by 2.0 emptied the mask"),
-], ids=["short-for-fit", "at-diameter"])
-def test_ag_chain_bad_ladder_exit_code(tmp_path, capsys, ladder, fit_model, code, message):
+    ({"lo": [-1.0], "hi": [1.0]}, {"start_cells": 512, "ratio": 0.5, "count": 3}, "constant",
+     EXIT_REGIME, "regime guard: erosion by 2.0 emptied the mask"),
+    # a 2D pyramid on the 1D grid: the gradient sampling names both dimensions
+    ({}, {"start_cells": 32, "ratio": 0.5, "count": 3}, "linear-in-eps",
+     EXIT_CONFIG, "config error: field dimension 2 does not match grid dimension 1"),
+], ids=["short-for-fit", "at-diameter", "field-dimension"])
+def test_ag_chain_bad_ladder_exit_code(tmp_path, capsys, params, ladder, fit_model, code, message):
     cfg = write_config(
         tmp_path, "bad_chain.json", experiment="ag-chain",
-        field={"kind": "pyramid-eikonal", "params": {"lo": [-1.0], "hi": [1.0]}},
+        field={"kind": "pyramid-eikonal", "params": params},
         grid={"lo": [-1.0], "hi": [1.0], "n": [512]},
         eps_ladder=ladder, fit_model=fit_model, out_dir=str(tmp_path / "out_bad"),
     )

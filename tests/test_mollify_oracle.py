@@ -1,5 +1,6 @@
 """mollify against a direct shift-and-add lattice sum on tiny grids, and bit
-for bit against the batched seven-channel transform it replaced."""
+for bit against the batched seven-channel transform it replaced, on the
+gradient and Hessian channels (mollify no longer smooths psi itself)."""
 
 import math
 
@@ -18,41 +19,10 @@ from bvqlab import (
     sample_gradient,
 )
 from bvqlab.kernels import lattice_offsets, resolve_radius
+from conftest import _oracle
 
 # float64 FFT rounding, relative to the largest magnitude of each output
 RTOL = 1e-12
-
-
-def _shift_add(f, weights, offs):
-    """out[x] = sum_v weights[v] * f[x + v], with f zero beyond the grid."""
-    out = np.zeros(f.shape[:-1] + weights.shape[1:] + f.shape[-1:])
-    for v, wv in zip(offs, weights):
-        sx, sy = [], []
-        for ext, o in zip(f.shape[:-1], v):
-            sx.append(slice(max(0, -o), min(ext, ext - o)))
-            sy.append(slice(max(0, o), min(ext, ext + o)))
-        out[tuple(sx)] += wv[..., None] * f[tuple(sy)][..., None, :]
-    return out
-
-
-def _oracle(psi, grad, eta, eps):
-    grid = psi.grid
-    n, h = grid.dim, grid.spacing
-    m2, eps_len = resolve_radius(eps, h)
-    offs = [(0,) * n] + [tuple(int(c) for c in v) for v in lattice_offsets(n, m2)[0]]
-    z = np.asarray(offs, dtype=float) * (h / eps_len)
-    w = eta.value(z)
-    w = w / w.sum()
-    gw = eta.gradient(z) * (h / eps_len) ** n
-    outside = ~psi.mask.inside
-    vals = np.array(psi.values)
-    vals[outside] = 0.0
-    g = np.array(grad.values)
-    g[outside] = 0.0
-    psi_eps = _shift_add(vals, w[:, None], offs)[..., 0, 0]
-    grad = _shift_add(g, w[:, None], offs)[..., 0, :]
-    hess = -_shift_add(g, gw, offs) / eps_len
-    return psi_eps, grad, hess
 
 
 def _disc(grid, radius):
@@ -82,9 +52,9 @@ def test_mollify_matches_shift_and_add(case):
     spec, mask, eps = _cases()[case]
     psi, grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", mask.grid.dim, k=2)
-    mf = mollify(psi, grad, eta, eps)
+    mf = mollify(grad, eta, eps)
     ins = mf.inner.inside
-    for got, ref in zip((mf.psi, mf.grad, mf.hess), _oracle(psi, grad, eta, eps)):
+    for got, ref in zip((mf.grad, mf.hess), _oracle(psi, grad, eta, eps)[1:]):
         scale = np.abs(ref[ins]).max()
         assert scale > 0
         assert np.abs(got[ins] - ref[ins]).max() <= RTOL * scale
@@ -96,18 +66,16 @@ def test_values_outside_mask_never_reach_the_transform(bad):
     grid = Grid.for_box([0.0, 0.0], [1.0, 1.0], [48, 48])
     mask = _disc(grid, 0.45)
     spec = make_field("cone-eikonal")
-    clean, clean_grad = sample_analytic(spec, mask), sample_gradient(spec, mask)
-    # psi and its gradient both carry ``bad`` at every outside cell
-    vals, grads = np.array(clean.values), np.array(clean_grad.values)
-    vals[~mask.inside] = bad
+    clean_grad = sample_gradient(spec, mask)
+    # the gradient carries ``bad`` at every outside cell
+    grads = np.array(clean_grad.values)
     grads[~mask.inside] = bad
-    dirty = SampledField(mask, vals)
     dirty_grad = SampledField(mask, grads, d=2)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     eps = 8 * grid.spacing
-    ref = mollify(clean, clean_grad, eta, eps)
-    got = mollify(dirty, dirty_grad, eta, eps, inner=ref.inner)
-    for a, b in ((got.psi, ref.psi), (got.grad, ref.grad), (got.hess, ref.hess)):
+    ref = mollify(clean_grad, eta, eps)
+    got = mollify(dirty_grad, eta, eps, inner=ref.inner)
+    for a, b in ((got.grad, ref.grad), (got.hess, ref.hess)):
         assert np.isfinite(a).all()
         assert np.array_equal(a, b)
 
@@ -182,8 +150,8 @@ def test_mollify_equals_the_batched_transform_bit_for_bit(case, explicit_inner):
     inner = None
     if explicit_inner:  # eroded one cell more than eps needs
         inner = mask.erode(resolve_radius(eps, mask.grid.spacing)[1] + mask.grid.spacing)
-    mf = mollify(psi, grad, eta, eps, inner, kappa=2.0)  # small grids: eps from 2 cells
+    mf = mollify(grad, eta, eps, inner, kappa=2.0)  # small grids: eps from 2 cells
     ref = _batched_mollify(psi, grad, eta, eps, inner)
-    for got, want in zip((mf.psi, mf.grad, mf.hess), ref):
+    for got, want in zip((mf.grad, mf.hess), ref[1:]):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
