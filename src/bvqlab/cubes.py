@@ -14,17 +14,31 @@ search on small candidate sets).  Cube sides pass the one kappa*h guard of
 share one check that a cube lies on the grid and in the mask.
 
 Scoring is batched.  One ``sliding_window_view`` of the inside flags finds
-every candidate cube of the stride lattice at once.  The value windows of
-the candidates are then gathered in chunks of whole cubes, at most
-``_CHUNK_FLOATS`` (2^17) values per chunk, so memory stays bounded.  A
-scalar chunk is sorted row by row with one ``np.sort`` and each row keeps
-its own dot product with the prefix coefficients (``np.vecdot``, which
-rounds as ``row @ coef`` does): the operations ``cube_score`` applies to
-one cube, so every batched score equals it bit for bit.  (One
-matrix-vector product over the chunk would be faster but rounds
-differently.)  Vector fields score cube by cube and never split one cube's
-pair sum.  The scores stay one float64 array; the greedy search builds an
-origin tuple only for each candidate it reaches in rank order.
+every candidate cube of the stride lattice at once, and the scores stay one
+float64 array; the greedy search builds an origin tuple only for each
+candidate it reaches in rank order.  Every batched score equals
+``cube_score`` at that origin bit for bit.
+
+Memory is one budget, ``_CHUNK_FLOATS`` (2^15 floats, 256 KiB), live at a
+time while scoring, whatever the grid, the scale and the number of
+candidates (a cube larger than the budget is its own chunk):
+
+- Scalar fields gather the value windows of the candidates in chunks of
+  whole cubes, at most one budget each.  Fancy indexing makes each chunk a
+  private copy, so it is sorted row by row in place, with one call, and
+  never writes the field.  Each row keeps its own dot product with the
+  prefix coefficients (``np.vecdot``, which rounds as ``row @ coef`` does):
+  the operations ``cube_score`` applies to one cube.  (One matrix-vector
+  product over the chunk would be faster but rounds differently.)
+- Vector fields score one cube at a time, and never build its k x k pair
+  norms.  The reference is the ``.sum()`` of those dense contiguous norms
+  (the loop oracle of the tests), which numpy adds along a fixed pairwise
+  tree (split at n//2 rounded down to a multiple of 8, leaves of at most
+  128).  ``_tree_sum`` walks that tree from the top over the flat pair
+  index i * k + j; only a node that fits the budget builds the rows of pair
+  differences it touches, and it is summed with ``ndarray.sum()``.  The
+  node sums are added as the tree adds them, so the result is the dense
+  sum bit for bit; a test pins ``_tree_sum`` against ``ndarray.sum()``.
 
 ``check_b_bound`` takes an eps ladder and gets the kernel side of every rung
 from one ``kernels.bbm_ladder`` pass at the radii eps*sqrt(N).
@@ -49,8 +63,9 @@ from .kernels import (
 )
 from .reports import ComparisonReport, leq
 
-# Values gathered per scoring chunk, whole cubes only (1 MiB of float64).
-_CHUNK_FLOATS = 1 << 17
+# Floats live at once while scoring (256 KiB of float64): the values of a
+# chunk of whole scalar cubes, or one tree node of a vector cube's pair sum.
+_CHUNK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -92,32 +107,68 @@ def packing_cap(eps: float, dim: int) -> int:
     return int(math.floor(eps ** (-(dim - 1)) + 1e-12)) if dim > 1 else 1
 
 
+def _tree_sum(n: int, node_sum, cap: int, start: int = 0) -> float:
+    """Sum of n float64 values, rounded as numpy's ``a.sum()`` of a contiguous
+    array rounds them, though at most ``cap`` of them are ever built.
+
+    numpy adds a contiguous run pairwise: a run of at most 128 values is one
+    leaf (eight accumulators), a longer one splits at n//2 rounded down to a
+    multiple of 8 and adds the sums of its two halves.  This walks that tree
+    from the top and asks ``node_sum(start, stop)`` for the ``.sum()`` of
+    each node of at most max(cap, 128) values, then adds the node sums as the
+    tree adds them.  (``.sum()`` starts from the identity 0.0, which changes
+    no sum of values that are not all -0.0.)
+    """
+    if n <= max(cap, 128):
+        return node_sum(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return _tree_sum(half, node_sum, cap, start) + _tree_sum(
+        n - half, node_sum, cap, start + half
+    )
+
+
 def _pair_abs_sums(blocks: np.ndarray) -> np.ndarray:
     """sum over ordered pairs (i, j) of |v_i - v_j| for each (k, d) value block.
 
     ``blocks`` has shape (cubes, k, d).  Scalar blocks are sorted row by row
-    in one call and each row takes the sorted prefix trick
-    sum_{i<j} (s_j - s_i) = sum_j s_j (2j - (k-1)) as its own dot product;
-    vector blocks sum their k x k pair norms one block at a time.
+    in one call, in place, so the caller's ``blocks`` comes back sorted; each
+    row then takes the sorted prefix trick
+    sum_{i<j} (s_j - s_i) = sum_j s_j (2j - (k-1)) as its own dot product.
+    Vector blocks are summed one at a time along the tree of the ``.sum()``
+    of their dense k x k pair norms, flat pair index i * k + j: a node builds
+    the norms of the rows it touches, each as the dense einsum makes it, and
+    sums its own stretch of them, so it holds the differences and norms of
+    about ``_CHUNK_FLOATS`` floats plus two partial rows.
     """
-    k = blocks.shape[1]
-    if blocks.shape[2] == 1:
-        s = np.sort(blocks[:, :, 0], axis=-1)
+    k, d = blocks.shape[1:]
+    if d == 1:
+        s = blocks[:, :, 0]
+        s.sort(axis=-1)
         coef = 2.0 * np.arange(k) - (k - 1.0)
         return 2.0 * np.vecdot(s, coef)
     out = np.empty(len(blocks))
     for i, vals in enumerate(blocks):
-        diff = vals[:, None, :] - vals[None, :, :]
-        out[i] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum()
+        vals = np.ascontiguousarray(vals)
+
+        def node_sum(start, stop):
+            r0, r1 = start // k, -(-stop // k)
+            diff = vals[r0:r1, None, :] - vals[None, :, :]
+            norms = np.einsum("ijk,ijk->ij", diff, diff)
+            np.sqrt(norms, out=norms)
+            return norms.reshape(-1)[start - r0 * k : stop - r0 * k].sum()
+
+        out[i] = _tree_sum(k * k, node_sum, _CHUNK_FLOATS // (d + 1))
     return out
 
 
 def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> np.ndarray:
     """Scores of the side^N cubes with the given lower corners, in order.
 
-    Value windows are gathered in chunks of whole cubes, at most
-    ``_CHUNK_FLOATS`` values per chunk, so memory stays bounded whatever the
-    grid, the scale and the number of candidates.
+    Scalar value windows are gathered in chunks of whole cubes, at most
+    ``_CHUNK_FLOATS`` values per chunk, and vector ones a cube at a time, so
+    memory stays bounded whatever the grid, the scale and the number of
+    candidates.
     """
     scores = np.empty(len(origins))
     if not len(origins):
@@ -129,13 +180,14 @@ def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> np.ndarray:
     h2n = h ** (2 * g.dim)
     windows = sliding_window_view(u.values, (side,) * g.dim, axis=tuple(range(g.dim)))
     k = side**g.dim
-    per_chunk = max(1, _CHUNK_FLOATS // (k * u.d))
+    # a vector cube's pair sum holds one tree node of its own beside the cube
+    per_chunk = max(1, _CHUNK_FLOATS // k) if u.d == 1 else 1
     for start in range(0, len(origins), per_chunk):
         chunk = windows[tuple(origins[start : start + per_chunk].T)]
-        blocks = chunk.reshape(len(chunk), u.d, k).transpose(0, 2, 1)
-        pair = _pair_abs_sums(blocks)
+        pair = _pair_abs_sums(chunk.reshape(len(chunk), u.d, k).transpose(0, 2, 1))
+        del chunk  # so the next chunk is gathered in its place, not beside it
         pair *= h2n
-        np.multiply(norm, pair, out=scores[start : start + len(chunk)])
+        np.multiply(norm, pair, out=scores[start : start + len(pair)])
     return scores
 
 

@@ -214,7 +214,7 @@ def _scoring_field(extents, d, mask_kind, seed):
 
 
 @pytest.mark.parametrize("mask_kind", ["full", "disc", "holed"])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("extents, side", [((40,), 7), ((19, 16), 5), ((9, 8, 10), 3)])
 def test_batched_scores_match_the_loop_bit_for_bit(extents, side, d, mask_kind):
     from bvqlab.cubes import _candidates, _cube_scores
@@ -242,6 +242,98 @@ def test_batched_scores_span_several_chunks(monkeypatch):
     assert one_chunk == [_loop_score(u, o, 8) for o in origins.tolist()]
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("budget", [1, 300, 1000])
+def test_vector_cubes_split_into_tree_nodes_score_as_the_loop(monkeypatch, d, budget):
+    # sides 11 and 23 give 121^2 and 529^2 pairs: one cube sums as hundreds
+    # of tree nodes, down to single leaves of up to 128 values, some across
+    # row ends
+    from bvqlab import cubes
+
+    u = _scoring_field((40, 36), d, "holed", seed=d)
+    monkeypatch.setattr(cubes, "_CHUNK_FLOATS", budget)
+    for side in (11, 23):
+        origins = cubes._candidates(u.mask, side, side // 2)
+        expect = [_loop_score(u, o, side) for o in origins.tolist()]
+        assert cubes._cube_scores(u, origins, side).tolist() == expect, side
+
+
+def test_tree_sum_rounds_as_ndarray_sum_bit_for_bit():
+    # the vector cube pair sum rests on numpy adding a contiguous array along
+    # the pairwise tree that _tree_sum walks; a numpy that adds otherwise
+    # fails here instead of moving a score
+    from bvqlab.cubes import _tree_sum
+
+    rng = np.random.default_rng(22)
+    lengths = list(range(1101)) + sorted(rng.integers(1101, 2 * 10**6, 6).tolist()) + [2 * 10**6]
+    budgets = [1, 128, 129, 1000, 5000]  # below 128 a node is still one leaf
+    x = rng.choice([-1.0, 1.0], lengths[-1]) * 10.0 ** rng.uniform(-6.0, 6.0, lengths[-1])
+    for n in lengths:
+        for budget in budgets if n < 10**5 else budgets[:1] + budgets[-1:]:
+            nodes = []
+
+            def node_sum(start, stop):
+                nodes.append(stop - start)
+                return x[start:stop].sum()
+
+            assert _tree_sum(n, node_sum, budget) == x[:n].sum(), (n, budget)
+            assert sum(nodes) == n and max(nodes) <= max(budget, 128), (n, budget)
+
+
+def test_scoring_never_writes_the_field():
+    # the scalar sort runs in place on the gathered copy, never on the values
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [48, 48])
+    for d in (1, 2):
+        vals = np.random.default_rng(d).normal(size=(48, 48, d))
+        u = SampledField(DomainMask.full(g), vals, d=d)
+        before = u.values.tobytes()
+        cube_functional(u, GridRadius.from_cells(8), stride_cells=3, kappa=2.0)
+        cube_score(u, (5, 7), 16)
+        assert u.values.tobytes() == before, d
+
+
+def _traced_peak(call):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("side", [32, 48])
+def test_vector_cube_score_memory_is_set_by_the_budget_not_the_side(side):
+    # the dense k x k x d differences took 32 and 162 MiB here.  Live now:
+    # the gathered cube and its contiguous copy (2kd floats) and one tree
+    # node's differences and norms (the budget, plus two partial rows of
+    # k(d + 1) floats each), so 8 (budget + (4d + 2) k) bytes at d = 2
+    from bvqlab import cubes
+
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [128, 128])
+    u = SampledField(DomainMask.full(g), np.random.default_rng(side).normal(size=(128, 128, 2)), d=2)
+    cube_score(u, (1, 2), 16)  # first-call set-up
+    peak, score = _traced_peak(lambda: cube_score(u, (1, 2), side))
+    assert score == _loop_score(u, (1, 2), side)
+    assert peak < 8 * (cubes._CHUNK_FLOATS + 10 * side * side), peak
+    assert peak < 2 * 2**20, peak
+
+
+def test_scalar_cube_scores_memory_is_one_chunk_and_the_scores():
+    from bvqlab import cubes
+
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [256, 256])
+    u = random_block_field(DomainMask.full(g), seed=6, blocks=12)
+    origins = cubes._candidates(u.mask, 16, 4)
+    cubes._cube_scores(u, origins[:4], 16)  # first-call set-up
+    peak, scores = _traced_peak(lambda: cubes._cube_scores(u, origins, 16))
+    assert len(scores) == 61 * 61
+    # one gathered chunk of whole cubes, sorted in place, and the scores,
+    # with 64 KiB for index arrays and per-chunk dot products
+    assert peak < 8 * cubes._CHUNK_FLOATS + scores.nbytes + 64 * 2**10, peak
+
+
 @pytest.mark.parametrize("k", [7, 25, 64, 100, 255, 256, 999, 1000])
 def test_pair_abs_sums_round_each_row_as_its_own_dot(k):
     from bvqlab.cubes import _pair_abs_sums
@@ -250,6 +342,7 @@ def test_pair_abs_sums_round_each_row_as_its_own_dot(k):
     s = np.sort(blocks[:, :, 0], axis=-1)
     coef = 2.0 * np.arange(k) - (k - 1.0)
     assert _pair_abs_sums(blocks).tolist() == [2.0 * float(row @ coef) for row in s]
+    assert blocks[:, :, 0].tobytes() == s.tobytes()  # sorted in place
 
 
 def test_greedy_selection_reads_candidates_only_up_to_its_stop():
