@@ -28,7 +28,6 @@ lower inequality with constant 3/cbrt(4) that holds sample by sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,7 +53,6 @@ YOUNG_CONSTANT = 3.0 / 4.0 ** (1.0 / 3.0)
 ZERO_ATOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class MollifiedField:
     """grad psi_eps and hess psi_eps on an inner mask.
 
@@ -63,10 +61,11 @@ class MollifiedField:
     hess psi_eps (the identity above divided by eps).
     """
 
-    inner: DomainMask
-    eps: float
-    grad: np.ndarray = field(repr=False)
-    hess: np.ndarray = field(repr=False)
+    def __init__(self, inner: DomainMask, eps: float, grad: np.ndarray, hess: np.ndarray):
+        self.inner = inner
+        self.eps = eps
+        self.grad = grad
+        self.hess = hess
 
     @property
     def grid(self):
@@ -274,7 +273,11 @@ def check_ag_upper_bound(
         gradient_limit_p=sweep_p.limit,
         trend_ok=trend_ok,
     )
-    return rep if trend_ok else replace(rep, passed=False)
+    if trend_ok:
+        return rep
+    return ComparisonReport(
+        rep.lhs, rep.rhs, rep.relation, rep.tolerance, False, rep.provenance, rep.mid, rep.details
+    )
 
 
 def check_ag_chain(

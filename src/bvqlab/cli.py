@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -72,23 +71,41 @@ EXIT_INTERNAL = 5
 _FMT = "%.17g"
 
 
-@dataclass
 class ExperimentConfig:
-    """A config with every key checked and resolved (``raw`` is the parsed JSON)."""
+    """A config with every key checked and resolved (``raw`` is the parsed JSON).
 
-    experiment: str
-    field: AnalyticField | None
-    grid: Grid
-    q: float
-    p: float
-    ladder: list[GridRadius]
-    kappa: float
-    tolerance: float
-    fit_model: str
-    mollifier: dict  # build_mollifier's profile, k and resolution
-    directions: int | None
-    out_dir: Path
-    raw: dict
+    ``mollifier`` holds build_mollifier's profile, k and resolution.
+    """
+
+    def __init__(
+        self,
+        experiment: str,
+        field: AnalyticField | None,
+        grid: Grid,
+        q: float,
+        p: float,
+        ladder: list[GridRadius],
+        kappa: float,
+        tolerance: float,
+        fit_model: str,
+        mollifier: dict,
+        directions: int | None,
+        out_dir: Path,
+        raw: dict,
+    ):
+        self.experiment = experiment
+        self.field = field
+        self.grid = grid
+        self.q = q
+        self.p = p
+        self.ladder = ladder
+        self.kappa = kappa
+        self.tolerance = tolerance
+        self.fit_model = fit_model
+        self.mollifier = mollifier
+        self.directions = directions
+        self.out_dir = out_dir
+        self.raw = raw
 
 
 def _require(cond, msg):
@@ -441,11 +458,14 @@ def report_command(paths: list[str]) -> int:
             entries = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError):
             entries = None
-        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        # a verdict is a JSON boolean: "false" or 0 is no verdict, and neither passes
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("passed"), bool) for e in entries
+        ):
             print(f"corrupt report file: {p}", file=sys.stderr)
             return EXIT_CONFIG
         for e in entries:
-            ok = bool(e.get("passed"))
+            ok = e["passed"]
             any_fail = any_fail or not ok
             line = f"{'PASS' if ok else 'FAIL'} [{path}] {e.get('provenance')}"
             summary.append({"file": str(path), "passed": ok, "provenance": e.get("provenance")})

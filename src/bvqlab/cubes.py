@@ -47,7 +47,6 @@ from one ``kernels.bbm_ladder`` pass at the radii eps*sqrt(N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,13 +67,13 @@ from .reports import ComparisonReport, leq
 _CHUNK_FLOATS = 1 << 15
 
 
-@dataclass(frozen=True)
 class CubePacking:
     """Disjoint eps-cubes, addressed by their lower-corner cell indices."""
 
-    eps: float
-    side_cells: int
-    origins: tuple[tuple[int, ...], ...]
+    def __init__(self, eps: float, side_cells: int, origins: tuple[tuple[int, ...], ...]):
+        self.eps = eps
+        self.side_cells = side_cells
+        self.origins = origins
 
     @property
     def count(self) -> int:

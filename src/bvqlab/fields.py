@@ -5,8 +5,17 @@ meaningful, carries an exact description of its jump set (or of the jump set
 of its gradient, for the eikonal entries) with analytic surface measures.
 Fields are addressed by kind name through ``make_field`` so the CLI can build
 them from configuration files.  A class's ``kind``, and ``dim`` where the
-kind fixes it, are class constants; its dataclass fields are exactly the
-parameters ``make_field`` takes.
+kind fixes it, are class constants.  Its parameters are exactly its own
+annotated class attributes, each annotation a type string that
+``typed_value`` reads and each value the default, as in
+
+    class RampField(AnalyticField):
+        x0: float = -0.25 + _IRR2
+        x1: float = 0.25 + _IRR2
+        kind = "ramp"
+
+``AnalyticField.__init__`` binds them by keyword and then runs the class's
+``_check``; ``list_fields`` and ``make_field`` read the same annotations.
 
 Every ``evaluate`` and ``gradient`` acts point by point.  ``sample_analytic``
 and ``sample_gradient`` rely on that: they evaluate over blocks of whole
@@ -21,7 +30,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,7 +44,6 @@ _IRR1 = (math.sqrt(5.0) - 2.0) / 97.0        # ~ 0.002434
 _IRR2 = (math.sqrt(2.0) - 1.0) / 113.0       # ~ 0.003666
 
 
-@dataclass(frozen=True)
 class JumpPiece:
     """One piece of a jump set: analytic measure, traces, unit normal.
 
@@ -45,12 +52,17 @@ class JumpPiece:
     not be equal.
     """
 
-    measure: float
-    plus: tuple[float, ...]
-    minus: tuple[float, ...]
-    normal: tuple[float, ...] | None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        measure: float,
+        plus: tuple[float, ...],
+        minus: tuple[float, ...],
+        normal: tuple[float, ...] | None,
+    ):
+        self.measure = measure
+        self.plus = plus
+        self.minus = minus
+        self.normal = normal
         if self.normal is not None:
             n = np.asarray(self.normal, dtype=float)
             if abs(float(np.linalg.norm(n)) - 1.0) > 1e-12:
@@ -65,13 +77,11 @@ class JumpPiece:
         return float(np.linalg.norm(dif))
 
 
-@dataclass(frozen=True)
 class JumpSpec:
     """Jump set of a piecewise field as a list of analytically measured pieces."""
 
-    pieces: tuple[JumpPiece, ...]
-
-    def __post_init__(self):
+    def __init__(self, pieces: tuple[JumpPiece, ...]):
+        self.pieces = pieces
         total = sum(p.measure for p in self.pieces)
         if self.pieces and not (0 < total < math.inf):
             raise ValueError("total jump measure must be positive and finite")
@@ -94,6 +104,20 @@ class AnalyticField:
     dim = 1
     d = 1
 
+    def __init__(self, **params):
+        """Bind each parameter of the class (its annotated class attributes)
+        to its keyword, or to the class attribute, its default; then run the
+        class's ``_check``."""
+        cls = type(self)
+        for name in _parameters(cls):
+            setattr(self, name, params.pop(name, getattr(cls, name)))
+        if params:
+            raise TypeError(f"{cls.__name__} takes no parameter {', '.join(map(repr, params))}")
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse parameter values the kind cannot take."""
+
     def evaluate(self, pts: np.ndarray, h: float | None = None) -> np.ndarray:
         raise NotImplementedError
 
@@ -112,6 +136,12 @@ class AnalyticField:
         raise NotImplementedError
 
 
+def _parameters(cls: type) -> dict[str, str]:
+    """A catalog class's parameters, in declaration order, with their
+    declared type strings: the annotations of its own class body."""
+    return vars(cls).get("__annotations__", {})
+
+
 def _pts(pts: np.ndarray, dim: int) -> np.ndarray:
     p = np.asarray(pts, dtype=float)
     if p.ndim == 1:
@@ -121,7 +151,6 @@ def _pts(pts: np.ndarray, dim: int) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
 class ConstantField(AnalyticField):
     value: tuple[float, ...] = (0.0,)
     dim: int = 1
@@ -143,7 +172,6 @@ class ConstantField(AnalyticField):
         return 0.0
 
 
-@dataclass(frozen=True)
 class LinearField(AnalyticField):
     """u(x) = slope . x + offset (scalar valued)."""
 
@@ -170,7 +198,6 @@ class LinearField(AnalyticField):
         return float(np.linalg.norm(self.slope)) * vol
 
 
-@dataclass(frozen=True)
 class Step1DField(AnalyticField):
     """1D step: ``low`` for x < position, ``high`` for x > position."""
 
@@ -190,7 +217,6 @@ class Step1DField(AnalyticField):
         return JumpSpec((JumpPiece(1.0, (self.high,), (self.low,), (1.0,)),))
 
 
-@dataclass(frozen=True)
 class PiecewiseConstant1DField(AnalyticField):
     """1D piecewise-constant field with jumps at ``positions``."""
 
@@ -198,7 +224,7 @@ class PiecewiseConstant1DField(AnalyticField):
     levels: tuple[float, ...] = (0.0, 1.0, -0.5, 0.75)
     kind = "piecewise-constant-multi"
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.levels) != len(self.positions) + 1:
             raise ValueError("need one more level than jump positions")
         if any(b <= a for a, b in zip(self.positions, self.positions[1:])):
@@ -225,7 +251,6 @@ def _inside_line(x: float, grid: Grid) -> bool:
     return grid.origin[0] < x < grid.upper[0]
 
 
-@dataclass(frozen=True)
 class HalfPlaneField(AnalyticField):
     """Indicator of the half plane ``normal . x > offset`` (dim 2)."""
 
@@ -234,7 +259,7 @@ class HalfPlaneField(AnalyticField):
     kind = "half-plane-indicator"
     dim = 2
 
-    def __post_init__(self):
+    def _check(self):
         n = np.asarray(self.normal, float)
         if abs(np.linalg.norm(n) - 1.0) > 1e-12:
             raise ValueError("normal must be a unit vector")
@@ -270,7 +295,6 @@ def _line_box_length(normal, offset, grid: Grid) -> float:
     return max(0.0, hi_t - lo_t)
 
 
-@dataclass(frozen=True)
 class PolygonField(AnalyticField):
     """Indicator of a simple polygon given by its vertices (dim 2)."""
 
@@ -283,7 +307,7 @@ class PolygonField(AnalyticField):
     kind = "polygon-indicator"
     dim = 2
 
-    def __post_init__(self):
+    def _check(self):
         if len(self.vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
 
@@ -324,7 +348,6 @@ class PolygonField(AnalyticField):
         return JumpSpec(tuple(pieces))
 
 
-@dataclass(frozen=True)
 class BallField(AnalyticField):
     """Indicator of a ball."""
 
@@ -332,7 +355,7 @@ class BallField(AnalyticField):
     radius: float = 0.25 + _IRR1
     kind = "ball-indicator"
 
-    def __post_init__(self):
+    def _check(self):
         # evaluate compares against radius**2, which overflows past ~1.3e154
         if not math.isfinite(self.radius * self.radius):
             raise ValueError(f"radius must have a finite square, got {self.radius!r}")
@@ -361,7 +384,6 @@ class BallField(AnalyticField):
         return JumpSpec((JumpPiece(measure, (1.0,), (0.0,), None),))
 
 
-@dataclass(frozen=True)
 class BlockRandomField(AnalyticField):
     """Seeded blockwise-constant field (for randomized inequality checks)."""
 
@@ -372,7 +394,7 @@ class BlockRandomField(AnalyticField):
     dim: int = 2
     kind = "block-random"
 
-    def __post_init__(self):
+    def _check(self):
         if self.blocks < 1:
             raise ValueError("block-random needs blocks >= 1")
         if self.seed < 0:
@@ -400,7 +422,6 @@ class BlockRandomField(AnalyticField):
         return levels[tuple(idx)][..., None]
 
 
-@dataclass(frozen=True)
 class HoelderField(AnalyticField):
     """Finite lacunary cosine sum with Hoelder exponent ``s``.
 
@@ -413,7 +434,7 @@ class HoelderField(AnalyticField):
     terms: int | None = None
     kind = "hoelder"
 
-    def __post_init__(self):
+    def _check(self):
         if not (0 < self.s <= 1):
             raise ValueError("Hoelder exponent must lie in (0, 1]")
         if self.seed < 0:
@@ -439,7 +460,6 @@ class HoelderField(AnalyticField):
         return out[..., None]
 
 
-@dataclass(frozen=True)
 class RampField(AnalyticField):
     """0 before x0, linear rise to 1 at x1, then 1 (dim 1)."""
 
@@ -447,7 +467,7 @@ class RampField(AnalyticField):
     x1: float = 0.25 + _IRR2
     kind = "ramp"
 
-    def __post_init__(self):
+    def _check(self):
         if not self.x1 > self.x0:
             raise ValueError("need x1 > x0")
 
@@ -467,7 +487,6 @@ class RampField(AnalyticField):
         return 1.0
 
 
-@dataclass(frozen=True)
 class Sine1DField(AnalyticField):
     """u(x) = amplitude * sin(cycles * pi * x) on a 1D grid."""
 
@@ -503,7 +522,6 @@ class Sine1DField(AnalyticField):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PyramidField(AnalyticField):
     """Distance to the boundary of a square box (a roof profile in dim 1).
 
@@ -515,7 +533,7 @@ class PyramidField(AnalyticField):
     hi: tuple[float, ...] = (1.0, 1.0)
     kind = "pyramid-eikonal"
 
-    def __post_init__(self):
+    def _check(self):
         sides = [b - a for a, b in zip(self.lo, self.hi)]
         if len(self.lo) != len(self.hi) or any(s <= 0 for s in sides):
             raise ValueError("box needs lo and hi of one length and positive sides")
@@ -583,7 +601,6 @@ class PyramidField(AnalyticField):
         return np.minimum(d1, d2)
 
 
-@dataclass(frozen=True)
 class ConeField(AnalyticField):
     """psi(x) = radius0 - |x - center|; gradient is smooth away from the apex."""
 
@@ -620,7 +637,6 @@ class ConeField(AnalyticField):
         return np.linalg.norm(p - np.asarray(self.center), axis=-1)
 
 
-@dataclass(frozen=True)
 class ZigzagField(AnalyticField):
     """Sawtooth of x_1 with slope +-1: distance to the nearest even multiple
     of ``halfwidth`` (shifted by ``offset``).  Gradient jumps of size 2 on the
@@ -631,7 +647,7 @@ class ZigzagField(AnalyticField):
     dim: int = 2
     kind = "zigzag-eikonal"
 
-    def __post_init__(self):
+    def _check(self):
         if not self.halfwidth > 0:
             raise ValueError("halfwidth must be positive")
 
@@ -721,7 +737,7 @@ def make_field(kind: str, /, **params) -> AnalyticField:
     """The catalog field ``kind``; each param must be one that ``list_fields``
     names for it, with a value of its declared type (see ``typed_value``)."""
     try:
-        types = list_fields()[kind]
+        types = _parameters(FIELD_REGISTRY[kind])
     except KeyError:
         raise UnknownFieldError(f"unknown field kind {kind!r}") from None
     for name in params:
@@ -735,11 +751,8 @@ def make_field(kind: str, /, **params) -> AnalyticField:
 
 def list_fields() -> dict[str, dict[str, str]]:
     """Catalog kinds, each with its parameter names and declared types: the
-    dataclass fields of its class."""
-    return {
-        name: {f.name: f.type for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        for name, cls in FIELD_REGISTRY.items()
-    }
+    annotated class attributes of its class."""
+    return {name: dict(_parameters(cls)) for name, cls in FIELD_REGISTRY.items()}
 
 
 def sample_analytic(spec: AnalyticField, mask: DomainMask) -> SampledField:

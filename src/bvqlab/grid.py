@@ -1,8 +1,8 @@
 """Uniform grids, domain masks, and sampled fields.
 
 Sampling follows the cell-center convention: along axis ``a`` the i-th sample
-sits at ``origin[a] + (i + 1/2) * spacing``.  All containers are immutable
-after construction.
+sits at ``origin[a] + (i + 1/2) * spacing``.  No container is changed after
+construction, and their arrays are read-only.
 
 A grid holds no coordinate arrays.  Catalog fields and their gradients are
 evaluated by ``_sample_rows`` over C-ordered blocks of whole axis-0 rows,
@@ -15,7 +15,6 @@ on ``Grid.points()``, which is built for the call and not kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -139,16 +138,20 @@ def _sample_rows(grid: "Grid", fn, tail: tuple[int, ...], dtype) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
 class Grid:
-    """Uniform cell-centered grid over an axis-aligned box."""
+    """Uniform cell-centered grid over an axis-aligned box.
 
-    dim: int
-    origin: tuple[float, ...]
-    spacing: float
-    extents: tuple[int, ...]
+    Two grids are equal, and hash alike, when their dim, origin, spacing and
+    extents are.
+    """
 
-    def __post_init__(self):
+    def __init__(
+        self, dim: int, origin: tuple[float, ...], spacing: float, extents: tuple[int, ...]
+    ):
+        self.dim = dim
+        self.origin = origin
+        self.spacing = spacing
+        self.extents = extents
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.origin) != self.dim or len(self.extents) != self.dim:
@@ -159,6 +162,17 @@ class Grid:
             raise ValueError("origin and spacing must be finite")
         if any(e < 4 for e in self.extents):
             raise ValueError("every extent must be at least 4 cells")
+
+    def _key(self) -> tuple:
+        return (self.dim, self.origin, self.spacing, self.extents)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def for_box(cls, lo, hi, n) -> "Grid":
@@ -220,21 +234,18 @@ class Grid:
         return dist
 
 
-@dataclass(frozen=True, eq=False)
 class DomainMask:
     """A grid plus a boolean inside/outside flag per cell."""
 
-    grid: Grid
-    inside: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        ins = np.ascontiguousarray(self.inside, dtype=bool)
-        if ins.shape != self.grid.extents:
+    def __init__(self, grid: Grid, inside: np.ndarray):
+        ins = np.ascontiguousarray(inside, dtype=bool)
+        if ins.shape != grid.extents:
             raise ValueError("inside array shape must equal grid extents")
         if not ins.any():
             raise EmptyMaskError("mask has no inside points")
-        object.__setattr__(self, "inside", ins)
         ins.setflags(write=False)
+        self.grid = grid
+        self.inside = ins
 
     @classmethod
     def full(cls, grid: Grid) -> "DomainMask":
@@ -289,7 +300,6 @@ class DomainMask:
         return DomainMask(self.grid, kept)
 
 
-@dataclass(frozen=True, eq=False)
 class SampledField:
     """Values of u: Omega -> R^d at the inside cell centers of a mask.
 
@@ -301,23 +311,21 @@ class SampledField:
     another sampled field.
     """
 
-    mask: DomainMask
-    values: np.ndarray = field(repr=False)
-    d: int = 1
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.ndim == self.mask.grid.dim:
+    def __init__(self, mask: DomainMask, values: np.ndarray, d: int = 1):
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        if vals.ndim == mask.grid.dim:
             vals = vals[..., None]
-        expected = self.mask.grid.extents + (self.d,)
+        expected = mask.grid.extents + (d,)
         if vals.shape != expected:
             raise ValueError(f"values shape {vals.shape} != {expected}")
         # no gather: a cell fails when a component is not finite and it is inside
         finite = np.isfinite(vals)
-        if not finite.all() and not (finite.all(axis=-1) | ~self.mask.inside).all():
+        if not finite.all() and not (finite.all(axis=-1) | ~mask.inside).all():
             raise ValueError("field has non-finite values inside the mask")
-        object.__setattr__(self, "values", vals)
         vals.setflags(write=False)
+        self.mask = mask
+        self.values = vals
+        self.d = d
 
     @property
     def grid(self) -> Grid:

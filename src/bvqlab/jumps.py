@@ -15,7 +15,6 @@ The closed forms need Gamma only at half-integers n/2 with n <= 5, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -154,14 +153,12 @@ def verify_q1_full_bv(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PowerPairCost:
     """W(a, b) = |a - b|^q; continuously differentiable on the diagonal for
     q >= 2, which is what the directional-limit statement assumes."""
 
-    q: float
-
-    def __post_init__(self):
+    def __init__(self, q: float):
+        self.q = q
         if self.q < 2:
             raise ValueError("power pair cost requires q >= 2 for a C^1 W")
 
@@ -170,7 +167,6 @@ class PowerPairCost:
         return _power_in_place(ss, self.q)
 
 
-@dataclass(frozen=True)
 class SmoothRationalPairCost:
     """W(a, b) = |a - b|^2 / (1 + |a - b|^2): bounded, symmetric, C^1."""
 

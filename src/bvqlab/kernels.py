@@ -67,7 +67,6 @@ pair-by-pair window sum bit for bit; none carries a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
@@ -78,7 +77,6 @@ from .errors import RegimeError
 from .grid import _BLOCK_CELLS, DomainMask, SampledField, _bounding_box, _squared_cells
 
 
-@dataclass(frozen=True)
 class GridRadius:
     """A pair-search radius whose square is an exact integer multiple of h^2.
 
@@ -87,9 +85,8 @@ class GridRadius:
     integer squared offsets, never floating-point lengths.
     """
 
-    m2: int
-
-    def __post_init__(self):
+    def __init__(self, m2: int):
+        self.m2 = m2
         if self.m2 < 1:
             raise ValueError("squared radius must be a positive integer")
 
@@ -380,7 +377,6 @@ def _bbm_total(u: SampledField, terms: np.ndarray, eps_len: float) -> float:
     return math.fsum(terms) * u.grid.spacing ** (2 * n) / eps_len**n
 
 
-@dataclass(frozen=True)
 class EpsSweep:
     """A scale sweep of a functional with its extrapolated limit.
 
@@ -390,14 +386,21 @@ class EpsSweep:
     suppressed: the underlying limit is a limsup).
     """
 
-    eps: tuple[float, ...]
-    values: tuple[float, ...]
-    limit: float
-    fit_model: str
-    residual: float
-    monotone: bool
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        eps: tuple[float, ...],
+        values: tuple[float, ...],
+        limit: float,
+        fit_model: str,
+        residual: float,
+        monotone: bool,
+    ):
+        self.eps = eps
+        self.values = values
+        self.limit = limit
+        self.fit_model = fit_model
+        self.residual = residual
+        self.monotone = monotone
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps values must be strictly decreasing")
         if any(v < -1e-300 for v in self.values):

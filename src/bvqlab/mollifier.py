@@ -19,7 +19,6 @@ The Gauss-Jacobi rules and the Gamma values come from :mod:`bvqlab._special`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -57,7 +56,6 @@ def _boundary_power(profile: str, k: int | None, s: float, of_gradient: bool) ->
     return base * s
 
 
-@dataclass(frozen=True)
 class Mollifier:
     """A normalized radial bump with analytic gradient.
 
@@ -66,11 +64,12 @@ class Mollifier:
     angular count is twice that).
     """
 
-    profile: str
-    dim: int
-    k: int | None
-    normalization: float
-    resolution: int
+    def __init__(self, profile: str, dim: int, k: int | None, normalization: float, resolution: int):
+        self.profile = profile
+        self.dim = dim
+        self.k = k
+        self.normalization = normalization
+        self.resolution = resolution
 
     # -- profile evaluations ------------------------------------------------
 
@@ -226,7 +225,7 @@ def build_mollifier(
     else:
         raise ValueError(f"unknown mollifier profile {profile!r}")
     eta = Mollifier(profile, dim, k, 1.0 / raw_mass, resolution)
-    check = replace(eta, resolution=2 * resolution).mass()
+    check = Mollifier(profile, dim, k, eta.normalization, 2 * resolution).mass()
     if abs(check - 1.0) > 1e-10:
         raise ValueError(
             f"mollifier mass check failed: quadrature at doubled resolution "

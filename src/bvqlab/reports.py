@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
 class ComparisonReport:
     """Two sides of an identity or inequality plus the verdict.
 
@@ -18,14 +15,25 @@ class ComparisonReport:
     side data (per-scale tables, packing sizes, alternative normalizations).
     """
 
-    lhs: float
-    rhs: float
-    relation: str
-    tolerance: float
-    passed: bool
-    provenance: str
-    mid: float | None = None
-    details: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        lhs: float,
+        rhs: float,
+        relation: str,
+        tolerance: float,
+        passed: bool,
+        provenance: str,
+        mid: float | None = None,
+        details: dict | None = None,
+    ):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.relation = relation
+        self.tolerance = tolerance
+        self.passed = passed
+        self.provenance = provenance
+        self.mid = mid
+        self.details = {} if details is None else details
 
     def to_dict(self) -> dict:
         out = {

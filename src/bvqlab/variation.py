@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import defaults
@@ -13,16 +11,12 @@ from .kernels import _power_in_place, bbm_sweep, bbm_value
 from .reports import ComparisonReport, leq
 
 
-@dataclass(frozen=True, eq=False)
 class Signal1D:
     """Finitely many R^d samples at strictly increasing abscissae."""
 
-    abscissae: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        x = np.ascontiguousarray(self.abscissae, dtype=float)
-        v = np.ascontiguousarray(self.values, dtype=float)
+    def __init__(self, abscissae: np.ndarray, values: np.ndarray):
+        x = np.ascontiguousarray(abscissae, dtype=float)
+        v = np.ascontiguousarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
         if x.ndim != 1 or len(x) < 2:
@@ -33,8 +27,8 @@ class Signal1D:
             raise ValueError("one value per abscissa required")
         if not (np.isfinite(x).all() and np.isfinite(v).all()):
             raise ValueError("signal must be finite")
-        object.__setattr__(self, "abscissae", x)
-        object.__setattr__(self, "values", v)
+        self.abscissae = x
+        self.values = v
 
     @property
     def n(self) -> int:

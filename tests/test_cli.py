@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -23,7 +22,7 @@ from bvqlab.cli import (
     load_config,
     main,
 )
-from bvqlab.fields import FIELD_REGISTRY
+from bvqlab.fields import make_field
 
 
 def write_config(tmp_path: Path, name: str, **overrides) -> Path:
@@ -329,8 +328,7 @@ def test_mutated_config_runs_as_spelled_or_is_refused_by_key(tmp_path_factory, d
         if path in DEFAULTS:
             reference = _set(base, path, DEFAULTS[path])
         elif path[:2] == ("field", "params"):
-            cls = FIELD_REGISTRY[field["kind"]]
-            default = {f.name: f.default for f in dataclasses.fields(cls)}[path[2]]
+            default = getattr(make_field(field["kind"]), path[2])
             reference = _set(base, path, json.loads(json.dumps(default)))
     elif mutation == "retype":
         if isinstance(value, int):
@@ -645,6 +643,9 @@ def test_mollifier_config_accepted(tmp_path):
     json.dumps({"a": 1}).encode(),
     json.dumps([1, 2]).encode(),
     json.dumps([{"passed": True}, "x"]).encode(),
+    json.dumps([{"passed": "false"}]).encode(),
+    json.dumps([{"passed": 0}]).encode(),
+    json.dumps([{"provenance": "p"}]).encode(),
     json.dumps("text").encode(),
     b"\xff\xfe[]",
 ])
@@ -677,6 +678,19 @@ def test_cli_import_does_not_load_scipy_signal():
     # importing scipy.special about doubled the start-up of every CLI run;
     # no scipy module at all may load on import
     code = "import sys, bvqlab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    assert _run_python(code) == "[]"
+
+
+def test_cli_import_compiles_no_generated_code():
+    # generating record classes compiled 163 strings on every start-up;
+    # the only sources compiled on import now are module files
+    code = (
+        "import sys, numpy\n"
+        "names = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and names.append(str(args[1])))\n"
+        "import bvqlab.cli\n"
+        "print(sorted({n for n in names if not n.endswith('.py')}))\n"
+    )
     assert _run_python(code) == "[]"
 
 

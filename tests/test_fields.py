@@ -14,7 +14,7 @@ from bvqlab import (
     sample_analytic,
     sample_gradient,
 )
-from bvqlab.fields import JumpPiece
+from bvqlab.fields import FIELD_REGISTRY, JumpPiece
 
 EIKONAL_KINDS = ["pyramid-eikonal", "cone-eikonal", "zigzag-eikonal"]
 INDICATOR_KINDS = ["half-plane-indicator", "polygon-indicator", "ball-indicator"]
@@ -280,8 +280,45 @@ def test_zigzag_kink_measure_is_the_transverse_section(dim, hi, area):
 
 
 # --------------------------------------------------------------------------
-# The parameters a kind takes are exactly its dataclass fields.
+# The parameters a kind takes are exactly its annotated class attributes.
 # --------------------------------------------------------------------------
+
+# kind -> {parameter: (declared type, default)}, in catalog and declaration order
+CATALOG = {
+    "constant": {"value": ("tuple[float, ...]", (0.0,)), "dim": ("int", 1)},
+    "linear": {"slope": ("tuple[float, ...]", (1.0,)), "offset": ("float", 0.0)},
+    "step-1d": {"position": ("float", 0.0024336904896885545), "low": ("float", 0.0), "high": ("float", 1.0)},
+    "half-plane-indicator": {"normal": ("tuple[float, float]", (1.0, 0.0)), "offset": ("float", 0.5024336904896886)},
+    "polygon-indicator": {"vertices": ("tuple[tuple[float, float], ...]", (
+        (0.25243369048968856, 0.25366560674666455), (0.7524336904896886, 0.25366560674666455),
+        (0.7524336904896886, 0.7536656067466646), (0.25243369048968856, 0.7536656067466646),
+    ))},
+    "ball-indicator": {"center": ("tuple[float, ...]", (0.5024336904896886, 0.5036656067466646)), "radius": ("float", 0.25243369048968856)},
+    "piecewise-constant-multi": {
+        "positions": ("tuple[float, ...]", (-0.49756630951031144, 0.003665606746664559, 0.49756630951031144)),
+        "levels": ("tuple[float, ...]", (0.0, 1.0, -0.5, 0.75)),
+    },
+    "block-random": {"seed": ("int", 0), "blocks": ("int", 6), "low": ("float", 0.0), "high": ("float", 1.0), "dim": ("int", 2)},
+    "hoelder": {"s": ("float", 0.75), "seed": ("int", 0), "terms": ("int | None", None)},
+    "ramp": {"x0": ("float", -0.24633439325333545), "x1": ("float", 0.25366560674666455)},
+    "sine-1d": {"amplitude": ("float", 1.0), "cycles": ("int", 1)},
+    "pyramid-eikonal": {"lo": ("tuple[float, ...]", (0.0, 0.0)), "hi": ("tuple[float, ...]", (1.0, 1.0))},
+    "cone-eikonal": {"center": ("tuple[float, ...]", (0.5024336904896886, 0.5036656067466646)), "radius0": ("float", 0.5)},
+    "zigzag-eikonal": {"halfwidth": ("float", 0.25), "offset": ("float", 0.0024336904896885545), "dim": ("int", 2)},
+}
+
+
+def test_catalog_parameters_types_and_defaults_are_pinned():
+    kinds = list_fields()
+    assert list(kinds) == list(CATALOG)
+    for kind, params in CATALOG.items():
+        assert list(kinds[kind].items()) == [(name, declared) for name, (declared, _) in params.items()]
+        spec = make_field(kind)
+        for name, (_, default) in params.items():
+            value = getattr(spec, name)
+            assert (value, type(value)) == (default, type(default)), (kind, name)
+        with pytest.raises(TypeError, match="'bogus'"):
+            FIELD_REGISTRY[kind](bogus=1)
 
 FIXED_DIM_KINDS = {
     "step-1d": 1, "piecewise-constant-multi": 1, "hoelder": 1, "ramp": 1, "sine-1d": 1,
