@@ -7,13 +7,16 @@ its module docstring states why they equal those sums bit for bit.
 Memory: a correlation is built in column blocks of the last (``rfft``) axis
 of its padded half spectrum (the whole line in 1D).  A half spectrum of S
 complex values is cut into about sqrt(S / ``grid._BLOCK_CELLS``) blocks of
-about sqrt(S * ``grid._BLOCK_CELLS``) values each.  For each column block
-the cells are ``rfft``-ed again in blocks of whole axis-0 rows and that
-block's columns kept; the leading axes are then transformed, multiplied and
-inverted in place, and the result is cut to the lags -reach..reach into one
-small lag table.  One ``irfft`` along the last axis finishes.  So a pass
-holds one or two column blocks, one row block and the lag table, never a
-full padded spectrum, and runs the row ``rfft``s once per column block.
+about sqrt(S * ``grid._BLOCK_CELLS``) values each, and into twice as many,
+half as wide, once that is three blocks or more.  For each column block the
+cells are ``rfft``-ed again in blocks of whole axis-0 rows and that block's
+columns kept; the leading axes are then transformed, multiplied and inverted
+in place, and the result is cut to the lags -reach..reach into one small lag
+table.  An autocorrelation is even, so its table keeps only the lags
+0..reach of axis 0.  One ``irfft`` along the last axis finishes.  So a pass
+holds one or two column blocks, one row block and the lag table (half of one
+for an autocorrelation), never a full padded spectrum, and runs the row
+``rfft``s once per column block.
 """
 
 from __future__ import annotations
@@ -119,19 +122,28 @@ def _correlation_values(shape, reach: np.ndarray, offsets: np.ndarray, fills) ->
     """sum_x a(x) b(x + v) at every offset v, as the FFT gives it, for the
     cells a and b of the fillers ``fills`` ([a, b], or [a] for b = a),
     zero-padded to ``shape``.  An offset beyond reach on some axis pairs no
-    cells and reads 0."""
-    table = _lag_table(shape, reach, fills)
-    lags = np.arange(-reach[-1], reach[-1] + 1) % shape[-1]
+    cells and reads 0.
+
+    An autocorrelation is even, C(-v) = C(v) exactly, so its lag table keeps
+    only the lags v_0 >= 0 of the leading axis and an offset with v_0 < 0
+    reads -v.
+    """
+    low = -reach
+    if len(fills) == 1:
+        low[0] = 0
+        offsets = np.where(offsets[:, :1] < 0, -offsets, offsets)
+    table = _lag_table(shape, reach, low, fills)
+    lags = np.arange(low[-1], reach[-1] + 1) % shape[-1]
     corr = np.fft.irfft(table, n=shape[-1], axis=-1).take(lags, axis=-1)
     values = np.zeros(len(offsets))
     near = (np.abs(offsets) <= reach).all(axis=1)
-    values[near] = corr[tuple((offsets[near] + reach).T)]
+    values[near] = corr[tuple((offsets[near] - low).T)]
     return values
 
 
-def _lag_table(shape, reach: np.ndarray, fills) -> np.ndarray:
+def _lag_table(shape, reach: np.ndarray, low: np.ndarray, fills) -> np.ndarray:
     """The half spectrum of the correlation of ``fills``, inverted along
-    every axis but the last and cut there to the lags -reach..reach.
+    every axis but the last and cut there to the lags low..reach.
 
     Built one column block of the last axis at a time (the module docstring
     gives the memory model): each filler's block of the padded spectrum,
@@ -141,11 +153,17 @@ def _lag_table(shape, reach: np.ndarray, fills) -> np.ndarray:
     ext = [p - r for p, r in zip(shape, reach.tolist())]
     lead, half = shape[:-1], shape[-1] // 2 + 1
     lead_cells = math.prod(lead)
-    lags = [np.arange(-r, r + 1) % p for r, p in zip(reach, lead)]
-    # sqrt(S / _BLOCK_CELLS) balanced column blocks for a half spectrum of S
-    # complex values, so block memory and the repeated row rffts both grow
-    # as sqrt(S); blocks of _BLOCK_CELLS each made a 1024^2 pass 7x slower
+    lags = [np.arange(lo, r + 1) % p for lo, r, p in zip(low, reach, lead)]
+    # sqrt(S / _BLOCK_CELLS) column blocks balance block memory against the
+    # row rffts rerun per block for a half spectrum of S complex values
+    # (blocks of _BLOCK_CELLS each made a 1024^2 pass 7x slower).  Past
+    # 4 _BLOCK_CELLS values, where that is three blocks or more, twice as
+    # many: a block, which sets a 512^2 pass's peak, holds half as much for
+    # twice the row rffts.  Smaller spectra keep the balance, as halving
+    # their blocks made a 192^2 two-sided check slower and no peak lower.
     count = math.ceil(math.sqrt(half * lead_cells / _BLOCK_CELLS)) if lead else 1
+    if count > 2:
+        count *= 2
     width = -(-half // count)
     rows = max(1, _BLOCK_CELLS // math.prod(ext[1:])) if lead else ext[0]
     cells = np.empty([min(rows, ext[0])] + ext[1:])

@@ -149,9 +149,9 @@ class Grid:
         self, dim: int, origin: tuple[float, ...], spacing: float, extents: tuple[int, ...]
     ):
         self.dim = dim
-        self.origin = origin
+        self.origin = tuple(float(o) for o in origin)
         self.spacing = spacing
-        self.extents = extents
+        self.extents = tuple(_whole(e, "extent") for e in extents)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
         if len(self.origin) != self.dim or len(self.extents) != self.dim:

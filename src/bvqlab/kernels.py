@@ -59,9 +59,11 @@ its pair sums are integer counts, and ``_indicator_pair_counts`` (in
 S(v) = (N(v) - C(v)) / 2: C one rounded FFT correlation of the signed cells
 2u - 1, N the number of pairs the masks admit (in closed form for boxes).
 Its spectra are built in column blocks of about sqrt(S * ``grid._BLOCK_CELLS``)
-of a half spectrum's S complex values, so a pass holds O(block + lag table)
-memory, not a padded grid.  So every pair sum here, and every check built on them, is the
-pair-by-pair window sum bit for bit; none carries a tolerance.
+of a half spectrum's S complex values (half that once a spectrum takes three
+such blocks), and an autocorrelation, being even, keeps only the lags
+v_0 >= 0, so a pass holds O(block + lag table) memory, not a padded grid.
+So every pair sum here, and every check built on them, is the pair-by-pair
+window sum bit for bit; none carries a tolerance.
 """
 
 from __future__ import annotations

@@ -21,6 +21,19 @@ def test_grid_invariants():
         Grid.for_box([0.0, 0.0], [1.0, 2.0], [10, 10])  # non-uniform spacing
 
 
+def test_grid_stores_tuples_whatever_sequences_it_is_given():
+    # a grid built from lists equals, hashes and masks like the one for_box
+    # builds from tuples (a mask's shape is a tuple, never a list)
+    g = Grid(2, [0.0, 0.0], 1 / 32, [32, 32])
+    ref = Grid.for_box([0, 0], [1, 1], [32, 32])
+    assert g.origin == (0.0, 0.0) and all(type(o) is float for o in g.origin)
+    assert g.extents == (32, 32) and all(type(e) is int for e in g.extents)
+    assert g == ref and hash(g) == hash(ref)
+    assert DomainMask.full(g).inside.shape == (32, 32)
+    with pytest.raises(ValueError, match="extent must be an integer"):
+        Grid(1, [0.0], 0.1, [8.0])
+
+
 @pytest.mark.parametrize("lo, hi", [([0.0], [float("inf")]), ([float("-inf")], [0.0]),
                                     ([0.0, 0.0], [float("inf"), float("inf")])])
 def test_for_box_refuses_an_infinite_box(lo, hi):

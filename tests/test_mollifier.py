@@ -175,8 +175,9 @@ def test_gauss_jacobi_rules_are_well_formed(n):
             assert x.shape == w.shape == (n,)
             assert np.isfinite(x).all() and np.isfinite(w).all(), (a, b)
             assert -1.0 < x[0] and x[-1] < 1.0 and (np.diff(x) > 0).all(), (a, b)
-            # mu0 as the package computes it (through lgamma once a + b + 2
-            # reaches 171, where it is 1.1e-13 off scipy's at a = b = 100)
+            # mu0 as the package computes it (by Stirling's formula once
+            # a + b + 2 reaches 171; at a = b = 100 it is 1.1e-14 off a
+            # 40-digit reference, and scipy's beta 1.2e-13)
             mu0 = 2.0 ** (a + b + 1.0) * beta_fn(a + 1.0, b + 1.0)
             assert abs(math.fsum(w) - mu0) <= 1e-13 * mu0, (a, b)
             # the rule integrates x exactly: its mean is (b - a) / (a + b + 2),
@@ -184,6 +185,19 @@ def test_gauss_jacobi_rules_are_well_formed(n):
             # a or b < 0, are the least accurate)
             mean = math.fsum(w * x) / math.fsum(w)
             assert abs(mean - (b - a) / (a + b + 2.0)) <= 1e-11, (a, b)
+
+
+@pytest.mark.parametrize("x, y, bound", [(7.5, 200.0, 1e-15), (150.0, 200.0, 5e-14), (300.0, 300.0, 5e-14)])
+def test_beta_past_gamma_overflow_against_mpmath(x, y, bound):
+    # 8e-17, 2.3e-14 and 2.1e-14 off; exp(lgamma + lgamma - lgamma), whose
+    # error grows with lgamma(x + y), was 7.9e-14, 2.6e-13 and 3.0e-13 off
+    mpmath = pytest.importorskip("mpmath")
+    from bvqlab._special import beta_fn
+
+    with mpmath.workdps(40):
+        ref = mpmath.beta(mpmath.mpf(x), mpmath.mpf(y))
+        for got in (beta_fn(x, y), beta_fn(y, x)):
+            assert float(abs((mpmath.mpf(got) - ref) / ref)) < bound, got
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 64, 128, 256, 512])
