@@ -184,15 +184,17 @@ def directional_w_limit(
     *,
     kappa: float = defaults.KAPPA,
 ) -> float:
-    """(1/t) * h^N * sum_x W(u(x + t k), u(x)) over valid samples.
+    """h^N * sum_x W(u(x + v h), u(x)) / (|v| h) over valid samples.
 
-    ``k`` and ``t`` pass the checks of ``directional_value``: a unit vector
-    of the grid's dimension, and the kappa*h and diameter guards.  With
-    ``w_cost = PowerPairCost(q)`` this is bit-identical to
+    v is the lattice vector nearest t k / h, rounded per axis, so the shift
+    is within sqrt(N)/2 cells of t k, and the value is the exact quotient at
+    v h.  ``k`` and ``t`` pass the checks of ``directional_value``: a unit
+    vector of the grid's dimension, and the kappa*h and diameter guards.
+    With ``w_cost = PowerPairCost(q)`` this is bit-identical to
     ``directional_value`` (same accumulation path).  As t -> 0 the sum
-    concentrates on the jump set weighted by |k . normal|.  Off the lattice
-    the multilinear stencil smears a jump over a cell and the value reads
-    low, 4-5% at 8h on a 512^2 ball (see ``directional_value``).
+    concentrates on the jump set weighted by |v/|v| . normal|; off the
+    lattice a 512^2 ball reads its limit within 0.21% at 8-32 cells (see
+    ``directional_value``).
     """
     k, t_len = _check_shift(u, t, k, kappa)
     return _directional_sum(u, t_len, k, x_mask, w_cost.from_sq)

@@ -28,25 +28,24 @@ each rung reads its ``bbm_value`` bit for bit.
 Every sum of shifted differences has one path.  ``_offset_slices`` is the
 only code that computes window bounds: the x window where every x + v of a
 list of integer offsets stays on the grid, and one y window per offset.
-``_window_sum`` sums cost(|sum_c w_c u(x + v_c) - u(x)|^2) over the valid x
-of such a window.  A pair sum is its one-corner case; a directional shift
+``_window_sum`` sums cost(|u(x + v) - u(x)|^2) over the valid x of one
+integer offset v.  A pair sum is one such window; a directional shift
 (``directional_value`` and ``jumps.directional_w_limit``, which share one
-direction and regime check) is one exact corner on a lattice vector and the
-multilinear corners otherwise; the splitting check takes its three windows
+direction and regime check) is the window of the lattice vector nearest
+eps k / h, normalised by |v| h; the splitting check takes its three windows
 from ``_offset_slices`` too.
 
 A window's arithmetic allocates nothing.  ``pair_power_sums`` allocates
 one flat buffer, sized to its x box (the grid without a mask), and every
 window takes views of it: window x d floats for the differences and, when
 d >= 2, one more window for the squared norms; a directional shift's one
-window gets its own buffer, with a second window x d block for the
-weighted corners of a multilinear stencil.  ``_window_sum`` writes every
-step into them with ``out=`` in the order of the plain expressions (``sum``
-of the corners, the subtraction, ``einsum`` or, at d = 1, one
-multiplication, then the cost with the ufunc ``ss ** (q/2)`` picks), so
-every value is theirs bit for bit.  Only a window that is summed whole,
-with no x mask on an all-inside field, skips the boolean gather; any other
-builds its validity mask and gathers the valid terms first.
+window gets its own buffer of the same layout.  ``_window_sum`` writes every
+step into them with ``out=`` in the order of the plain expressions (the
+subtraction, ``einsum`` or, at d = 1, one multiplication, then the cost with
+the ufunc ``ss ** (q/2)`` picks), so every value is theirs bit for bit.  Only
+a window that is summed whole, with no x mask on an all-inside field, skips
+the boolean gather; any other builds its validity mask and gathers the valid
+terms first.
 
 ``_power_in_place`` is the one cost power |d|^q, for pair sums, shifts,
 W costs, the splitting check and the q-variation.  ``_check_kappa_h`` is the
@@ -171,62 +170,50 @@ def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:
     return t
 
 
-def _buffer_floats(shape, corners: int) -> int:
+def _buffer_floats(shape) -> int:
     """Floats ``_window_sum`` writes for a window x d block of ``shape``: the
-    differences, then the squared norms when d >= 2, then the weighted
-    corner of a multi-corner stencil."""
+    differences, then the squared norms when d >= 2."""
     n = math.prod(shape)
     d = shape[-1]
-    return n + (n // d if d > 1 else 0) + (n if corners > 1 else 0)
+    return n + (n // d if d > 1 else 0)
 
 
-def _window_sum(field: SampledField, x_inside, stencil, cost, box=None, buf=None) -> float | None:
-    """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2).
+def _window_sum(field: SampledField, x_inside, off, cost, box=None, buf=None) -> float | None:
+    """sum over valid x of cost(|u(x + v) - u(x)|^2) for one integer offset v.
 
-    ``stencil`` lists the corners (v_c, w_c), v_c integer offsets.  x is
-    valid when it lies in ``x_inside`` (the field mask when ``None``) and
-    every x + v_c lies inside the field mask.  ``box``, the bounding box of
+    x is valid when it lies in ``x_inside`` (the field mask when ``None``)
+    and x + v lies inside the field mask.  ``box``, the bounding box of
     ``x_inside``, crops the x window to it.  ``None`` when the x window is
-    empty.  A one-corner stencil reads u(x + v) as is: pair sums and exact
-    shifts never multiply by the weight.
+    empty.
 
     Every step writes into ``buf``, a flat float64 array of at least
     ``_buffer_floats`` elements for this window (a fresh one when ``None``),
-    in the order the plain expressions ``sum(w_c * u(x + v_c)) - u(x)``,
-    ``einsum`` and ``cost`` take, so each value is theirs bit for bit;
-    ``cost`` may overwrite its argument.
+    in the order the plain expressions ``u(x + v) - u(x)``, ``einsum`` and
+    ``cost`` take, so each value is theirs bit for bit; ``cost`` may
+    overwrite its argument.
     """
-    sx, sys_ = _offset_slices(field.grid.extents, [v for v, _ in stencil], box)
+    sx, ys = _offset_slices(field.grid.extents, [off], box)
     if sx is None:
         return None
+    sy = ys[0]
     values, inside = field.values, field.mask.inside
     ux = values[sx]
     if buf is None:
-        buf = np.empty(_buffer_floats(ux.shape, len(stencil)))
+        buf = np.empty(_buffer_floats(ux.shape))
     n = ux.size
-    m = n // field.d if field.d > 1 else 0
     dv = buf[:n].reshape(ux.shape)
-    if len(stencil) == 1:
-        np.subtract(values[sys_[0]], ux, out=dv)
-    else:
-        # the corners added left to right, as ``sum`` adds them
-        term = buf[n + m : 2 * n + m].reshape(ux.shape)
-        np.multiply(values[sys_[0]], stencil[0][1], out=dv)
-        for (_, w), sy in zip(stencil[1:], sys_[1:]):
-            dv += np.multiply(values[sy], w, out=term)
-        dv -= ux
+    np.subtract(values[sy], ux, out=dv)
     if field.d == 1:
         t = dv[..., 0]
         np.multiply(t, t, out=t)
     else:
-        t = np.einsum("...k,...k->...", dv, dv, out=buf[n : n + m].reshape(ux.shape[:-1]))
+        t = np.einsum("...k,...k->...", dv, dv, out=buf[n : n + n // field.d].reshape(ux.shape[:-1]))
     t = cost(t)
     if x_inside is None and field.mask.all_inside:
         return float(t.sum())
     valid = (inside if x_inside is None else x_inside)[sx]
     if not field.mask.all_inside:
-        for sy in sys_:
-            valid = valid & inside[sy]
+        valid = valid & inside[sy]
     return float(t[valid].sum())
 
 
@@ -248,7 +235,7 @@ def pair_power_sums(
 ) -> np.ndarray:
     """Per-displacement sums of |u(x+v) - u(x)|^q, in offset order.
 
-    Each sum is the one-corner ``_window_sum`` over x with x and x+v inside
+    Each sum is the ``_window_sum`` of v over x with x and x+v inside
     (x in ``x_mask`` when given); a displacement with no such x sums to 0.
 
     Without ``x_mask`` the -v windows are the v windows swapped: the same
@@ -278,10 +265,10 @@ def pair_power_sums(
     cost = partial(_power_in_place, q=q)
     # one buffer for every window: each lies in the box (the grid without one)
     extents = field.grid.extents if box is None else [hi - lo for lo, hi in box]
-    buf = np.empty(_buffer_floats([*extents, field.d], 1))
+    buf = np.empty(_buffer_floats([*extents, field.d]))
     out = np.empty(n, dtype=np.float64)
     for i, off in enumerate(offsets[:half]):
-        total = _window_sum(field, x_inside, [(off.tolist(), 1.0)], cost, box, buf)
+        total = _window_sum(field, x_inside, off.tolist(), cost, box, buf)
         out[i] = 0.0 if total is None else total
     out[half:] = out[: n - half][::-1]
     return out
@@ -493,44 +480,22 @@ def bbm_sweep(
 # --------------------------------------------------------------------------
 
 
-def _shift_stencil(t: list[float]) -> list[tuple[list[int], float]]:
-    """Corners (v_c, w_c) with u(x + t*h) = sum_c w_c u(x + v_c).
-
-    A shift within 1e-9 of a lattice vector is one exact corner; any other is
-    multilinear interpolation, with the corners in ``np.ndindex`` order and
-    each weight the product, in axis order, of frac or 1 - frac per
-    fractional axis.  On Python floats: ``round`` rounds half to even as
-    ``np.rint`` does, so every value is the one numpy arrays would give.
-    """
-    nearest = [round(ta) for ta in t]
-    if max(abs(ta - r) for ta, r in zip(t, nearest)) < 1e-9:
-        return [(nearest, 1.0)]
-    legs = []
-    for ta in t:
-        b = math.floor(ta)
-        f = ta - b
-        legs.append(((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),))
-    stencil = []
-    for corner in np.ndindex(*[len(leg) for leg in legs]):
-        v, w = [], 1.0
-        for leg, c in zip(legs, corner):
-            v.append(leg[c][0])
-            w *= leg[c][1]
-        stencil.append((v, w))
-    return stencil
-
-
 def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
-    """(1/eps) * h^N * sum_x cost(|u(x + eps k) - u(x)|^2) over valid x.
+    """h^N * sum_x cost(|u(x + v h) - u(x)|^2) / (|v| h) over valid x.
 
-    A sample is dropped as soon as one stencil corner leaves the mask.
+    v is the lattice vector nearest eps k / h, rounded per axis half to even
+    (Python's ``round``, as ``np.rint``), so it lies within sqrt(N)/2 cells
+    of the shift and the value is the exact quotient at v h.
     """
     h = u.grid.spacing
-    stencil = _shift_stencil([eps_len * kk / h for kk in k])
-    total = _window_sum(u, _x_inside(u, x_mask), stencil, cost)
+    v = [round(eps_len * kk / h) for kk in k]
+    r2 = sum(c * c for c in v)
+    if r2 == 0:
+        raise RegimeError(f"shift eps = {eps_len:g} rounds to the zero lattice vector")
+    total = _window_sum(u, _x_inside(u, x_mask), v, cost)
     if total is None:
         raise RegimeError("shift leaves the grid entirely")
-    return total * h**u.grid.dim / eps_len
+    return total * h**u.grid.dim / (math.sqrt(r2) * h)
 
 
 def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[list[float], float]:
@@ -559,16 +524,19 @@ def directional_value(
     *,
     kappa: float = defaults.KAPPA,
 ) -> float:
-    """(1/eps) * h^N * sum_x |u(x + eps k) - u(x)|^q over valid samples x.
+    """h^N * sum_x |u(x + v h) - u(x)|^q / (|v| h) over valid samples x.
 
-    ``k`` must be a unit vector (tolerance 1e-12).  Samples whose shifted
-    point cannot be interpolated from inside values are dropped, matching the
-    convention that both endpoints live in Omega.
+    The evaluated shift is v h, v the lattice vector nearest eps k / h
+    (rounded per axis, half to even), within sqrt(N)/2 cells of eps k; on
+    the lattice v h = eps k.  ``k`` must be a unit vector (tolerance 1e-12).
+    Samples whose shifted point leaves the mask are dropped, matching the
+    convention that both endpoints live in Omega.  The value is the pair sum
+    of ``pair_power_sums`` at v times h^N / (|v| h), bit for bit.  A shift
+    that rounds to the zero vector (eps under sqrt(N)/2 cells, possible only
+    for a float eps with a small ``kappa``) is a ``RegimeError``.
 
-    Off the lattice the multilinear stencil smears a jump over a cell: on a
-    512^2 ball of radius 0.3, q = 2 reads the limit 1.2 within 0.1% at 8h
-    along e1 and 10h along (0.6, -0.8), but 4-5% low at 8h along
-    (1, 1)/sqrt 2 and (0.6, -0.8).
+    On a 512^2 ball of radius 0.3, q = 2 reads the limit 1.2 within 0.21%
+    at 8-32 cells along e1, (1, 1)/sqrt 2, (0.6, -0.8) and (cos 1, sin 1).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -614,8 +582,9 @@ def directional_sup(
 ) -> float:
     """Max of ``directional_value`` over the deterministic direction set.
 
-    A lower bound for the true supremum over the unit sphere; callers treat
-    it as such.
+    Each direction is evaluated at the lattice vector v nearest eps k / h and
+    normalised by |v| h.  The max is a lower bound for the true supremum
+    over all shifts; callers treat it as such.
     """
     if n_directions is not None and n_directions < 1:
         raise ValueError("n_directions must be at least 1")
@@ -638,10 +607,11 @@ def besov_seminorm_pow(
 ) -> float:
     """q-th power of the scale-sup directional seminorm.
 
-    Takes the max over the given radii of ``directional_sup``; by the
-    sup-reduction argument the sup over shifts |z| <= rho of the
-    rho-normalized modulus equals the sup over exact radii, so a radius list
-    is all that is needed.  Reported as a lower bound (finite direction set).
+    Takes the max over the given radii of ``directional_sup``: each value is
+    the exact quotient ||u(. + v h) - u||_q^q / (|v| h) at the lattice vector
+    v nearest rho k / h, so every value is attained by a shift of length
+    |v| h, within sqrt(N)/2 cells of rho.  Reported as a lower bound (finite
+    direction set).
     """
     rhos = list(rhos)
     if not rhos:

@@ -61,10 +61,14 @@ def q_variation_pow(sig: Signal1D, q: float) -> float:
 def signal_as_field(sig: Signal1D, span: tuple[float, float] | None = None) -> SampledField:
     """The signal as a piecewise-constant field on equal-width cells.
 
-    Cell i carries sample i; the interval defaults to the abscissa range.
+    Cell i carries sample i.  The interval defaults to the abscissa range
+    widened by half the mean spacing at each end, so abscissae at the cell
+    centres of a grid rebuild that grid.
     """
     if span is None:
-        span = (float(sig.abscissae[0]), float(sig.abscissae[-1]))
+        x0, x1 = float(sig.abscissae[0]), float(sig.abscissae[-1])
+        half = (x1 - x0) / (sig.n - 1) / 2.0
+        span = (x0 - half, x1 + half)
     a, b = span
     if not b > a:
         raise ValueError("span must have positive length")

@@ -61,40 +61,35 @@ def reference_power(ss, q):
     return ss ** (0.5 * q)
 
 
-def reference_window_sum(u: SampledField, x_inside, stencil, cost, box=None):
-    """sum over valid x of cost(|sum_c w_c u(x + v_c) - u(x)|^2), or None
-    when the x window (cropped to ``box``) is empty."""
+def reference_window_sum(u: SampledField, x_inside, off, cost, box=None):
+    """sum over valid x of cost(|u(x + v) - u(x)|^2) for one integer offset
+    v, or None when the x window (cropped to ``box``) is empty."""
     sx = []
-    for a, (ext, col) in enumerate(zip(u.grid.extents, zip(*[v for v, _ in stencil]))):
-        lo = max(0, -min(col))
-        hi = min(ext, ext - max(col))
+    for a, (ext, o) in enumerate(zip(u.grid.extents, off)):
+        lo = max(0, -o)
+        hi = min(ext, ext - o)
         if box is not None:
             lo, hi = max(lo, box[a][0]), min(hi, box[a][1])
         if hi <= lo:
             return None
         sx.append(slice(lo, hi))
     sx = tuple(sx)
-    sys_ = [tuple(slice(s.start + o, s.stop + o) for s, o in zip(sx, v)) for v, _ in stencil]
+    sy = tuple(slice(s.start + o, s.stop + o) for s, o in zip(sx, off))
     values, inside = u.values, u.mask.inside
-    if len(stencil) == 1:
-        uy = values[sys_[0]]
-    else:
-        uy = sum(w * values[sy] for (_, w), sy in zip(stencil, sys_))
-    dv = uy - values[sx]
+    dv = values[sy] - values[sx]
     t = cost(np.einsum("...k,...k->...", dv, dv))
     if x_inside is None and u.mask.all_inside:
         return float(t.sum())
     valid = (inside if x_inside is None else x_inside)[sx]
     if not u.mask.all_inside:
-        for sy in sys_:
-            valid = valid & inside[sy]
+        valid = valid & inside[sy]
     return float(t[valid].sum())
 
 
 def single_pair_sum(u: SampledField, x_inside, off, q: float) -> float:
     """One displacement's pair sum, summed on its own and uncropped."""
     cost = partial(reference_power, q=q)
-    total = reference_window_sum(u, x_inside, [(np.asarray(off).tolist(), 1.0)], cost)
+    total = reference_window_sum(u, x_inside, np.asarray(off).tolist(), cost)
     return 0.0 if total is None else total
 
 
@@ -113,38 +108,25 @@ def reference_pair_power_sums(u: SampledField, offsets, q: float, x_mask=None) -
     cost = partial(reference_power, q=q)
     out = np.empty(n)
     for i, off in enumerate(offsets[:half]):
-        total = reference_window_sum(u, x_inside, [(off.tolist(), 1.0)], cost, box)
+        total = reference_window_sum(u, x_inside, off.tolist(), cost, box)
         out[i] = 0.0 if total is None else total
     out[half:] = out[: n - half][::-1]
     return out
 
 
-def reference_shift_stencil(t: np.ndarray):
-    """Corners (v_c, w_c) of the shift t (in cells), on numpy arrays."""
-    t_round = np.rint(t)
-    if np.max(np.abs(t - t_round)) < 1e-9:
-        return [(t_round.astype(int).tolist(), 1.0)]
-    base = np.floor(t).astype(int)
-    legs = [
-        ((b, 1.0 - f), (b + 1, f)) if f > 0 else ((b, 1.0),)
-        for b, f in zip(base.tolist(), (t - base).tolist())
-    ]
-    stencil = []
-    for corner in np.ndindex(*[len(leg) for leg in legs]):
-        v, w = [], 1.0
-        for leg, c in zip(legs, corner):
-            v.append(leg[c][0])
-            w *= leg[c][1]
-        stencil.append((v, w))
-    return stencil
+def reference_shift_stencil(t: np.ndarray) -> list[int]:
+    """The lattice vector a shift t (in cells) is taken at: t rounded per
+    axis, half to even, on numpy arrays."""
+    return np.rint(t).astype(int).tolist()
 
 
 def reference_directional(u: SampledField, eps_len: float, k, x_mask, cost) -> float:
-    """(1/eps) * h^N * sum_x cost(|u(x + eps k) - u(x)|^2) over valid x."""
+    """h^N * sum_x cost(|u(x + v h) - u(x)|^2) / (|v| h) over valid x, v the
+    lattice vector nearest eps k / h."""
     h = u.grid.spacing
-    stencil = reference_shift_stencil(eps_len * np.asarray(k, dtype=float) / h)
-    total = reference_window_sum(u, None if x_mask is None else x_mask.inside, stencil, cost)
-    return total * h**u.grid.dim / eps_len
+    v = reference_shift_stencil(eps_len * np.asarray(k, dtype=float) / h)
+    total = reference_window_sum(u, None if x_mask is None else x_mask.inside, v, cost)
+    return total * h**u.grid.dim / (np.sqrt(np.dot(v, v)) * h)
 
 
 # --------------------------------------------------------------------------

@@ -316,9 +316,9 @@ def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch,
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_mollify_peak_memory_in_grid_floats(n):
-    # one spectrum at a time: the peak stays under 24 grid floats (the
-    # batched transform took 49) at eps = n/4 cells, where the padded grid
-    # is 2.25 times the grid
+    # the N channel spectra and one kernel spectrum at a time: the peak, 18.6
+    # grid floats, stays under 24 (the batched transform took 49) at
+    # eps = n/4 cells, where the padded grid is 2.25 times the grid
     import tracemalloc
 
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [n, n])

@@ -427,6 +427,32 @@ def test_vq_run_computes_the_q_variation_once(tmp_path, monkeypatch):
     assert float(row[0]) == values[0] and float(row[2]) == 4.0 * values[0]
 
 
+@pytest.mark.parametrize("grid, rel", [
+    ({"lo": [0.0], "hi": [1.0], "n": [2048]}, 0.0),  # the block-vq benchmark grid
+    ({"lo": [-1.0], "hi": [2.0], "n": [300]}, 1e-12),
+    ({"lo": [0.1], "hi": [0.8], "n": [1000]}, 1e-12),
+])
+def test_vq_sweeps_the_config_grid(tmp_path, grid, rel):
+    # the signal's cells rebuild the config grid, so every swept eps is the
+    # config ladder's length, not (n - 1)/n of it
+    from bvqlab import Grid, GridRadius
+
+    cfg = write_config(
+        tmp_path, "vq.json", experiment="vq",
+        field={"kind": "block-random", "params": {"seed": 1, "dim": 1, "blocks": 16}},
+        grid=grid, eps_ladder={"start_cells": 64, "ratio": 0.5, "count": 4},
+        out_dir=str(tmp_path / "out_vq"),
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    swept = json.loads((tmp_path / "out_vq" / "report.json").read_text())[0]["details"]["sweep_eps"]
+    h = Grid.for_box(grid["lo"], grid["hi"], grid["n"]).spacing
+    expect = [GridRadius.from_cells(m).length(h) for m in (64, 32, 16, 8)]
+    if rel == 0.0:
+        assert swept == expect == [0.03125, 0.015625, 0.0078125, 0.00390625]
+    else:
+        assert swept == pytest.approx(expect, rel=rel, abs=0.0)
+
+
 def test_vq_row_keeps_a_q_variation_whose_bound_overflows(tmp_path):
     import math
 

@@ -256,7 +256,7 @@ def test_interpolated_direction_within_range(square_mask):
     h = square_mask.grid.spacing
     k = np.array([math.cos(0.3), math.sin(0.3)])
     v = directional_value(hp, 2.0, 12 * h, k)
-    assert 0.0 <= v <= 1.5  # interpolation keeps indicator range
+    assert 0.0 <= v <= 1.5  # taken at the nearest lattice vector, an indicator stays in range
 
 
 def test_besov_step_every_radius(step_field):
@@ -471,24 +471,21 @@ def test_directional_sup_and_besov_constant_zero(line_mask):
     assert besov_seminorm_pow(u, 2.0, [16 * h, 8 * h]) == 0.0
 
 
-def test_interpolation_reproduces_linear_fields(square_mask):
-    # multilinear interpolation is exact on affine fields, so the directional
-    # sum matches its closed form for any direction, on- or off-grid
+def test_shifts_reproduce_linear_fields_at_the_nearest_lattice_vector(square_mask):
+    # on an affine field the directional sum has a closed form at the lattice
+    # vector v nearest eps k / h, for any direction, on- or off-grid
     u = sample_analytic(make_field("linear", slope=(0.8, -0.6)), square_mask)
     h = square_mask.grid.spacing
     eps = 12 * h
     for ang in (0.0, 0.37, 1.2):
         k = np.array([math.cos(ang), math.sin(ang)])
-        v = directional_value(u, 2.0, eps, k)
-        # (1/eps) * |grad.k|^2 eps^2 * (valid area); on the full mask x is
-        # valid when its shift stencil stays on the grid, which loses |t|
-        # samples per axis for a lattice shift t and ceil(|t|) otherwise
-        t = eps * k / h
-        lattice = np.max(np.abs(t - np.rint(t))) < 1e-9
-        widths = np.abs(np.rint(t)) if lattice else np.ceil(np.abs(t))
-        count = int(np.prod(np.array(square_mask.grid.extents) - widths))
-        expect = eps * (0.8 * k[0] - 0.6 * k[1]) ** 2 * count * h**2
-        assert v == pytest.approx(expect, rel=1e-9)
+        val = directional_value(u, 2.0, eps, k)
+        # h^2 |grad.v h|^2 (valid samples) / (|v| h); on the full mask x is
+        # valid when x + v stays on the grid, which loses |v_a| samples per axis
+        v = np.rint(eps * k / h)
+        count = int(np.prod(np.array(square_mask.grid.extents) - np.abs(v)))
+        expect = (h * (0.8 * v[0] - 0.6 * v[1])) ** 2 * count * h**2 / (np.linalg.norm(v) * h)
+        assert val == pytest.approx(expect, rel=1e-9)
 
 
 def test_two_sided_erosion_guard(step_field):

@@ -1,16 +1,15 @@
 """Differential tests of the shifted-difference sums against per-sample
 oracles, and bit-for-bit pins between the consumers of the one window path.
 
-``directional_value`` evaluates u(x + eps k) for a whole window at once: by
-exact shifts when eps*k/h is a lattice vector, and by multilinear
-interpolation of inside values otherwise, dropping a sample as soon as one
-stencil corner leaves the grid or the mask.  The oracle below walks the
-samples one by one, builds each stencil from floor(t) and frac(t) per axis,
-and ``math.fsum``s the terms.  The corner weights are summed in another
-order, so the comparison is at 1e-12 relative, not bit for bit.
+``directional_value`` takes a shift eps k at the lattice vector v nearest
+eps k / h, rounded per axis, and sums a whole window of u(x + v h) - u(x)
+at once, dropping a sample whose shifted point leaves the grid or the mask.
+The oracle below walks the samples one by one, rounds each axis of the
+shift on its own, ``math.fsum``s the terms and divides by |v| h.  The terms
+are summed in another order, so the comparison is at 1e-12 relative, not
+bit for bit.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -33,32 +32,19 @@ KAPPA = 2.0  # tiny grids need shifts of a few cells
 def oracle_directional(u, q, eps_len, k, x_mask=None):
     h = u.grid.spacing
     ext = u.grid.extents
-    t = [eps_len * kk / h for kk in k]
-    # per axis: (cell offset, weight) of each stencil corner
-    if max(abs(ta - round(ta)) for ta in t) < 1e-9:
-        legs = [[(round(ta), 1.0)] for ta in t]  # a lattice shift
-    else:
-        legs = []
-        for ta in t:
-            b = math.floor(ta)
-            f = ta - b
-            legs.append([(b, 1.0 - f), (b + 1, f)] if f > 0 else [(b, 1.0)])
+    v = [round(eps_len * kk / h) for kk in k]
     inside = u.mask.inside
     xs = (x_mask if x_mask is not None else u.mask).inside
     terms = []
     for x in np.ndindex(*ext):
         if not xs[x]:
             continue
-        shifted = np.zeros(u.d)
-        for corner in itertools.product(*legs):
-            y = tuple(a + o for a, (o, _) in zip(x, corner))
-            if any(not 0 <= c < e for c, e in zip(y, ext)) or not inside[y]:
-                break
-            shifted += math.prod(w for _, w in corner) * u.values[y]
-        else:
-            diff = shifted - u.values[x]
-            terms.append(float(diff @ diff) ** (0.5 * q))
-    return math.fsum(terms) * h ** u.grid.dim / eps_len
+        y = tuple(a + o for a, o in zip(x, v))
+        if any(not 0 <= c < e for c, e in zip(y, ext)) or not inside[y]:
+            continue
+        diff = u.values[y] - u.values[x]
+        terms.append(float(diff @ diff) ** (0.5 * q))
+    return math.fsum(terms) * h ** u.grid.dim / (math.hypot(*v) * h)
 
 
 def _field(extents, d, mask_kind, seed):
@@ -121,8 +107,8 @@ def test_fractional_shifts_with_x_mask_match_the_oracle(extents, cells):
 @pytest.mark.parametrize("mask_kind", ["full", "disc"])
 @pytest.mark.parametrize("extents, d", [((37,), 1), ((21, 18), 2), ((11, 10, 12), 1)])
 def test_lattice_shift_equals_the_pair_sum_term(extents, d, mask_kind, x_mask_kind, q):
-    # a shift eps*k/h on the lattice is one exact corner: the directional sum
-    # is the single-offset pair sum times h^N/eps, bit for bit
+    # a shift eps*k/h on the lattice is its own nearest lattice vector: the
+    # directional sum is the single-offset pair sum times h^N/eps, bit for bit
     u = _field(extents, d, mask_kind, seed=len(extents) + d)
     g = u.grid
     h = g.spacing

@@ -21,6 +21,7 @@ from bvqlab import (
     EmptyMaskError,
     Grid,
     PowerPairCost,
+    RegimeError,
     SampledField,
     SmoothRationalPairCost,
     directional_value,
@@ -380,6 +381,7 @@ def test_directional_sums_equal_the_reference_bit_for_bit(dim, d, mask_kind, x_k
         return
     h = u.grid.spacing
     # 3 and 5 cells fall on the lattice along (3, 4)/5; 2.7 cells never do
+    # and are taken at the nearest lattice vector
     for cells, k, q in itertools.product((2.7, 3.0, 5.0), DIRECTIONS[dim], QS):
         eps = cells * h
         got = directional_value(u, q, eps, k, x_mask, kappa=KAPPA)
@@ -394,13 +396,52 @@ def test_directional_sums_equal_the_reference_bit_for_bit(dim, d, mask_kind, x_k
         assert got.hex() == ref.hex(), (cells, k)
 
 
-def test_shift_stencils_equal_the_reference():
-    rng = np.random.default_rng(8)
-    ts = [[2.5], [-2.5], [3.5], [4.0 + 1e-10], [-0.7]]
-    ts += rng.uniform(-9.0, 9.0, size=(40, 2)).tolist() + rng.uniform(-6.0, 6.0, size=(40, 3)).tolist()
-    ts += [[3.0, -4.0], [1.0 - 1e-10, 2.0], [0.5, -1.5, 2.5]]
-    for t in ts:
-        assert kernels._shift_stencil(t) == reference_shift_stencil(np.array(t)), t
+PIN_CASES = [
+    (dim, d, mask_kind, x_kind)
+    for dim in (1, 2, 3)
+    for d in ((1, 2) if dim < 3 else (1, 3))
+    for mask_kind in ("full", "holed", "random")
+    for x_kind in (None, "eroded", "random")
+]
+
+
+@pytest.mark.parametrize("dim, d, mask_kind, x_kind", PIN_CASES)
+def test_directional_values_are_the_pair_sum_at_the_nearest_lattice_vector(dim, d, mask_kind, x_kind):
+    # every shift, on the lattice or off it, is the pair sum at v = rint(eps
+    # k / h) over |v| h, bit for bit; {0, 1} fields take that sum from the
+    # count pass, so the two paths meet here too
+    seed = 300 * dim + 10 * d + len(mask_kind)
+    for value_kind in ("normal", "01"):
+        u = _field(dim, d, mask_kind, value_kind, seed)
+        try:
+            x_mask = _x_mask(u, x_kind, seed)
+        except EmptyMaskError:
+            continue
+        h = u.grid.spacing
+        for cells, k, q in itertools.product((2.5, 2.7, 3.0, 4.4), DIRECTIONS[dim], (1.0, 2.0, 3.0)):
+            eps = cells * h
+            v = reference_shift_stencil(eps * np.asarray(k) / h)
+            pair = pair_power_sums(u, np.array([v]), q, x_mask)[0]
+            got = directional_value(u, q, eps, k, x_mask, kappa=KAPPA)
+            assert got.hex() == (pair * h**dim / (np.linalg.norm(v) * h)).hex(), (value_kind, cells, k, q)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_a_shift_that_rounds_to_zero_is_a_regime_error(dim):
+    # below about sqrt(N)/2 cells along the diagonal every axis rounds to 0;
+    # only a float eps under a small kappa gets there
+    u = _field(dim, 1, "full", "normal", dim)
+    h = u.grid.spacing
+    k = [dim**-0.5] * dim
+    eps = 0.45 * math.sqrt(dim) * h
+    with pytest.raises(RegimeError, match="zero lattice vector"):
+        directional_value(u, 2.0, eps, k, kappa=0.1)
+    with pytest.raises(RegimeError, match="zero lattice vector"):
+        directional_w_limit(u, PowerPairCost(2.0), k, eps, kappa=0.1)
+    # just past half a cell per axis the shift is the diagonal unit vector
+    eps = 0.55 * math.sqrt(dim) * h
+    one = pair_power_sums(u, np.ones((1, dim), dtype=int), 2.0)[0]
+    assert directional_value(u, 2.0, eps, k, kappa=0.1) == one * h**dim / (math.sqrt(dim) * h)
 
 
 # --------------------------------------------------------------------------
