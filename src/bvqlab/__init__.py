@@ -32,15 +32,14 @@ from .kernels import (
     EpsSweep,
     GridRadius,
     bbm_ladder,
+    bbm_ladders,
     bbm_sweep,
+    bbm_sweeps,
     bbm_value,
     besov_seminorm_pow,
     directional_sup,
     directional_value,
     gagliardo_dominates_bbm,
-    gagliardo_seminorm_pow,
-    q_monotonicity_holds,
-    splitting_inequality_holds,
 )
 from .reports import ComparisonReport
 from .jumps import (
@@ -60,6 +59,7 @@ from .variation import Signal1D, check_vq_embedding, q_variation_pow, signal_as_
 from .cubes import CubePacking, check_b_bound, cube_functional, cube_score
 from .aviles import (
     MollifiedField,
+    ag_chain_reports,
     ag_energy,
     check_ag_chain,
     check_ag_upper_bound,

@@ -36,9 +36,11 @@ from .fields import JumpSpec
 from .grid import DomainMask, SampledField
 from .jumps import dimensional_constant
 from .kernels import (
+    EpsSweep,
     _check_kappa_h,
     _check_sweep_ladder,
     bbm_sweep,
+    bbm_sweeps,
     bbm_value,  # unused here; bench/tests/test_bench.py pins aviles.bbm_value
     lattice_offsets,
     resolve_radius,
@@ -257,12 +259,9 @@ def check_ag_upper_bound(
         return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
 
     inner, lhs_vals = _ladder_measures(grad, eta, eps_list, kappa, lhs)
-    sweep_q = bbm_sweep(grad, q, eps_list, fit_model, inner, kappa=kappa)
-    sweep_p = (
-        sweep_q
-        if p == q
-        else bbm_sweep(grad, p, eps_list, fit_model, inner, kappa=kappa)
-    )
+    requests = [(q, inner)] if p == q else [(q, inner), (p, inner)]
+    sweeps = bbm_sweeps(grad, requests, eps_list, fit_model, kappa=kappa)
+    sweep_q, sweep_p = sweeps[0], sweeps[-1]
     rhs = _moment_bound(eta, q, p, sweep_q.limit, sweep_p.limit)
     trend_ok = all(
         b <= a * (1.0 + defaults.TREND_SLACK) + ZERO_ATOL
@@ -297,7 +296,22 @@ def check_ag_chain(
     kappa: float = defaults.KAPPA,
     fit_model: str = "linear-in-eps",
 ) -> ComparisonReport:
-    """Cubic energy chain: pointwise Young step, then the moment bound.
+    """Cubic energy chain: the first report of ``ag_chain_reports``."""
+    return ag_chain_reports(grad, eta, eps_list, kappa=kappa, fit_model=fit_model)[0]
+
+
+def ag_chain_reports(
+    grad: SampledField,
+    eta: Mollifier,
+    eps_list,
+    jump: JumpSpec | None = None,
+    tolerance: float = defaults.TOLERANCE,
+    *,
+    kappa: float = defaults.KAPPA,
+    fit_model: str = "linear-in-eps",
+) -> list[ComparisonReport]:
+    """Cubic energy chain: pointwise Young step, then the moment bound; for
+    a ``jump``, then ``verify_gamma_consistency``'s report as well.
 
     At every sweep eps and every sample the inequality
 
@@ -310,7 +324,9 @@ def check_ag_chain(
     extrapolated sweep of ``grad``.  The energies and the q = p = 3 bound
     values come from the same code path as ``check_ag_upper_bound``, so the
     two instances agree bit for bit.  As there, the ladder and every rung's
-    kappa*h guard are checked before any rung is mollified.
+    kappa*h guard are checked before any rung is mollified.  The chain's
+    sweep over the inner mask and the ridge energy's unmasked one share one
+    pair pass, each bit for bit its own ``bbm_sweep``.
     """
     if grad.grid.dim not in (1, 2):
         raise ValueError("the cubic chain check runs in dimension 1 or 2")
@@ -333,7 +349,8 @@ def check_ag_chain(
     inner, rungs = _ladder_measures(grad, eta, eps_list, kappa, young_and_middle)
     young_lhs, mids, young_oks = (list(column) for column in zip(*rungs))
     young_ok = all(young_oks)
-    sweep3 = bbm_sweep(grad, 3.0, eps_list, fit_model, inner, kappa=kappa)
+    requests = [(3.0, inner)] + ([(3.0, None)] if jump is not None else [])
+    sweep3, *full = bbm_sweeps(grad, requests, eps_list, fit_model, kappa=kappa)
     matched_bounds = [_moment_bound(eta, 3.0, 3.0, a3, a3) for a3 in sweep3.values]
     limit_bound = _moment_bound(eta, 3.0, 3.0, sweep3.limit, sweep3.limit)
     matched_ok = all(
@@ -341,7 +358,7 @@ def check_ag_chain(
     )
     limit_ok = mids[-1] <= limit_bound * (1.0 + slack) + ZERO_ATOL
     passed = young_ok and matched_ok and limit_ok
-    return ComparisonReport(
+    chain = ComparisonReport(
         lhs=young_lhs[-1],
         rhs=matched_bounds[-1],
         relation="between",
@@ -361,6 +378,7 @@ def check_ag_chain(
             "gradient_sweep": list(sweep3.values),
         },
     )
+    return [chain] + [_gamma_report(grad.grid.dim, jump, sweep, tolerance) for sweep in full]
 
 
 def gamma_limit_value(jump: JumpSpec | None) -> float:
@@ -387,9 +405,13 @@ def verify_gamma_consistency(
     constant) is reported in the details for side-by-side comparison but not
     asserted.
     """
-    lhs = gamma_limit_value(jump)
     sweep = bbm_sweep(grad, 3.0, eps_list, fit_model, kappa=kappa)
-    cn = dimensional_constant(grad.grid.dim)
+    return _gamma_report(grad.grid.dim, jump, sweep, tolerance)
+
+
+def _gamma_report(dim: int, jump: JumpSpec | None, sweep: EpsSweep, tolerance: float) -> ComparisonReport:
+    lhs = gamma_limit_value(jump)
+    cn = dimensional_constant(dim)
     rhs = sweep.limit / (3.0 * cn)
     return equal_within(
         lhs,

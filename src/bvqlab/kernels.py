@@ -15,8 +15,10 @@ like eps*sqrt(N) never suffers a floating-point boundary tie.
 Reductions are ordered: per-displacement sums are always combined with
 ``math.fsum`` in lexicographic displacement order, which makes repeated runs
 bit-identical and keeps the sample-wise inequalities asserted elsewhere exact
-in floating point.  Without an outer sub-mask the sum for -v repeats the sum
-for v bit for bit, so only half of a symmetric offset list is computed.
+in floating point.  The window of v holds every term of -v too, as
+t_{-v}(x) = t_v(x - v) bit for bit: without an x mask the sum for -v repeats
+the sum for v, and under an x mask A it gathers the y with y + v in A.  So
+only half of a symmetric offset list is computed, masked or not.
 
 An eps ladder is one pass: ``bbm_ladder`` (behind ``bbm_value`` and
 ``bbm_sweep``) and ``gagliardo_dominates_bbm`` compute the per-displacement
@@ -25,6 +27,11 @@ the subset |v|^2 <= m2 of that table.  The subset holds the same per-offset
 floats as the rung's own pass, and ``math.fsum`` is correctly rounded, so
 each rung reads its ``bbm_value`` bit for bit.
 
+A pass serves a list of (q, x mask) requests on one field (``bbm_ladders``
+and ``bbm_sweeps``; ``bbm_ladder`` and ``bbm_sweep`` are the one-request
+case): per offset, one region is differenced and squared, each distinct q
+is applied once, and each request gathers its terms.
+
 Every sum of shifted differences has one path.  ``_offset_slices`` is the
 only code that computes window bounds: the x window where every x + v of a
 list of integer offsets stays on the grid, and one y window per offset.
@@ -32,23 +39,19 @@ list of integer offsets stays on the grid, and one y window per offset.
 integer offset v.  A pair sum is one such window; a directional shift
 (``directional_value`` and ``jumps.directional_w_limit``, which share one
 direction and regime check) is the window of the lattice vector nearest
-eps k / h, normalised by |v| h; the splitting check takes its three windows
-from ``_offset_slices`` too.
+eps k / h, normalised by |v| h.
 
-A window's arithmetic allocates nothing.  ``pair_power_sums`` allocates
-one flat buffer, sized to its x box (the grid without a mask), and every
-window takes views of it: window x d floats for the differences and, when
-d >= 2, one more window for the squared norms; a directional shift's one
-window gets its own buffer of the same layout.  ``_window_sum`` writes every
-step into them with ``out=`` in the order of the plain expressions (the
-subtraction, ``einsum`` or, at d = 1, one multiplication, then the cost with
-the ufunc ``ss ** (q/2)`` picks), so every value is theirs bit for bit.  Only
-a window that is summed whole, with no x mask on an all-inside field, skips
-the boolean gather; any other builds its validity mask and gathers the valid
-terms first.
+A window's arithmetic allocates nothing: a pass allocates one flat buffer
+for its largest region (a directional shift, one for its window), and
+``_window_sum`` writes every step into it with ``out=`` in the order of the
+plain expressions (the subtraction, ``einsum`` or, at d = 1, one
+multiplication, then the cost with the ufunc ``ss ** (q/2)`` picks), so
+every value is theirs bit for bit.  Only a window summed whole, with no x
+mask on an all-inside field, skips the boolean gather; any other gathers
+its valid terms in C order, the floats of its own cropped window.
 
 ``_power_in_place`` is the one cost power |d|^q, for pair sums, shifts,
-W costs, the splitting check and the q-variation.  ``_check_kappa_h`` is the
+W costs and the q-variation.  ``_check_kappa_h`` is the
 one kappa*h guard: ``_check_regime`` adds the diameter half for pairs and
 shifts, and cube sides and ``aviles.mollify`` call it alone.
 
@@ -170,51 +173,67 @@ def _power_in_place(t: np.ndarray, q: float) -> np.ndarray:
     return t
 
 
-def _buffer_floats(shape) -> int:
-    """Floats ``_window_sum`` writes for a window x d block of ``shape``: the
-    differences, then the squared norms when d >= 2."""
+def _buffer_floats(shape, costs: int = 1) -> int:
+    """Floats ``_window_sum`` writes for a region x d block of ``shape`` under
+    ``costs`` distinct costs: the differences, then one more region when
+    d >= 2 (the squared norms) or ``costs`` > 1 (their copy)."""
     n = math.prod(shape)
-    d = shape[-1]
-    return n + (n // d if d > 1 else 0)
+    return n + (n // shape[-1] if shape[-1] > 1 or costs > 1 else 0)
 
 
-def _window_sum(field: SampledField, x_inside, off, cost, box=None, buf=None) -> float | None:
-    """sum over valid x of cost(|u(x + v) - u(x)|^2) for one integer offset v.
+def _window_sum(field: SampledField, off, requests, box=None, buf=None, mirror=False):
+    """Per (cost, x_inside) request, the tuple of the sum over valid x of
+    cost(|u(x + v) - u(x)|^2) for one integer offset v and, with ``mirror``,
+    the sum at -v.
 
     x is valid when it lies in ``x_inside`` (the field mask when ``None``)
-    and x + v lies inside the field mask.  ``box``, the bounding box of
-    ``x_inside``, crops the x window to it.  ``None`` when the x window is
-    empty.
-
-    Every step writes into ``buf``, a flat float64 array of at least
-    ``_buffer_floats`` elements for this window (a fresh one when ``None``),
-    in the order the plain expressions ``u(x + v) - u(x)``, ``einsum`` and
-    ``cost`` take, so each value is theirs bit for bit; ``cost`` may
-    overwrite its argument.
+    and x + v inside the field mask; the -v sum takes t_v(y) over the y with
+    y + v in ``x_inside`` and y inside the mask.  ``box``, per-axis [lo, hi)
+    holding every ``x_inside`` (``None``: no crop), crops the x window to
+    box and, with ``mirror``, box - v; ``None`` when that region is empty.
+    Every step writes into ``buf``, of ``_buffer_floats`` floats for the
+    region (fresh when ``None``).  Each distinct cost runs once, on a copy of
+    the squared norms for all but the last, and may overwrite its argument.
     """
+    if box is not None and mirror:
+        box = [(min(lo, lo - o), max(hi, hi - o)) for (lo, hi), o in zip(box, off)]
     sx, ys = _offset_slices(field.grid.extents, [off], box)
     if sx is None:
         return None
     sy = ys[0]
-    values, inside = field.values, field.mask.inside
+    values, inside, whole = field.values, field.mask.inside, field.mask.all_inside
+    costs = list(dict.fromkeys(cost for cost, _ in requests))
     ux = values[sx]
     if buf is None:
-        buf = np.empty(_buffer_floats(ux.shape))
+        buf = np.empty(_buffer_floats(ux.shape, len(costs)))
     n = ux.size
+    m = n // field.d
     dv = buf[:n].reshape(ux.shape)
     np.subtract(values[sy], ux, out=dv)
     if field.d == 1:
         t = dv[..., 0]
         np.multiply(t, t, out=t)
+        spare = buf[n : n + m]
     else:
-        t = np.einsum("...k,...k->...", dv, dv, out=buf[n : n + n // field.d].reshape(ux.shape[:-1]))
-    t = cost(t)
-    if x_inside is None and field.mask.all_inside:
-        return float(t.sum())
-    valid = (inside if x_inside is None else x_inside)[sx]
-    if not field.mask.all_inside:
-        valid = valid & inside[sy]
-    return float(t[valid].sum())
+        t = np.einsum("...k,...k->...", dv, dv, out=buf[n : n + m].reshape(ux.shape[:-1]))
+        spare = buf[:m]
+    sums = [None] * len(requests)
+    for cost in costs:
+        c = t
+        if cost is not costs[-1]:
+            c = spare.reshape(t.shape)
+            np.copyto(c, t)
+        c = cost(c)
+        for i, (rc, x_in) in enumerate(requests):
+            if rc is not cost:
+                continue
+            if x_in is None:
+                total = float(c.sum() if whole else c[inside[sx] & inside[sy]].sum())
+                sums[i] = (total, total)[: 1 + mirror]
+            else:
+                sides = ((sx, sy), (sy, sx))[: 1 + mirror]
+                sums[i] = tuple(float(c[x_in[a] if whole else x_in[a] & inside[b]].sum()) for a, b in sides)
+    return sums
 
 
 def _x_inside(field: SampledField, x_mask: DomainMask | None) -> np.ndarray | None:
@@ -238,40 +257,47 @@ def pair_power_sums(
     Each sum is the ``_window_sum`` of v over x with x and x+v inside
     (x in ``x_mask`` when given); a displacement with no such x sums to 0.
 
-    Without ``x_mask`` the -v windows are the v windows swapped: the same
-    differences, negated, over the same validity mask and in the same C
-    order.  So when the offset list is symmetric (``offsets[::-1] ==
-    -offsets``, true for every ``lattice_offsets`` result) only its first
-    half is summed and the rest is filled by reversal, bit for bit.
-
-    With ``x_mask`` every x window is cropped to the bounding box of
-    ``x_mask.inside``.  Every x the mask keeps lies in that box, and the
-    cropped window is a sub-block of the full one, so ``t[valid]`` holds the
-    same elements in the same C order and its sum is unchanged, bit for bit;
-    only samples the mask would discard are no longer computed.
+    When the offset list is symmetric (``offsets[::-1] == -offsets``, true
+    for every ``lattice_offsets`` result) only its first half is windowed:
+    the window of v also gives the sum at -v, bit for bit.  With ``x_mask``
+    every region is cropped to the bounding box of ``x_mask.inside`` and its
+    shift by -v; ``t[valid]`` gathers the same elements in the same C order
+    as the uncropped window, so only samples the mask would discard are no
+    longer computed.
 
     A {0, 1} field (``_is_indicator``) skips the windows: its sums are the
     exact pair counts of ``_indicator_pair_counts``, which equal the window
     sums bit for bit at every q.
     """
-    x_inside = _x_inside(field, x_mask)
-    box = None if x_mask is None else _bounding_box(x_inside)
+    return _pair_sums(field, offsets, [(q, x_mask)])[0]
+
+
+def _pair_sums(field: SampledField, offsets: np.ndarray, requests) -> list[np.ndarray]:
+    """``pair_power_sums`` of every (q, x_mask) request, from one pass: one
+    ``_window_sum`` per offset of the computed half serves them all."""
+    insides = [_x_inside(field, x_mask) for _, x_mask in requests]
     if _is_indicator(field):
-        return _indicator_pair_counts(field, offsets, x_inside)
+        return [_indicator_pair_counts(field, offsets, x_in) for x_in in insides]
     n = len(offsets)
-    half = n
-    if x_inside is None and np.array_equal(offsets[::-1], -offsets):
-        half = (n + 1) // 2
-    cost = partial(_power_in_place, q=q)
-    # one buffer for every window: each lies in the box (the grid without one)
-    extents = field.grid.extents if box is None else [hi - lo for lo, hi in box]
-    buf = np.empty(_buffer_floats([*extents, field.d]))
-    out = np.empty(n, dtype=np.float64)
+    half = (n + 1) // 2 if np.array_equal(offsets[::-1], -offsets) else n
+    mirror = half < n
+    costs = {q: partial(_power_in_place, q=q) for q, _ in requests}
+    reqs = [(costs[q], x_in) for (q, _), x_in in zip(requests, insides)]
+    # one box holds every x mask, and one buffer every region: the box,
+    # widened by the longest offset per axis when mirroring (no box: the grid)
+    box, extents = None, field.grid.extents
+    if all(x_in is not None for x_in in insides):
+        box = [(min(lo for lo, _ in ax), max(hi for _, hi in ax)) for ax in zip(*map(_bounding_box, insides))]
+        reach = np.abs(offsets).max(axis=0, initial=0) * mirror
+        extents = [min(e, hi - lo + int(r)) for e, (lo, hi), r in zip(extents, box, reach)]
+    buf = np.empty(_buffer_floats([*extents, field.d], len(costs)))
+    out = np.zeros((len(reqs), n))
     for i, off in enumerate(offsets[:half]):
-        total = _window_sum(field, x_inside, off.tolist(), cost, box, buf)
-        out[i] = 0.0 if total is None else total
-    out[half:] = out[: n - half][::-1]
-    return out
+        for row, sums in zip(out, _window_sum(field, off.tolist(), reqs, box, buf, mirror) or ()):
+            row[i] = sums[0]
+            if mirror:
+                row[n - 1 - i] = sums[1]
+    return list(out)
 
 
 def _is_indicator(field: SampledField) -> bool:
@@ -335,20 +361,34 @@ def bbm_ladder(
     *,
     kappa: float = defaults.KAPPA,
 ) -> list[float]:
-    """``bbm_value`` at every eps of the list, from one pair-sum pass.
+    """``bbm_value`` at every eps of the list, from one pair-sum pass: the
+    one-request case of ``bbm_ladders``."""
+    return bbm_ladders(u, [(q, x_mask)], eps_list, kappa=kappa)[0]
 
-    Every rung is validated first.  The pair sums are then computed once, at
-    the largest rung, and each rung reduces the offsets with |v|^2 <= its
-    own m2: its own ``lattice_offsets`` list with the same per-offset terms,
-    so, ``math.fsum`` being correctly rounded, each value is the rung's
-    single-scale value bit for bit.  The list may come in any order.
+
+def bbm_ladders(u: SampledField, requests, eps_list, *, kappa: float = defaults.KAPPA) -> list[list[float]]:
+    """``bbm_ladder`` of each (q, x_mask) request, from one pair-sum pass.
+
+    Every rung is validated first, for every q.  The pair sums are then
+    computed once, at the largest rung (one request: by ``pair_power_sums``),
+    and each rung reduces the offsets with |v|^2 <= its own m2: its own
+    ``lattice_offsets`` list with the same per-offset terms, so, ``math.fsum``
+    being correctly rounded, each value is the rung's single-scale value bit
+    for bit.  The list may come in any order.
     """
-    rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
+    rungs = [_bbm_rung(u, min(q for q, _ in requests), eps, kappa) for eps in eps_list]
     if not rungs:
         raise ValueError("need at least one eps")
     offs, r2 = lattice_offsets(u.grid.dim, max(m2 for m2, _ in rungs))
-    terms = pair_power_sums(u, offs, q, x_mask) / (u.grid.spacing * np.sqrt(r2))
-    return [_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs]
+    if len(requests) == 1:
+        tables = [pair_power_sums(u, offs, *requests[0])]
+    else:
+        tables = _pair_sums(u, offs, requests)
+    out = []
+    for sums in tables:
+        terms = sums / (u.grid.spacing * np.sqrt(r2))
+        out.append([_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs])
+    return out
 
 
 def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]:
@@ -463,16 +503,24 @@ def bbm_sweep(
     *,
     kappa: float = defaults.KAPPA,
 ) -> EpsSweep:
-    """bbm_value along a decreasing eps ladder plus an extrapolated limit.
+    """bbm_value along a decreasing eps ladder plus an extrapolated limit:
+    the one-request case of ``bbm_sweeps``."""
+    return bbm_sweeps(u, [(q, x_mask)], eps_list, fit_model, kappa=kappa)[0]
+
+
+def bbm_sweeps(
+    u: SampledField, requests, eps_list, fit_model: str = "linear-in-eps", *, kappa: float = defaults.KAPPA
+) -> list[EpsSweep]:
+    """``bbm_sweep`` of each (q, x_mask) request.
 
     The ladder order and the fit model are checked first; the values then
-    come from one ``bbm_ladder`` pass, which checks every rung's regime, so
+    come from one ``bbm_ladders`` pass, which checks every rung's regime, so
     each equals ``bbm_value(u, q, eps, x_mask)`` bit for bit.
     """
     eps_list = list(eps_list)
     eps_lengths = _check_sweep_ladder(eps_list, u.grid.spacing, fit_model)
-    values = bbm_ladder(u, q, eps_list, x_mask, kappa=kappa)
-    return sweep_functional(eps_lengths, values, fit_model)
+    ladders = bbm_ladders(u, requests, eps_list, kappa=kappa)
+    return [sweep_functional(eps_lengths, values, fit_model) for values in ladders]
 
 
 # --------------------------------------------------------------------------
@@ -492,10 +540,10 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     r2 = sum(c * c for c in v)
     if r2 == 0:
         raise RegimeError(f"shift eps = {eps_len:g} rounds to the zero lattice vector")
-    total = _window_sum(u, _x_inside(u, x_mask), v, cost)
-    if total is None:
+    sums = _window_sum(u, v, [(cost, _x_inside(u, x_mask))])
+    if sums is None:
         raise RegimeError("shift leaves the grid entirely")
-    return total * h**u.grid.dim / (math.sqrt(r2) * h)
+    return sums[0][0] * h**u.grid.dim / (math.sqrt(r2) * h)
 
 
 def _check_shift(u: SampledField, eps, k, kappa: float) -> tuple[list[float], float]:
@@ -619,22 +667,6 @@ def besov_seminorm_pow(
     return max(directional_sup(u, q, r, n_directions, kappa=kappa) for r in rhos)
 
 
-def gagliardo_seminorm_pow(
-    u: SampledField,
-    q: float,
-) -> float:
-    """Discrete double sum of |u(x)-u(y)|^q / |x-y|^{N+1} over distinct pairs.
-
-    For fields with jumps this diverges as h -> 0; the raw value is reported
-    as is.  Every displacement up to the grid diameter is enumerated, so the
-    cost grows with the full pair count; intended for 1D grids and small 2D
-    grids.
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return _gagliardo_pass(u, q)[0]
-
-
 def _gagliardo_pass(u: SampledField, q: float):
     """(value, pair sums, |v|^2, h|v|) over every offset v up to the diameter."""
     g = u.grid
@@ -688,76 +720,3 @@ def _int_power(x, n: int):
     for _ in range(n - 1):
         out = out * x
     return out
-
-
-# --------------------------------------------------------------------------
-# Exact sample-wise inequality checks tied to the kernel algebra.
-# --------------------------------------------------------------------------
-
-
-def q_monotonicity_holds(
-    u: SampledField,
-    q1: float,
-    q2: float,
-    eps,
-    *,
-    kappa: float = defaults.KAPPA,
-) -> tuple[float, float, bool]:
-    """Check bbm(u, q2, eps) <= (2 sup|u|)^(q2-q1) * bbm(u, q1, eps).
-
-    Holds pair by pair because |u(y) - u(x)| <= 2 sup|u|; returns the two
-    sides and the verdict of the untoleranced comparison.
-    """
-    if not q2 > q1 >= 1:
-        raise ValueError("need q2 > q1 >= 1")
-    lhs = bbm_value(u, q2, eps, kappa=kappa)
-    rhs = bbm_value(u, q1, eps, kappa=kappa)
-    factor = (2.0 * u.sup_norm()) ** (q2 - q1)
-    return lhs, factor * rhs, bool(lhs <= factor * rhs)
-
-
-def splitting_inequality_holds(
-    u: SampledField,
-    q: float,
-    off1,
-    off2,
-    x_mask: DomainMask | None = None,
-) -> bool:
-    """Sample-wise triangle/convexity splitting for a two-leg shift.
-
-    For integer offsets v1, v2 checks, at every sample x where all three
-    points are inside,
-
-        |u(x+v1+v2) - u(x)|^q
-            <= 2^(q-1) (|u(x+v1+v2) - u(x+v1)|^q + |u(x+v1) - u(x)|^q).
-
-    Exact-equality samples (the two legs coincide) are accepted as equality.
-    Both offsets must have the grid's dimension.
-    """
-    if any(np.size(o) != u.grid.dim for o in (off1, off2)):
-        raise ValueError("splitting offsets must have the grid dimension")
-    off1 = np.asarray(off1, dtype=int).tolist()
-    off = (np.asarray(off2, dtype=int) + off1).tolist()
-    sx, ys = _offset_slices(u.grid.extents, [off1, off])
-    if sx is None:
-        raise RegimeError("splitting offsets leave the grid entirely")
-    s_mid, sy = ys
-    u0 = u.values[sx]
-    u1 = u.values[s_mid]
-    u2 = u.values[sy]
-    inside = u.mask.inside
-    valid = inside[sx] & inside[s_mid] & inside[sy]
-    x_inside = _x_inside(u, x_mask)
-    if x_inside is not None:
-        valid = valid & x_inside[sx]
-    a = u2 - u1
-    b = u1 - u0
-    ssa = np.einsum("...k,...k->...", a, a)
-    ssb = np.einsum("...k,...k->...", b, b)
-    c = u2 - u0
-    ssc = np.einsum("...k,...k->...", c, c)
-    equal_legs = ssa == ssb  # before the powers overwrite the legs
-    lhs = _power_in_place(ssc, q)
-    rhs = 2.0 ** (q - 1.0) * (_power_in_place(ssa, q) + _power_in_place(ssb, q))
-    ok = (lhs <= rhs) | equal_legs
-    return bool(ok[valid].all())

@@ -45,11 +45,16 @@ def q_variation_pow(sig: Signal1D, q: float) -> float:
     Dynamic program over chain endpoints: best[j] = max_{i<j} best[i] +
     |f_j - f_i|^q, O(n^2).  The restriction to sample abscissae is exact for
     the piecewise-constant interpretation of the signal.
+
+    A sample equal to its predecessor in every component is dropped first:
+    ``best`` is constant along a run of equal samples, and every increment
+    from a run is the same float, so the result is the same bit for bit.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
     v = sig.values
-    n = sig.n
+    v = v[np.concatenate([[True], (v[1:] != v[:-1]).any(axis=1)])]
+    n = len(v)
     best = np.zeros(n)
     for j in range(1, n):
         d = v[j] - v[:j]

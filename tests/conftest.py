@@ -3,8 +3,16 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bvqlab import DomainMask, Grid, SampledField, make_field, sample_analytic
-from bvqlab.kernels import lattice_offsets, resolve_radius
+from bvqlab import DomainMask, Grid, RegimeError, SampledField, bbm_value, make_field, sample_analytic
+from bvqlab.defaults import KAPPA
+from bvqlab.kernels import (
+    _gagliardo_pass,
+    _offset_slices,
+    _power_in_place,
+    _x_inside,
+    lattice_offsets,
+    resolve_radius,
+)
 
 
 @pytest.fixture
@@ -185,3 +193,94 @@ def _oracle(psi, grad, eta, eps):
     grad = _shift_add(g, w[:, None], offs)[..., 0, :]
     hess = -_shift_add(g, gw, offs) / eps_len
     return psi_eps, grad, hess
+
+
+# --------------------------------------------------------------------------
+# Test oracles: the raw Gagliardo double sum and the exact sample-wise
+# inequalities tied to the kernel algebra, checked on the package's pair
+# sums and windows.
+# --------------------------------------------------------------------------
+
+
+def gagliardo_seminorm_pow(
+    u: SampledField,
+    q: float,
+) -> float:
+    """Discrete double sum of |u(x)-u(y)|^q / |x-y|^{N+1} over distinct pairs.
+
+    For fields with jumps this diverges as h -> 0; the raw value is reported
+    as is.  Every displacement up to the grid diameter is enumerated, so the
+    cost grows with the full pair count; intended for 1D grids and small 2D
+    grids.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    return _gagliardo_pass(u, q)[0]
+
+
+def q_monotonicity_holds(
+    u: SampledField,
+    q1: float,
+    q2: float,
+    eps,
+    *,
+    kappa: float = KAPPA,
+) -> tuple[float, float, bool]:
+    """Check bbm(u, q2, eps) <= (2 sup|u|)^(q2-q1) * bbm(u, q1, eps).
+
+    Holds pair by pair because |u(y) - u(x)| <= 2 sup|u|; returns the two
+    sides and the verdict of the untoleranced comparison.
+    """
+    if not q2 > q1 >= 1:
+        raise ValueError("need q2 > q1 >= 1")
+    lhs = bbm_value(u, q2, eps, kappa=kappa)
+    rhs = bbm_value(u, q1, eps, kappa=kappa)
+    factor = (2.0 * u.sup_norm()) ** (q2 - q1)
+    return lhs, factor * rhs, bool(lhs <= factor * rhs)
+
+
+def splitting_inequality_holds(
+    u: SampledField,
+    q: float,
+    off1,
+    off2,
+    x_mask: DomainMask | None = None,
+) -> bool:
+    """Sample-wise triangle/convexity splitting for a two-leg shift.
+
+    For integer offsets v1, v2 checks, at every sample x where all three
+    points are inside,
+
+        |u(x+v1+v2) - u(x)|^q
+            <= 2^(q-1) (|u(x+v1+v2) - u(x+v1)|^q + |u(x+v1) - u(x)|^q).
+
+    Exact-equality samples (the two legs coincide) are accepted as equality.
+    Both offsets must have the grid's dimension.
+    """
+    if any(np.size(o) != u.grid.dim for o in (off1, off2)):
+        raise ValueError("splitting offsets must have the grid dimension")
+    off1 = np.asarray(off1, dtype=int).tolist()
+    off = (np.asarray(off2, dtype=int) + off1).tolist()
+    sx, ys = _offset_slices(u.grid.extents, [off1, off])
+    if sx is None:
+        raise RegimeError("splitting offsets leave the grid entirely")
+    s_mid, sy = ys
+    u0 = u.values[sx]
+    u1 = u.values[s_mid]
+    u2 = u.values[sy]
+    inside = u.mask.inside
+    valid = inside[sx] & inside[s_mid] & inside[sy]
+    x_inside = _x_inside(u, x_mask)
+    if x_inside is not None:
+        valid = valid & x_inside[sx]
+    a = u2 - u1
+    b = u1 - u0
+    ssa = np.einsum("...k,...k->...", a, a)
+    ssb = np.einsum("...k,...k->...", b, b)
+    c = u2 - u0
+    ssc = np.einsum("...k,...k->...", c, c)
+    equal_legs = ssa == ssb  # before the powers overwrite the legs
+    lhs = _power_in_place(ssc, q)
+    rhs = 2.0 ** (q - 1.0) * (_power_in_place(ssa, q) + _power_in_place(ssb, q))
+    ok = (lhs <= rhs) | equal_legs
+    return bool(ok[valid].all())

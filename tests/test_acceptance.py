@@ -28,17 +28,15 @@ from bvqlab import (
     dimensional_constant_closed_form,
     gagliardo_dominates_bbm,
     make_field,
-    q_monotonicity_holds,
     q_variation_pow,
     sample_analytic,
     sample_gradient,
-    splitting_inequality_holds,
     verify_gamma_consistency,
     verify_jump_formula,
     verify_q1_full_bv,
     verify_two_sided,
 )
-from conftest import random_block_field
+from conftest import q_monotonicity_holds, random_block_field, splitting_inequality_holds
 from test_variation import exhaustive_q_variation_pow
 
 

@@ -7,6 +7,7 @@ from bvqlab import (
     DomainMask,
     Grid,
     GridRadius,
+    ag_chain_reports,
     ag_energy,
     bbm_value,
     build_mollifier,
@@ -232,6 +233,31 @@ def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
     per_rung = [bbm_value(grad, 3.0, e, inner) for e in ladder]
     assert rep.details["gradient_sweep"] == per_rung
     assert rep.details["matched_bounds"] == [_moment_bound(eta, 3.0, 3.0, a, a) for a in per_rung]
+
+
+@pytest.mark.parametrize("with_jump", [True, False])
+def test_chain_reports_share_one_pass_and_equal_the_separate_checks(pyramid_setup, monkeypatch, with_jump):
+    from bvqlab import kernels
+
+    g, mask, grad, eta = pyramid_setup
+    ladder = [GridRadius.from_cells(m) for m in (16, 12, 9)]
+    jump = make_field("pyramid-eikonal").jump_spec(g) if with_jump else None
+    passes = []
+    real = kernels._pair_sums
+
+    def counted(field, offsets, requests):
+        passes.append([m is None for _, m in requests])
+        return real(field, offsets, requests)
+
+    monkeypatch.setattr(kernels, "_pair_sums", counted)
+    reports = ag_chain_reports(grad, eta, ladder, jump, 0.05)
+    # the masked chain sweep and, with a jump, the unmasked ridge sweep
+    assert passes == [[False, True] if with_jump else [False]]
+    monkeypatch.undo()
+    separate = [check_ag_chain(grad, eta, ladder)]
+    if with_jump:
+        separate.append(verify_gamma_consistency(grad, jump, ladder, 0.05))
+    assert [vars(r) for r in reports] == [vars(r) for r in separate]
 
 
 def test_chain_rejects_bad_ladder(roof_setup):

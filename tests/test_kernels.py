@@ -18,13 +18,16 @@ from bvqlab import (
     directional_sup,
     directional_value,
     gagliardo_dominates_bbm,
-    gagliardo_seminorm_pow,
     make_field,
-    q_monotonicity_holds,
     sample_analytic,
+)
+from conftest import (
+    gagliardo_seminorm_pow,
+    q_monotonicity_holds,
+    random_block_field,
+    single_pair_sum,
     splitting_inequality_holds,
 )
-from conftest import random_block_field, single_pair_sum
 
 
 def test_constant_field_zero(line_mask):

@@ -21,9 +21,9 @@ from bvqlab import (
     RegimeError,
     SampledField,
     directional_value,
-    splitting_inequality_holds,
 )
 from bvqlab.kernels import pair_power_sums
+from conftest import splitting_inequality_holds
 
 REL = 1e-12
 KAPPA = 2.0  # tiny grids need shifts of a few cells

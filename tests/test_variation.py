@@ -13,6 +13,7 @@ from bvqlab import (
     q_variation_pow,
     signal_as_field,
 )
+from bvqlab.kernels import _power_in_place
 
 
 def exhaustive_q_variation_pow(values: np.ndarray, q: float) -> float:
@@ -51,6 +52,37 @@ def test_dp_equals_exhaustive_property(data, q):
     assert q_variation_pow(sig, q) == pytest.approx(
         exhaustive_q_variation_pow(vals, q), rel=1e-12, abs=1e-12
     )
+
+
+def uncollapsed_q_variation_pow(values: np.ndarray, q: float) -> float:
+    """The O(n^2) chain DP over every sample, repeats included."""
+    best = np.zeros(len(values))
+    for j in range(1, len(values)):
+        d = values[j] - values[:j]
+        inc = _power_in_place(np.einsum("ik,ik->i", d, d), q)
+        best[j] = float(np.max(best[:j] + inc))
+    return float(best.max())
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_run_collapse_is_the_uncollapsed_dp_bit_for_bit(d):
+    # run-length signals: a few levels, each repeated, with +0.0 and -0.0
+    # levels that compare equal but differ in sign
+    rng = np.random.default_rng(31 + d)
+    for trial in range(600):
+        levels = rng.normal(size=(int(rng.integers(1, 8)), d))
+        levels[rng.random(levels.shape) < 0.2] = 0.0
+        levels[rng.random(levels.shape) < 0.2] = -0.0
+        runs = rng.integers(1, 6, size=len(levels))
+        vals = np.repeat(levels, runs, axis=0)
+        if len(vals) < 2:
+            vals = np.concatenate([vals, -vals])
+        zero = vals == 0.0
+        vals[zero] = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+        sig = Signal1D(np.arange(float(len(vals))), vals)
+        for q in (1.0, 1.5, 2.0, 3.0):
+            got = q_variation_pow(sig, q)
+            assert got.hex() == uncollapsed_q_variation_pow(sig.values, q).hex(), (trial, q)
 
 
 def test_monotone_ramp_single_jump_optimal():

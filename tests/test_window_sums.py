@@ -20,14 +20,23 @@ from bvqlab import (
     DomainMask,
     EmptyMaskError,
     Grid,
+    GridRadius,
     PowerPairCost,
     RegimeError,
     SampledField,
     SmoothRationalPairCost,
+    ag_chain_reports,
+    bbm_ladder,
+    bbm_ladders,
+    bbm_sweep,
+    bbm_sweeps,
+    build_mollifier,
+    check_ag_upper_bound,
     directional_value,
     directional_w_limit,
     make_field,
     sample_analytic,
+    sample_gradient,
 )
 from bvqlab import _correlation, kernels
 from bvqlab.kernels import lattice_offsets, pair_power_sums
@@ -137,6 +146,82 @@ def test_pair_sums_equal_the_reference_bit_for_bit(dim, d, mask_kind, x_kind, mo
             assert got.tobytes() == ref.tobytes(), (value_kind, q)
             # exactly the {0, 1} fields skip the windows
             assert (not calls) == (d == 1 and value_kind == "01"), (value_kind, q)
+
+
+def _request_lists(u, x_mask, seed):
+    """(q, x mask) lists for one pass: one request, masked and unmasked
+    mixes, and one to three distinct q (repeated q included)."""
+    other = _x_mask(u, "random", seed + 1)
+    lists = [
+        [(3.0, x_mask)],
+        [(3.0, x_mask), (3.0, None)],
+        [(1.5, x_mask), (4.0, x_mask)],
+        [(2.0, None), (1.0, x_mask), (3.0, other), (1.0, other)],
+        [(4.0, other), (1.5, x_mask), (4.0, x_mask)],
+    ]
+    return lists
+
+
+@pytest.mark.parametrize("dim, d, mask_kind, x_kind", CASES)
+def test_one_pass_serves_every_request_bit_for_bit(dim, d, mask_kind, x_kind, monkeypatch):
+    # a multi-request pass equals each request's own pair_power_sums; a
+    # symmetric list takes one window per offset of its first half, an
+    # asymmetric one (no mirror) one per offset, a {0, 1} field none
+    calls = _spy_windows(monkeypatch)
+    lattice, _ = lattice_offsets(dim, RADII[dim])
+    skew = lattice[::3]
+    assert not np.array_equal(skew[::-1], -skew)
+    seed = 400 * dim + 10 * d + len(mask_kind)
+    for value_kind in ("normal", "01"):
+        u = _field(dim, d, mask_kind, value_kind, seed)
+        try:
+            x_mask = _x_mask(u, x_kind, seed)
+        except EmptyMaskError:
+            continue
+        indicator = d == 1 and value_kind == "01"
+        for offs, windows in ((lattice, len(lattice) // 2), (skew, len(skew))):
+            for requests in _request_lists(u, x_mask, seed):
+                calls.clear()
+                got = kernels._pair_sums(u, offs, requests)
+                assert len(calls) == (0 if indicator else windows), (value_kind, requests)
+                for sums, (q, m) in zip(got, requests, strict=True):
+                    ref = pair_power_sums(u, offs, q, m)
+                    assert [v.hex() for v in sums] == [v.hex() for v in ref], (value_kind, q, m is None)
+                    assert sums.tobytes() == reference_pair_power_sums(u, offs, q, m).tobytes()
+
+
+def test_ladders_and_sweeps_of_several_requests_are_each_requests_own():
+    u = _field(2, 2, "disc", "normal", seed=9)
+    x_mask = u.mask.erode(2.0 * u.grid.spacing)
+    h = u.grid.spacing
+    ladder = [c * h for c in (3.0, 2.5, 2.0)]
+    requests = [(3.0, x_mask), (3.0, None), (4.0, x_mask)]
+    ladders = bbm_ladders(u, requests, ladder, kappa=KAPPA)
+    sweeps = bbm_sweeps(u, requests, ladder, "constant", kappa=KAPPA)
+    for (q, m), values, sweep in zip(requests, ladders, sweeps, strict=True):
+        assert values == bbm_ladder(u, q, ladder, m, kappa=KAPPA)
+        assert sweep.values == bbm_sweep(u, q, ladder, "constant", m, kappa=KAPPA).values
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        bbm_ladders(u, [(3.0, None), (0.5, x_mask)], ladder, kappa=KAPPA)
+
+
+def test_benchmark_ag_configs_window_each_offset_once(monkeypatch):
+    # the pyramid chain (a masked and an unmasked q = 3 sweep) and the cone
+    # upper bound (q = 3 and p = 4 under one mask) on 64^2 at 16, 12 and 9
+    # cells: one window per offset of the half list at 16 cells, 398 each,
+    # where separate passes took 796 + 398 and 2 x 796
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [64, 64])
+    mask = DomainMask.full(g)
+    ladder = [GridRadius.from_cells(m) for m in (16, 12, 9)]
+    eta = build_mollifier("polynomial-bump", 2, k=2)
+    assert len(lattice_offsets(2, 16 * 16)[0]) == 2 * 398
+    calls = _spy_windows(monkeypatch)
+    spec = make_field("pyramid-eikonal")
+    reports = ag_chain_reports(sample_gradient(spec, mask), eta, ladder, spec.jump_spec(g))
+    assert len(reports) == 2 and len(calls) == 398
+    calls.clear()
+    check_ag_upper_bound(sample_gradient(make_field("cone-eikonal"), mask), eta, 3.0, 4.0, ladder)
+    assert len(calls) == 398
 
 
 def test_count_path_refuses_a_correlation_off_an_integer(monkeypatch):
