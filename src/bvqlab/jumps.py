@@ -27,10 +27,10 @@ from .kernels import (
     _bbm_rung,
     _check_shift,
     _directional_sum,
+    _pair_table,
     _power_in_place,
     bbm_sweep,
-    lattice_offsets,
-    pair_power_sums,
+    pair_power_sums,  # unused here; bench/tests/test_bench.py pins jumps.pair_power_sums
 )
 from .reports import ComparisonReport, equal_within
 
@@ -253,12 +253,12 @@ def verify_two_sided(
     m2, eps_len = _bbm_rung(u, q, eps, kappa)
     inner1 = u.mask.erode(2.0 * eps_len)   # domain of the directional sums
     inner2 = u.mask.erode(eps_len)         # domain of the wider kernel sum
-    offs, r2 = lattice_offsets(n, m2)
-    dist = h * np.sqrt(r2)
+    r2, dist, (s1,) = _pair_table(u, [(q, inner1)], m2)
+    _, _, (s2,) = _pair_table(u, [(q, inner2)], m2)
     scale = h**n
-    c1 = pair_power_sums(u, offs, q, inner1) * scale / dist
-    c2 = pair_power_sums(u, offs, q, inner2) * scale / dist
-    count = len(offs)
+    c1 = s1 * scale / dist
+    c2 = s2 * scale / dist
+    count = len(r2)
     vol_disc = count * h**n / eps_len**n
     a1 = math.fsum(c1) * h**n / eps_len**n
     a2 = math.fsum(c2) * h**n / eps_len**n

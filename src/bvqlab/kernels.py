@@ -20,12 +20,12 @@ t_{-v}(x) = t_v(x - v) bit for bit: without an x mask the sum for -v repeats
 the sum for v, and under an x mask A it gathers the y with y + v in A.  So
 only half of a symmetric offset list is computed, masked or not.
 
-An eps ladder is one pass: ``bbm_ladder`` (behind ``bbm_value`` and
-``bbm_sweep``) and ``gagliardo_dominates_bbm`` compute the per-displacement
-sums once, at the largest radius they need, and every smaller rung reduces
-the subset |v|^2 <= m2 of that table.  The subset holds the same per-offset
-floats as the rung's own pass, and ``math.fsum`` is correctly rounded, so
-each rung reads its ``bbm_value`` bit for bit.
+An eps ladder is one pass.  ``_pair_table`` is the one place a pass starts;
+``bbm_ladder`` (behind ``bbm_value`` and ``bbm_sweep``),
+``gagliardo_dominates_bbm`` and ``jumps.verify_two_sided`` reduce its table.
+A ladder's table is built at its largest radius; each rung sums the subset
+|v|^2 <= m2 (``_bbm_totals``), the floats of its own pass, with the
+correctly rounded ``fsum``, so it reads its ``bbm_value`` bit for bit.
 
 A pass serves a list of (q, x mask) requests on one field (``bbm_ladders``
 and ``bbm_sweeps``; ``bbm_ladder`` and ``bbm_sweep`` are the one-request
@@ -369,26 +369,28 @@ def bbm_ladder(
 def bbm_ladders(u: SampledField, requests, eps_list, *, kappa: float = defaults.KAPPA) -> list[list[float]]:
     """``bbm_ladder`` of each (q, x_mask) request, from one pair-sum pass.
 
-    Every rung is validated first, for every q.  The pair sums are then
-    computed once, at the largest rung (one request: by ``pair_power_sums``),
-    and each rung reduces the offsets with |v|^2 <= its own m2: its own
-    ``lattice_offsets`` list with the same per-offset terms, so, ``math.fsum``
-    being correctly rounded, each value is the rung's single-scale value bit
+    Every rung is validated first, for every q.  One ``_pair_table`` at the
+    largest rung then serves every rung, each reducing the offsets with
+    |v|^2 <= its own m2, so each value is the rung's single-scale value bit
     for bit.  The list may come in any order.
     """
     rungs = [_bbm_rung(u, min(q for q, _ in requests), eps, kappa) for eps in eps_list]
     if not rungs:
         raise ValueError("need at least one eps")
-    offs, r2 = lattice_offsets(u.grid.dim, max(m2 for m2, _ in rungs))
+    r2, dist, tables = _pair_table(u, requests, max(m2 for m2, _ in rungs))
+    return [_bbm_totals(u, sums / dist, r2, rungs) for sums in tables]
+
+
+def _pair_table(u: SampledField, requests, m2max: int):
+    """(|v|^2, |v| h, [pair sums per (q, x_mask) request]) over
+    ``lattice_offsets(dim, m2max)``: one request runs through the public
+    ``pair_power_sums``, several through ``_pair_sums``."""
+    offs, r2 = lattice_offsets(u.grid.dim, m2max)
     if len(requests) == 1:
         tables = [pair_power_sums(u, offs, *requests[0])]
     else:
         tables = _pair_sums(u, offs, requests)
-    out = []
-    for sums in tables:
-        terms = sums / (u.grid.spacing * np.sqrt(r2))
-        out.append([_bbm_total(u, terms[r2 <= m2], eps_len) for m2, eps_len in rungs])
-    return out
+    return r2, u.grid.spacing * np.sqrt(r2), tables
 
 
 def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]:
@@ -401,9 +403,10 @@ def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]
     return m2max, eps_len
 
 
-def _bbm_total(u: SampledField, terms: np.ndarray, eps_len: float) -> float:
+def _bbm_totals(u: SampledField, terms: np.ndarray, r2: np.ndarray, rungs) -> list[float]:
+    """Each (m2, eps length) rung's bbm value from the terms sums / (|v| h)."""
     n = u.grid.dim
-    return math.fsum(terms) * u.grid.spacing ** (2 * n) / eps_len**n
+    return [math.fsum(terms[r2 <= m2]) * u.grid.spacing ** (2 * n) / eps_len**n for m2, eps_len in rungs]
 
 
 class EpsSweep:
@@ -667,16 +670,6 @@ def besov_seminorm_pow(
     return max(directional_sup(u, q, r, n_directions, kappa=kappa) for r in rhos)
 
 
-def _gagliardo_pass(u: SampledField, q: float):
-    """(value, pair sums, |v|^2, h|v|) over every offset v up to the diameter."""
-    g = u.grid
-    m2max = sum((e - 1) ** 2 for e in g.extents)
-    offs, r2 = lattice_offsets(g.dim, m2max)
-    sums = pair_power_sums(u, offs, q)
-    dist = g.spacing * np.sqrt(r2)
-    return math.fsum(sums / dist ** (g.dim + 1)) * g.spacing ** (2 * g.dim), sums, r2, dist
-
-
 def gagliardo_dominates_bbm(
     u: SampledField,
     q: float,
@@ -686,10 +679,10 @@ def gagliardo_dominates_bbm(
 ) -> list[tuple[float, float, bool]]:
     """(bbm value, gagliardo value, bbm <= gagliardo) for every eps in the list.
 
-    One ``pair_power_sums`` pass up to the grid diameter serves every rung:
+    One ``_pair_table`` pass up to the grid diameter serves every rung:
     the gagliardo value reduces all of it, and each bbm value reduces the
     offsets with |v| <= eps, which equals ``bbm_value(u, q, eps)`` bit for
-    bit.  Every rung is validated before the pass runs.
+    bit.  Every rung is validated, and an empty list refused, before the pass.
 
     The domination holds term by term: for |v| <= eps the bbm kernel weight
     1/(eps^N |v|) never exceeds 1/|v|^{N+1}, and the gagliardo sum contains
@@ -701,15 +694,15 @@ def gagliardo_dominates_bbm(
     eps, so each difference is >= 0 whenever |v| <= eps in floating point.
     """
     rungs = [_bbm_rung(u, q, eps, kappa) for eps in eps_list]
+    if not rungs:
+        raise ValueError("need at least one eps")
     n = u.grid.dim
-    gag, sums, r2, dist = _gagliardo_pass(u, q)
-    terms = sums / dist
+    r2, dist, (sums,) = _pair_table(u, [(q, None)], sum((e - 1) ** 2 for e in u.grid.extents))
+    gag = math.fsum(sums / dist ** (n + 1)) * u.grid.spacing ** (2 * n)
     w_gag = 1.0 / (_int_power(dist, n) * dist)
     out = []
-    for m2eps, eps_len in rungs:
-        near = r2 <= m2eps
-        bbm = _bbm_total(u, terms[near], eps_len)
-        w_bbm = np.where(near, 1.0 / (_int_power(eps_len, n) * dist), 0.0)
+    for bbm, (m2eps, eps_len) in zip(_bbm_totals(u, sums / dist, r2, rungs), rungs):
+        w_bbm = np.where(r2 <= m2eps, 1.0 / (_int_power(eps_len, n) * dist), 0.0)
         out.append((bbm, gag, math.fsum(sums * (w_gag - w_bbm)) >= 0.0))
     return out
 

@@ -435,6 +435,8 @@ def test_ladder_errors_before_any_pair_pass(line_mask, monkeypatch):
         gagliardo_dominates_bbm(u, 2.0, [16 * h, 4 * h])  # below kappa*h
     with pytest.raises(ValueError):
         gagliardo_dominates_bbm(u, 0.5, [16 * h])
+    with pytest.raises(ValueError, match="at least one eps"):
+        gagliardo_dominates_bbm(u, 2.0, [])
 
 
 def test_grid_radius_validation():
