@@ -19,14 +19,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyMaskError
+from .errors import EmptyMaskError, RegimeError
 
 
 def _squared_cells(length: float, h: float) -> int:
     """floor((length / h)^2), snapped up by a relative 1e-12 so that a length
-    computed as h * sqrt(m2) gives back the integer m2."""
+    computed as h * sqrt(m2) gives back the integer m2; a ``RegimeError``
+    when that square is not finite (a NaN, infinite or huge length)."""
     ratio = float(length) / h
-    return int(math.floor(ratio * ratio * (1.0 + 1e-12) + 1e-12))
+    m2 = ratio * ratio * (1.0 + 1e-12) + 1e-12
+    if not math.isfinite(m2):
+        raise RegimeError(f"length {length!r} is not a finite number of cells")
+    return int(math.floor(m2))
 
 
 def _whole(value, what: str) -> int:
@@ -37,67 +41,30 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
-def _envelope_pass(f: np.ndarray) -> np.ndarray:
-    """min over j of f[:, j] + (i - j)^2 for every row and i (inf where a row
-    has no finite entry).
+def _clear_of(target: np.ndarray, m2: int, box) -> np.ndarray:
+    """Over the cells of ``box`` (per-axis [lo, hi) ranges), whether the
+    exact squared distance, in cells, to every True cell of ``target``
+    exceeds ``m2``.
 
-    Felzenszwalb and Huttenlocher's lower envelope of parabolas, run on all
-    rows at once: ``v`` holds the apexes of the envelope and ``z`` the left
-    ends of their intervals.  Intersections are float quotients of integers
-    with denominators below 2n, so their comparisons are exact for any grid
-    that fits in memory, and every value returned is an exact integer.
+    The squared distance is taken one axis at a time, capped at m2 + 1:
+    min over a of d^2(x + a e_axis) + a^2, where only |a| <= isqrt(m2) can
+    fall under the cap.  Each pass keeps the rows of ``box`` along its axis
+    only, since the passes after it read no other.  Values stay below
+    2 m2 + 2, so they take the narrowest unsigned type that holds that.
     """
-    rows, n = f.shape
-    v = np.zeros((rows, n), dtype=np.int64)
-    z = np.full((rows, n + 1), np.inf)
-    top = np.full(rows, -1)  # index of the last parabola; -1: envelope empty
-
-    def crossing(r, q):
-        a = v[r, top[r]]
-        return ((f[r, q] + q * q) - (f[r, a] + a * a)) / (2.0 * (q - a))
-
-    for q in range(n):
-        push = np.flatnonzero(np.isfinite(f[:, q]))
-        r = push[top[push] >= 0]
-        while r.size:  # drop the parabolas the new one hides
-            hidden = crossing(r, q) <= z[r, top[r]]
-            top[r[hidden]] -= 1
-            r = r[hidden & (top[r] >= 0)]
-        s = np.full(push.size, -np.inf)
-        live = top[push] >= 0
-        s[live] = crossing(push[live], q)
-        top[push] += 1
-        v[push, top[push]] = q
-        z[push, top[push]] = s
-        z[push, top[push] + 1] = np.inf
-    out = np.empty_like(f)
-    at = np.zeros(rows, dtype=np.int64)
-    every = np.arange(rows)
-    for q in range(n):
-        while True:
-            step = z[every, at + 1] < q
-            if not step.any():
-                break
-            at[step] += 1
-        a = v[every, at]
-        out[:, q] = f[every, a] + (q - a) ** 2
-    return out
-
-
-def _squared_edt(target: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance, in cells, from every cell to the
-    nearest ``True`` cell of ``target`` (which must hold one).
-
-    Separable: one envelope pass per axis (Felzenszwalb and Huttenlocher,
-    "Distance transforms of sampled functions", 2012), each over arrays the
-    size of the grid.
-    """
-    d2 = np.where(target, 0.0, np.inf)
-    for axis in range(target.ndim):
-        moved = np.moveaxis(d2, axis, -1)
-        shape = moved.shape
-        d2 = np.moveaxis(_envelope_pass(moved.reshape(-1, shape[-1])).reshape(shape), -1, axis)
-    return d2.astype(np.int64)
+    cap, r = m2 + 1, math.isqrt(m2)
+    d2 = np.full(target.shape, cap, dtype=np.min_scalar_type(2 * cap))
+    d2[target] = 0
+    for axis, (lo, hi) in enumerate(box):
+        src = np.moveaxis(d2, axis, 0)
+        out = src[lo:hi].copy()
+        for a in range(-r, r + 1):
+            start, stop = max(lo, -a), min(hi, len(src) - a)
+            if a and start < stop:
+                rows = out[start - lo : stop - lo]
+                np.minimum(rows, src[start + a : stop + a] + a * a, out=rows)
+        d2 = np.moveaxis(out, 0, axis)
+    return d2 > m2
 
 
 def _bounding_box(inside: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -270,26 +237,24 @@ class DomainMask:
     def area(self) -> float:
         return self.count * self.grid.spacing ** self.grid.dim
 
-    @cached_property
-    def _outside_sq_cells(self) -> np.ndarray:
-        """Exact squared distance, in cells, from every cell to the nearest
-        outside cell (0 at outside cells); needs an outside cell."""
-        return _squared_edt(~self.inside)
-
     def _farther_than(self, delta: float) -> np.ndarray:
         """Inside cells whose distance to the domain boundary exceeds ``delta``.
 
         Face distances are half-integer multiples of h, so they never tie
-        with a snapped radius and compare as floats.  Distances to outside
-        cells compare as exact integers: d^2 > m^2 with m^2 =
+        with a snapped radius and compare as floats; that test runs first.
+        On the bounding box of the cells it keeps, and only when the mask
+        has outside cells, distances to outside cells compare as exact
+        integers (``_clear_of``): d^2 > m^2 with m^2 =
         ``_squared_cells(delta, h)``, the snapping of ``kernels.resolve_radius``,
         so a cell exactly m cells from the nearest outside cell is dropped.
         """
-        if delta < 0:
-            raise ValueError("erosion distance must be nonnegative")
+        if not delta >= 0:
+            raise ValueError(f"erosion distance must be nonnegative, got {delta!r}")
         kept = self.inside & (self.grid.face_distance() > delta)
-        if not self.all_inside:
-            kept &= self._outside_sq_cells > _squared_cells(delta, self.grid.spacing)
+        if not self.all_inside and kept.any():
+            box = _bounding_box(kept)
+            at = tuple(slice(lo, hi) for lo, hi in box)
+            kept[at] &= _clear_of(~self.inside, _squared_cells(delta, self.grid.spacing), box)
         return kept
 
     def erode(self, delta: float) -> "DomainMask":

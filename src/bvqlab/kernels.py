@@ -267,7 +267,7 @@ def pair_power_sums(
 
     A {0, 1} field (``_is_indicator``) skips the windows: its sums are the
     exact pair counts of ``_indicator_pair_counts``, which equal the window
-    sums bit for bit at every q.
+    sums bit for bit at every q.  A sum that overflows is a ``ValueError``.
     """
     return _pair_sums(field, offsets, [(q, x_mask)])[0]
 
@@ -297,6 +297,8 @@ def _pair_sums(field: SampledField, offsets: np.ndarray, requests) -> list[np.nd
             row[i] = sums[0]
             if mirror:
                 row[n - 1 - i] = sums[1]
+    if not np.isfinite(out).all():
+        raise ValueError("a pair sum overflows float64")
     return list(out)
 
 
@@ -546,6 +548,8 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     sums = _window_sum(u, v, [(cost, _x_inside(u, x_mask))])
     if sums is None:
         raise RegimeError("shift leaves the grid entirely")
+    if not math.isfinite(sums[0][0]):
+        raise ValueError("a shift sum overflows float64")
     return sums[0][0] * h**u.grid.dim / (math.sqrt(r2) * h)
 
 

@@ -555,6 +555,17 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
           ({"kind": "block-random", "params": {"dim": 1, "seed": -1}}, "seed"),
           ({"kind": "hoelder", "params": {"seed": -1}}, "seed"),
       ]),
+    # pair and shift sums that overflow float64 were written out as passing
+    # results: inf rows and a nan limit, PASS on inf, an inf directional sup
+    ({"experiment": "bbm-sweep", "field": {"kind": "linear", "params": {"slope": [1e300]}},
+      "grid": {"lo": [0.0], "hi": [1.0], "n": [1024]},
+      "eps_ladder": {"start_cells": 64, "ratio": 0.5, "count": 4}}, "a pair sum overflows float64"),
+    ({"experiment": "two-sided", "field": {"kind": "block-random", "params": {"dim": 2, "high": 1e200}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "a pair sum overflows float64"),
+    ({"experiment": "besov", "field": {"kind": "linear", "params": {"slope": [1e300, 0.0]}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "a shift sum overflows float64"),
     # a ball that leaves the box had a jump measure of 2 pi r
     ({"experiment": "jump-verify", "field": {"kind": "ball-indicator", "params": {"center": [0.5, 0.5], "radius": 0.6}},
       "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
@@ -568,7 +579,8 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
         "field-param-kind", "field-kind-missing", "ball-radius-overflow",
         "block-random-range-overflow", "block-random-range-negative", "block-random-seed",
-        "hoelder-seed", "ball-leaves-box", "step-1d-dim", "piecewise-constant-multi-dim",
+        "hoelder-seed", "pair-sum-overflow", "two-sided-overflow", "shift-sum-overflow",
+        "ball-leaves-box", "step-1d-dim", "piecewise-constant-multi-dim",
         "half-plane-indicator-dim", "polygon-indicator-dim", "hoelder-dim", "ramp-dim",
         "sine-1d-dim"])
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
@@ -741,7 +753,8 @@ def test_run_without_mollifier_does_not_load_scipy_special(tmp_path, experiment)
 def test_every_experiment_runs_without_scipy(tmp_path):
     # the runtime is numpy-only: with every scipy import blocked, one small
     # config of each experiment kind runs to exit 0, and so does erosion of
-    # a disc mask (the exact EDT) with a mollifier built on the library side
+    # a disc mask (the exact integer erosion test) with a mollifier built on
+    # the library side
     ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
     configs = [
         dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)

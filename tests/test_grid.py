@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from bvqlab import DomainMask, EmptyMaskError, Grid, GridRadius, SampledField
-from bvqlab.grid import _squared_edt
+from bvqlab.grid import _clear_of
 
 
 def test_cell_center_convention():
@@ -114,13 +116,20 @@ def _brute_sq_cells(target: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("shape", [(61,), (13, 17), (6, 7, 9)])
 @pytest.mark.parametrize("density", [0.03, 0.4, 0.9])
-def test_squared_edt_matches_brute_force(shape, density):
+def test_clear_of_matches_brute_force(shape, density):
     rng = np.random.default_rng(len(shape) * 100 + int(100 * density))
     target = rng.random(shape) < density
     target.flat[rng.integers(target.size)] = True
-    d2 = _squared_edt(target)
-    assert d2.dtype == np.int64
-    assert np.array_equal(d2, _brute_sq_cells(target))
+    d2 = _brute_sq_cells(target)
+    # every radius at which the answer can change, then one past every extent
+    radii = [*range(1, int(d2.max()) + 2), 10_000]
+    # the whole grid, and an inner box that touches no grid edge
+    for box in (tuple((0, e) for e in shape), tuple((2, e - 1) for e in shape)):
+        at = tuple(slice(lo, hi) for lo, hi in box)
+        for m2 in radii:
+            clear = _clear_of(target, m2, box)
+            assert clear.dtype == bool
+            assert np.array_equal(clear, d2[at] > m2), (box, m2)
 
 
 @pytest.mark.parametrize("shape", [(64,), (24, 20), (10, 12, 9)])
@@ -163,6 +172,31 @@ def test_boundary_distance_matches_scipy_edt(n):
     for m in (1, 3, 5):
         delta = (m + 0.25) * g.spacing  # between cell radii: no distance ties
         assert np.array_equal(ball.erode(delta).inside, ball.inside & (distance > delta)), m
+
+
+@pytest.mark.parametrize("delta", [math.inf, 1e200, math.nan])
+def test_radius_without_a_finite_cell_count_is_refused(delta):
+    # these were an OverflowError or a bare int() error wherever a radius
+    # became cells, and a NaN erosion of a full mask "emptied the mask"
+    from bvqlab import RegimeError, build_mollifier, make_field, mollify, sample_analytic, sample_gradient
+    from bvqlab.kernels import bbm_value, directional_value
+
+    g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [32, 32])
+    full = DomainMask.full(g)
+    disc = DomainMask.from_predicate(g, lambda p: ((p - 0.5) ** 2).sum(axis=1) < 0.16)
+    error, match = (ValueError, "got nan") if math.isnan(delta) else (EmptyMaskError, "emptied")
+    for mask in (full, disc):
+        with pytest.raises(error, match=match):
+            mask.erode(delta)
+    spec = make_field("pyramid-eikonal")
+    u, grad = sample_analytic(spec, full), sample_gradient(spec, full)
+    for call in (
+        lambda: bbm_value(u, 2.0, delta),
+        lambda: directional_value(u, 2.0, delta, [1.0, 0.0]),
+        lambda: mollify(grad, build_mollifier("polynomial-bump", 2, k=2), delta),
+    ):
+        with pytest.raises(RegimeError, match="not a finite number of cells"):
+            call()
 
 
 def test_erosion_can_empty(line_mask):
