@@ -55,7 +55,7 @@ from .jumps import (
     verify_two_sided,
     w_limit_rhs,
 )
-from .variation import Signal1D, check_vq_embedding, q_variation_pow, signal_as_field
+from .variation import check_vq_embedding, q_variation_pow
 from .cubes import CubePacking, check_b_bound, cube_functional, cube_score
 from .aviles import (
     MollifiedField,

@@ -59,7 +59,7 @@ from .kernels import (
 from .mollifier import PROFILES, build_mollifier
 from .aviles import ag_chain_reports, check_ag_upper_bound
 from .reports import ComparisonReport, equal_within
-from .variation import Signal1D, check_vq_embedding, q_variation_pow
+from .variation import check_vq_embedding, q_variation_pow
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -252,12 +252,10 @@ def _exp_gagliardo(cfg):
 
 def _exp_vq(cfg):
     spec, mask, u = _sample(cfg)
-    _require(mask.grid.dim == 1, "vq experiment needs a 1D field")
-    sig = Signal1D(mask.grid.axis_centers(0), u.values[:, 0])
-    rep = check_vq_embedding(sig, cfg.q, cfg.ladder, kappa=cfg.kappa)
-    # rep.rhs is 4 * q_variation_pow(sig, q), so rep.rhs / 4 is that float
+    rep = check_vq_embedding(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
+    # rep.rhs is 4 * q_variation_pow(u.values, q), so rep.rhs / 4 is that float
     # unless the product overflowed: one DP, not two, whenever the bound is finite
-    vq = rep.rhs / 4.0 if np.isfinite(rep.rhs) else q_variation_pow(sig, cfg.q)
+    vq = rep.rhs / 4.0 if np.isfinite(rep.rhs) else q_variation_pow(u.values, cfg.q)
     rows = [(vq, rep.lhs, rep.rhs)]
     return ["q_variation_pow", "kernel_sup", "bound"], rows, [rep]
 
@@ -426,7 +424,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def run_experiment(cfg: ExperimentConfig) -> int:
     header, rows, reports = EXPERIMENTS[cfg.experiment](cfg)
     out = cfg.out_dir  # made only now, so a config rejected by the run leaves no directory
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out_dir {out}: {exc.strerror}") from None
     _write_manifest(cfg, out)
     _write_csv(out, "sweep.csv", header, rows)
     if rows and len(rows[0]) >= 2:
@@ -454,6 +455,9 @@ def report_command(paths: list[str]) -> int:
             entries = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError):
             entries = None
+        except OSError as exc:
+            print(f"unreadable report file: {p}: {exc.strerror}", file=sys.stderr)
+            return EXIT_CONFIG
         # a verdict is a JSON boolean: "false" or 0 is no verdict, and neither passes
         if not isinstance(entries, list) or not all(
             isinstance(e, dict) and isinstance(e.get("passed"), bool) for e in entries

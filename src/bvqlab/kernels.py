@@ -292,11 +292,12 @@ def _pair_sums(field: SampledField, offsets: np.ndarray, requests) -> list[np.nd
         extents = [min(e, hi - lo + int(r)) for e, (lo, hi), r in zip(extents, box, reach)]
     buf = np.empty(_buffer_floats([*extents, field.d], len(costs)))
     out = np.zeros((len(reqs), n))
-    for i, off in enumerate(offsets[:half]):
-        for row, sums in zip(out, _window_sum(field, off.tolist(), reqs, box, buf, mirror) or ()):
-            row[i] = sums[0]
-            if mirror:
-                row[n - 1 - i] = sums[1]
+    with np.errstate(over="ignore"):
+        for i, off in enumerate(offsets[:half]):
+            for row, sums in zip(out, _window_sum(field, off.tolist(), reqs, box, buf, mirror) or ()):
+                row[i] = sums[0]
+                if mirror:
+                    row[n - 1 - i] = sums[1]
     if not np.isfinite(out).all():
         raise ValueError("a pair sum overflows float64")
     return list(out)
@@ -380,7 +381,8 @@ def bbm_ladders(u: SampledField, requests, eps_list, *, kappa: float = defaults.
     if not rungs:
         raise ValueError("need at least one eps")
     r2, dist, tables = _pair_table(u, requests, max(m2 for m2, _ in rungs))
-    return [_bbm_totals(u, sums / dist, r2, rungs) for sums in tables]
+    with np.errstate(over="ignore"):
+        return [_bbm_totals(u, sums / dist, r2, rungs) for sums in tables]
 
 
 def _pair_table(u: SampledField, requests, m2max: int):
@@ -408,7 +410,18 @@ def _bbm_rung(u: SampledField, q: float, eps, kappa: float) -> tuple[int, float]
 def _bbm_totals(u: SampledField, terms: np.ndarray, r2: np.ndarray, rungs) -> list[float]:
     """Each (m2, eps length) rung's bbm value from the terms sums / (|v| h)."""
     n = u.grid.dim
-    return [math.fsum(terms[r2 <= m2]) * u.grid.spacing ** (2 * n) / eps_len**n for m2, eps_len in rungs]
+    return [_fsum(terms[r2 <= m2]) * u.grid.spacing ** (2 * n) / eps_len**n for m2, eps_len in rungs]
+
+
+def _fsum(terms) -> float:
+    """``math.fsum``; a sum that overflows is a ``ValueError``."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("a kernel sum overflows float64")
+    return total
 
 
 class EpsSweep:
@@ -426,14 +439,12 @@ class EpsSweep:
         values: tuple[float, ...],
         limit: float,
         fit_model: str,
-        residual: float,
         monotone: bool,
     ):
         self.eps = eps
         self.values = values
         self.limit = limit
         self.fit_model = fit_model
-        self.residual = residual
         self.monotone = monotone
         if any(b >= a for a, b in zip(self.eps, self.eps[1:])):
             raise ValueError("eps values must be strictly decreasing")
@@ -478,14 +489,12 @@ def sweep_functional(eps_lengths, values, fit_model: str = "linear-in-eps") -> E
     v = vals[-defaults.FIT_POINTS:]
     if fit_model == "constant":
         limit = float(v.mean())
-        resid = float(np.sqrt(np.mean((v - limit) ** 2)))
     else:
         e, v = e.tolist(), v.tolist()
         e_mean, v_mean = math.fsum(e) / len(e), math.fsum(v) / len(v)
         de = [x - e_mean for x in e]
         slope = math.fsum(d * (y - v_mean) for d, y in zip(de, v)) / math.fsum(d * d for d in de)
         limit = v_mean - slope * e_mean
-        resid = math.sqrt(math.fsum((limit + slope * x - y) ** 2 for x, y in zip(e, v)) / len(e))
     diffs = np.diff(vals)
     span = max(abs(vals).max(), 1e-300)
     monotone = bool((diffs <= 0.01 * span).all() or (diffs >= -0.01 * span).all())
@@ -494,7 +503,6 @@ def sweep_functional(eps_lengths, values, fit_model: str = "linear-in-eps") -> E
         values=tuple(float(v) for v in vals),
         limit=float(limit),
         fit_model=fit_model,
-        residual=resid,
         monotone=monotone,
     )
 
@@ -545,7 +553,8 @@ def _directional_sum(u, eps_len, k, x_mask, cost) -> float:
     r2 = sum(c * c for c in v)
     if r2 == 0:
         raise RegimeError(f"shift eps = {eps_len:g} rounds to the zero lattice vector")
-    sums = _window_sum(u, v, [(cost, _x_inside(u, x_mask))])
+    with np.errstate(over="ignore"):
+        sums = _window_sum(u, v, [(cost, _x_inside(u, x_mask))])
     if sums is None:
         raise RegimeError("shift leaves the grid entirely")
     if not math.isfinite(sums[0][0]):
@@ -702,12 +711,13 @@ def gagliardo_dominates_bbm(
         raise ValueError("need at least one eps")
     n = u.grid.dim
     r2, dist, (sums,) = _pair_table(u, [(q, None)], sum((e - 1) ** 2 for e in u.grid.extents))
-    gag = math.fsum(sums / dist ** (n + 1)) * u.grid.spacing ** (2 * n)
-    w_gag = 1.0 / (_int_power(dist, n) * dist)
-    out = []
-    for bbm, (m2eps, eps_len) in zip(_bbm_totals(u, sums / dist, r2, rungs), rungs):
-        w_bbm = np.where(r2 <= m2eps, 1.0 / (_int_power(eps_len, n) * dist), 0.0)
-        out.append((bbm, gag, math.fsum(sums * (w_gag - w_bbm)) >= 0.0))
+    with np.errstate(over="ignore"):
+        gag = _fsum(sums / dist ** (n + 1)) * u.grid.spacing ** (2 * n)
+        w_gag = 1.0 / (_int_power(dist, n) * dist)
+        out = []
+        for bbm, (m2eps, eps_len) in zip(_bbm_totals(u, sums / dist, r2, rungs), rungs):
+            w_bbm = np.where(r2 <= m2eps, 1.0 / (_int_power(eps_len, n) * dist), 0.0)
+            out.append((bbm, gag, _fsum(sums * (w_gag - w_bbm)) >= 0.0))
     return out
 
 

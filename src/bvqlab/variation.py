@@ -1,50 +1,28 @@
-"""Exact discrete q-variation and its kernel-sum embedding bound."""
+"""Exact discrete q-variation and its kernel-sum embedding bound.
+
+``q_variation_pow`` reads samples in order and never their positions;
+``check_vq_embedding`` sweeps a 1D field on its own grid, so its swept eps
+are the ladder's lengths bit for bit.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from . import defaults
-from .grid import DomainMask, Grid, SampledField
+from .grid import SampledField
 # bbm_value is unused here; bench/tests/test_bench.py pins variation.bbm_value
 from .kernels import _power_in_place, bbm_sweep, bbm_value
 from .reports import ComparisonReport, leq
 
 
-class Signal1D:
-    """Finitely many R^d samples at strictly increasing abscissae."""
-
-    def __init__(self, abscissae: np.ndarray, values: np.ndarray):
-        x = np.ascontiguousarray(abscissae, dtype=float)
-        v = np.ascontiguousarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        if x.ndim != 1 or len(x) < 2:
-            raise ValueError("need at least two samples on a 1D axis")
-        if (np.diff(x) <= 0).any():
-            raise ValueError("abscissae must be strictly increasing")
-        if len(v) != len(x):
-            raise ValueError("one value per abscissa required")
-        if not (np.isfinite(x).all() and np.isfinite(v).all()):
-            raise ValueError("signal must be finite")
-        self.abscissae = x
-        self.values = v
-
-    @property
-    def n(self) -> int:
-        return len(self.abscissae)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-def q_variation_pow(sig: Signal1D, q: float) -> float:
+def q_variation_pow(values, q: float) -> float:
     """Max over increasing sample chains of sum |f(x_{k+1}) - f(x_k)|^q.
 
+    ``values`` holds the samples in order, as an (n,) or (n, d) array.
     Dynamic program over chain endpoints: best[j] = max_{i<j} best[i] +
-    |f_j - f_i|^q, O(n^2).  The restriction to sample abscissae is exact for
-    the piecewise-constant interpretation of the signal.
+    |f_j - f_i|^q, O(n^2).  The restriction to the samples is exact for the
+    piecewise-constant interpretation of the signal.
 
     A sample equal to its predecessor in every component is dropped first:
     ``best`` is constant along a run of equal samples, and every increment
@@ -52,7 +30,13 @@ def q_variation_pow(sig: Signal1D, q: float) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    v = sig.values
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    if v.ndim != 2 or not len(v):
+        raise ValueError("need a non-empty (n,) or (n, d) array of samples")
+    if not np.isfinite(v).all():
+        raise ValueError("samples must be finite")
     v = v[np.concatenate([[True], (v[1:] != v[:-1]).any(axis=1)])]
     n = len(v)
     best = np.zeros(n)
@@ -63,27 +47,8 @@ def q_variation_pow(sig: Signal1D, q: float) -> float:
     return float(best.max())
 
 
-def signal_as_field(sig: Signal1D, span: tuple[float, float] | None = None) -> SampledField:
-    """The signal as a piecewise-constant field on equal-width cells.
-
-    Cell i carries sample i.  The interval defaults to the abscissa range
-    widened by half the mean spacing at each end, so abscissae at the cell
-    centres of a grid rebuild that grid.
-    """
-    if span is None:
-        x0, x1 = float(sig.abscissae[0]), float(sig.abscissae[-1])
-        half = (x1 - x0) / (sig.n - 1) / 2.0
-        span = (x0 - half, x1 + half)
-    a, b = span
-    if not b > a:
-        raise ValueError("span must have positive length")
-    grid = Grid.for_box([a], [b], [sig.n])
-    mask = DomainMask.full(grid)
-    return SampledField(mask, sig.values, d=sig.d)
-
-
 def check_vq_embedding(
-    sig: Signal1D,
+    u: SampledField,
     q: float,
     eps_list,
     *,
@@ -91,17 +56,19 @@ def check_vq_embedding(
 ) -> ComparisonReport:
     """sup over the sweep of the kernel sum <= 4 * q_variation_pow.
 
-    Sound because the discrete chain maximum is the exact q-variation of the
+    ``u`` is a 1D field on a full mask, swept on its own grid.  Sound
+    because the discrete chain maximum is the exact q-variation of the
     piecewise-constant representative the kernel sum measures.
     """
-    field = signal_as_field(sig)
-    sweep = bbm_sweep(field, q, eps_list, "constant", kappa=kappa)
+    if u.grid.dim != 1 or not u.mask.all_inside:
+        raise ValueError("the q-variation check needs a 1D field on a full mask")
+    sweep = bbm_sweep(u, q, eps_list, "constant", kappa=kappa)
     lhs = max(sweep.values)
-    rhs = 4.0 * q_variation_pow(sig, q)
+    rhs = 4.0 * q_variation_pow(u.values, q)
     return leq(
         lhs,
         rhs,
-        f"q-variation embedding bound (q={q:g}, n={sig.n})",
+        f"q-variation embedding bound (q={q:g}, n={u.grid.extents[0]})",
         sweep_eps=list(sweep.eps),
         sweep_values=list(sweep.values),
     )

@@ -16,7 +16,6 @@ from bvqlab import (
     DomainMask,
     Grid,
     GridRadius,
-    Signal1D,
     bbm_sweep,
     bbm_value,
     build_mollifier,
@@ -37,7 +36,7 @@ from bvqlab import (
     verify_two_sided,
 )
 from conftest import q_monotonicity_holds, random_block_field, splitting_inequality_holds
-from test_variation import exhaustive_q_variation_pow
+from test_variation import exhaustive_q_variation_pow, line_field
 
 
 def _report(num, text):
@@ -202,15 +201,14 @@ def test_criterion_09_variation_embedding():
         reps = np.full(blocks, 256 // blocks)
         reps[: 256 - reps.sum()] += 1
         vals = np.repeat(levels, reps)
-        sig = Signal1D(np.linspace(0.0, 1.0, 256), vals)
+        u = line_field(vals)
         for q in (1.5, 2.0, 3.0):
-            rep = check_vq_embedding(sig, q, ladder)
+            rep = check_vq_embedding(u, q, ladder)
             assert rep.passed, f"criterion 9: trial {trial} q={q}"
     for n in (6, 10, 14):
         vals = rng.normal(size=n)
-        sig = Signal1D(np.arange(float(n)), vals)
         for q in (1.5, 2.0):
-            assert q_variation_pow(sig, q) == pytest.approx(
+            assert q_variation_pow(vals, q) == pytest.approx(
                 exhaustive_q_variation_pow(vals, q), rel=1e-12
             ), f"criterion 9: DP vs exhaustive n={n}"
     _report(9, "kernel sup <= 4 * q-variation on 100 signals; DP matches enumeration")

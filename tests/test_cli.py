@@ -427,14 +427,16 @@ def test_vq_run_computes_the_q_variation_once(tmp_path, monkeypatch):
     assert float(row[0]) == values[0] and float(row[2]) == 4.0 * values[0]
 
 
-@pytest.mark.parametrize("grid, rel", [
-    ({"lo": [0.0], "hi": [1.0], "n": [2048]}, 0.0),  # the block-vq benchmark grid
-    ({"lo": [-1.0], "hi": [2.0], "n": [300]}, 1e-12),
-    ({"lo": [0.1], "hi": [0.8], "n": [1000]}, 1e-12),
+@pytest.mark.parametrize("grid", [
+    {"lo": [0.0], "hi": [1.0], "n": [2048]},  # the block-vq benchmark grid
+    {"lo": [-1.0], "hi": [2.0], "n": [300]},
+    {"lo": [0.1], "hi": [0.8], "n": [1000]},
+    # a grid rebuilt from its float cell centres was an ulp short here
+    {"lo": [0.0], "hi": [3.0], "n": [200]},
 ])
-def test_vq_sweeps_the_config_grid(tmp_path, grid, rel):
-    # the signal's cells rebuild the config grid, so every swept eps is the
-    # config ladder's length, not (n - 1)/n of it
+def test_vq_sweeps_the_config_grid(tmp_path, grid):
+    # the check sweeps the sampled field on the config grid itself, so every
+    # swept eps is the config ladder's length bit for bit
     from bvqlab import Grid, GridRadius
 
     cfg = write_config(
@@ -447,17 +449,16 @@ def test_vq_sweeps_the_config_grid(tmp_path, grid, rel):
     swept = json.loads((tmp_path / "out_vq" / "report.json").read_text())[0]["details"]["sweep_eps"]
     h = Grid.for_box(grid["lo"], grid["hi"], grid["n"]).spacing
     expect = [GridRadius.from_cells(m).length(h) for m in (64, 32, 16, 8)]
-    if rel == 0.0:
-        assert swept == expect == [0.03125, 0.015625, 0.0078125, 0.00390625]
-    else:
-        assert swept == pytest.approx(expect, rel=rel, abs=0.0)
+    assert swept == expect
+    if grid["n"] == [2048]:
+        assert swept == [0.03125, 0.015625, 0.0078125, 0.00390625]
 
 
 def test_vq_row_keeps_a_q_variation_whose_bound_overflows(tmp_path):
     import math
 
     from bvqlab import DomainMask, Grid, make_field, sample_analytic
-    from bvqlab.variation import Signal1D, q_variation_pow
+    from bvqlab.variation import q_variation_pow
 
     # slope 1.23e152 over 64 unit cells: the q = 2 variation, (63 * slope)^2,
     # is near 6e307, finite, and the bound 4 * vq is inf
@@ -472,7 +473,7 @@ def test_vq_row_keeps_a_q_variation_whose_bound_overflows(tmp_path):
     row = (tmp_path / "out_vq" / "sweep.csv").read_text().splitlines()[1].split(",")
     g = Grid.for_box([0.0], [64.0], [64])
     u = sample_analytic(make_field("linear", slope=[1.23e152]), DomainMask.full(g))
-    vq = q_variation_pow(Signal1D(g.axis_centers(0), u.values[:, 0]), 2.0)
+    vq = q_variation_pow(u.values, 2.0)
     assert math.isfinite(vq) and not math.isfinite(4.0 * vq)
     assert float(row[0]) == vq and float(row[2]) == math.inf
 
@@ -514,6 +515,26 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     corrupt = tmp_path / "corrupt.json"
     corrupt.write_text("{oops")
     assert main(["report", str(corrupt)]) == EXIT_CONFIG
+
+
+def test_report_of_a_directory_is_config_error(tmp_path, capsys):
+    # reading it was an IsADirectoryError traceback with exit 1
+    assert main(["report", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"unreadable report file: {tmp_path}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, out):
+    # an existing file, or a path under one, was a FileExistsError or
+    # NotADirectoryError traceback with exit 5
+    (tmp_path / "taken").write_text("a file")
+    cfg = write_config(tmp_path, "cfg.json", grid={"lo": [-1.0], "hi": [1.0], "n": [256]},
+                       eps_ladder={"start_cells": 16, "ratio": 0.5, "count": 3})
+    assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create out_dir {tmp_path / out}: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("override,key", [
@@ -566,6 +587,16 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
     ({"experiment": "besov", "field": {"kind": "linear", "params": {"slope": [1e300, 0.0]}},
       "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
       "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "a shift sum overflows float64"),
+    # finite pair sums whose fsum overflows were an OverflowError traceback
+    # (exit 5), and a pair sum over |v| h that overflows a numpy warning first
+    *(({"experiment": experiment, "field": {"kind": "linear", "params": {"slope": [slope]}},
+        "grid": {"lo": [0.0], "hi": [1.0], "n": [n]}, "fit_model": "constant",
+        "eps_ladder": {"start_cells": 64, "ratio": 0.5, "count": 4}}, "a kernel sum overflows float64")
+      for experiment, slope, n in [("bbm-sweep", 1e153, 8192), ("gagliardo", 1e152, 8192),
+                                   ("bbm-sweep", 2.5e153, 1024), ("gagliardo", 6e152, 1024)]),
+    ({"experiment": "vq", "field": {"kind": "pyramid-eikonal", "params": {}},
+      "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [32, 32]},
+      "eps_ladder": {"start_cells": 8, "ratio": 0.5, "count": 1}}, "needs a 1D field"),
     # a ball that leaves the box had a jump measure of 2 pi r
     ({"experiment": "jump-verify", "field": {"kind": "ball-indicator", "params": {"center": [0.5, 0.5], "radius": 0.6}},
       "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
@@ -580,9 +611,12 @@ def test_report_aggregation_failure_exit(tmp_path, capsys):
         "field-param-kind", "field-kind-missing", "ball-radius-overflow",
         "block-random-range-overflow", "block-random-range-negative", "block-random-seed",
         "hoelder-seed", "pair-sum-overflow", "two-sided-overflow", "shift-sum-overflow",
+        "kernel-sum-overflow", "gagliardo-sum-overflow", "kernel-term-overflow",
+        "gagliardo-term-overflow", "vq-2d",
         "ball-leaves-box", "step-1d-dim", "piecewise-constant-multi-dim",
         "half-plane-indicator-dim", "polygon-indicator-dim", "hoelder-dim", "ramp-dim",
         "sine-1d-dim"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
     assert main(["run", str(cfg)]) == EXIT_CONFIG
@@ -591,6 +625,24 @@ def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     assert "Traceback" not in err
     # the output directory is created only after the experiment succeeds
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("fit_model, slope", [("linear-in-eps", 1e152), ("constant", 1e151)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_of_values_near_the_float_limit_runs(tmp_path, fit_model, slope):
+    # the fit's unread residual was an OverflowError traceback (exit 5), or a
+    # numpy overflow warning
+    import math
+
+    cfg = write_config(
+        tmp_path, "big.json", experiment="bbm-sweep", fit_model=fit_model,
+        field={"kind": "linear", "params": {"slope": [slope]}},
+        grid={"lo": [0.0], "hi": [1.0], "n": [8192]},
+        eps_ladder={"start_cells": 64, "ratio": 0.5, "count": 4},
+    )
+    assert main(["run", str(cfg)]) == EXIT_OK
+    rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5 and all(math.isfinite(float(v)) for r in rows for v in r.split(","))
 
 
 @pytest.mark.parametrize("field", [
