@@ -27,7 +27,7 @@ from .fields import (
     sample_analytic,
     sample_gradient,
 )
-from .mollifier import Mollifier, build_mollifier, mollifier_d_eta
+from .mollifier import Mollifier, build_mollifier
 from .kernels import (
     EpsSweep,
     GridRadius,
@@ -44,7 +44,6 @@ from .kernels import (
 from .reports import ComparisonReport
 from .jumps import (
     PowerPairCost,
-    SmoothRationalPairCost,
     dimensional_constant,
     dimensional_constant_closed_form,
     directional_w_limit,
@@ -61,7 +60,6 @@ from .aviles import (
     MollifiedField,
     ag_chain_reports,
     ag_energy,
-    check_ag_chain,
     check_ag_upper_bound,
     gamma_limit_value,
     mollify,

@@ -288,18 +288,6 @@ def check_ag_upper_bound(
     )
 
 
-def check_ag_chain(
-    grad: SampledField,
-    eta: Mollifier,
-    eps_list,
-    *,
-    kappa: float = defaults.KAPPA,
-    fit_model: str = "linear-in-eps",
-) -> ComparisonReport:
-    """Cubic energy chain: the first report of ``ag_chain_reports``."""
-    return ag_chain_reports(grad, eta, eps_list, kappa=kappa, fit_model=fit_model)[0]
-
-
 def ag_chain_reports(
     grad: SampledField,
     eta: Mollifier,

@@ -11,7 +11,7 @@ Experiments are described by a JSON config file:
       "kappa": 8,
       "tolerance": null,                       # null -> defaults table
       "fit_model": "constant",
-      "mollifier": {"profile": "polynomial-bump", "k": 2, "resolution": 64},
+      "mollifier": {"profile": "polynomial-bump", "k": 2},
       "out_dir": "out/step"
     }
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -59,7 +60,7 @@ from .kernels import (
 from .mollifier import PROFILES, build_mollifier
 from .aviles import ag_chain_reports, check_ag_upper_bound
 from .reports import ComparisonReport, equal_within
-from .variation import check_vq_embedding, q_variation_pow
+from .variation import check_vq_embedding
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -74,7 +75,7 @@ _FMT = "%.17g"
 class ExperimentConfig:
     """A config with every key checked and resolved (``raw`` is the parsed JSON).
 
-    ``mollifier`` holds build_mollifier's profile, k and resolution.
+    ``mollifier`` holds build_mollifier's profile and k.
     """
 
     def __init__(
@@ -253,10 +254,8 @@ def _exp_gagliardo(cfg):
 def _exp_vq(cfg):
     spec, mask, u = _sample(cfg)
     rep = check_vq_embedding(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
-    # rep.rhs is 4 * q_variation_pow(u.values, q), so rep.rhs / 4 is that float
-    # unless the product overflowed: one DP, not two, whenever the bound is finite
-    vq = rep.rhs / 4.0 if np.isfinite(rep.rhs) else q_variation_pow(u.values, cfg.q)
-    rows = [(vq, rep.lhs, rep.rhs)]
+    # rep.rhs is 4 * q_variation_pow(u.values, q), finite, so this is that float
+    rows = [(rep.rhs / 4.0, rep.lhs, rep.rhs)]
     return ["q_variation_pow", "kernel_sup", "bound"], rows, [rep]
 
 
@@ -348,7 +347,6 @@ _SCHEMA = {
     "mollifier.profile": ("str", _one_of(PROFILES), "polynomial-bump"),
     "mollifier.k": ("int", (lambda v: v >= 2, ">= 2"),
                     lambda v: 2 if v["mollifier.profile"] == "polynomial-bump" else None),
-    "mollifier.resolution": ("int", (lambda v: v >= 64, ">= 64"), defaults.MOLLIFIER_RESOLUTION),
     "out_dir": ("str", None, "out"),
 }
 
@@ -414,7 +412,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         kappa=v["kappa"],
         tolerance=v["tolerance"],
         fit_model=v["fit_model"],
-        mollifier={"profile": profile, "k": k, "resolution": v["mollifier.resolution"]},
+        mollifier={"profile": profile, "k": k},
         directions=v["directions"],
         out_dir=Path(v["out_dir"]),
         raw=raw,
@@ -422,8 +420,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
+    out = cfg.out_dir
+    # a file where out_dir or an ancestor should be is refused before the run
+    for path in (out, *out.parents):
+        if os.path.exists(path):
+            _require(os.path.isdir(path), f"cannot create out_dir {out}: {path} is not a directory")
+            break
     header, rows, reports = EXPERIMENTS[cfg.experiment](cfg)
-    out = cfg.out_dir  # made only now, so a config rejected by the run leaves no directory
+    # made only now, so a config rejected by the run leaves no directory
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

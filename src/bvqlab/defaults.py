@@ -19,9 +19,6 @@ FIT_POINTS = 3
 # Candidate cube lattice stride = eps / CUBE_STRIDE_DIVISOR.
 CUBE_STRIDE_DIVISOR = 4
 
-# Radial quadrature nodes per axis for mollifier integrals.
-MOLLIFIER_RESOLUTION = 64
-
 
 def direction_count(dim: int) -> int:
     """Default size of the unit-direction set: the +/- axes plus 16 extras."""

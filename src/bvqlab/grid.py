@@ -295,24 +295,3 @@ class SampledField:
     @property
     def grid(self) -> Grid:
         return self.mask.grid
-
-    def sup_norm(self) -> float:
-        """L-infinity norm of |u| (Euclidean norm over components) inside."""
-        ss = np.einsum("...k,...k->...", self.values, self.values)
-        return float(np.sqrt(np.max(ss[self.mask.inside])))
-
-    def translated(self, offset_cells) -> "SampledField":
-        """Shift mask and values by whole cells (used by equivariance checks)."""
-        off = np.asarray(offset_cells, dtype=int)
-        vals = np.zeros_like(self.values)
-        ins = np.zeros_like(self.mask.inside)
-        src, dst = [], []
-        for o, e in zip(off, self.grid.extents):
-            if abs(o) >= e:
-                raise ValueError("translation exceeds grid extents")
-            src.append(slice(max(0, -o), e - max(0, o)))
-            dst.append(slice(max(0, o), e - max(0, -o)))
-        src, dst = tuple(src), tuple(dst)
-        vals[dst] = self.values[src]
-        ins[dst] = self.mask.inside[src]
-        return SampledField(DomainMask(self.grid, ins), vals, self.d)

@@ -167,14 +167,6 @@ class PowerPairCost:
         return _power_in_place(ss, self.q)
 
 
-class SmoothRationalPairCost:
-    """W(a, b) = |a - b|^2 / (1 + |a - b|^2): bounded, symmetric, C^1."""
-
-    def from_sq(self, ss: np.ndarray) -> np.ndarray:
-        """W from squared differences ss = |a - b|^2; may overwrite ss."""
-        return ss / (1.0 + ss)
-
-
 def directional_w_limit(
     u: SampledField,
     w_cost,

@@ -27,6 +27,7 @@ def q_variation_pow(values, q: float) -> float:
     A sample equal to its predecessor in every component is dropped first:
     ``best`` is constant along a run of equal samples, and every increment
     from a run is the same float, so the result is the same bit for bit.
+    A q-variation that overflows float64 is a ``ValueError``.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -40,11 +41,15 @@ def q_variation_pow(values, q: float) -> float:
     v = v[np.concatenate([[True], (v[1:] != v[:-1]).any(axis=1)])]
     n = len(v)
     best = np.zeros(n)
-    for j in range(1, n):
-        d = v[j] - v[:j]
-        inc = _power_in_place(np.einsum("ik,ik->i", d, d), q)
-        best[j] = float(np.max(best[:j] + inc))
-    return float(best.max())
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        for j in range(1, n):
+            d = v[j] - v[:j]
+            inc = _power_in_place(np.einsum("ik,ik->i", d, d), q)
+            best[j] = float(np.max(best[:j] + inc))
+    result = float(best.max())
+    if not np.isfinite(result):
+        raise ValueError("the q-variation overflows float64")
+    return result
 
 
 def check_vq_embedding(
@@ -58,13 +63,16 @@ def check_vq_embedding(
 
     ``u`` is a 1D field on a full mask, swept on its own grid.  Sound
     because the discrete chain maximum is the exact q-variation of the
-    piecewise-constant representative the kernel sum measures.
+    piecewise-constant representative the kernel sum measures.  A bound
+    4 V_q that overflows float64 is a ``ValueError``.
     """
     if u.grid.dim != 1 or not u.mask.all_inside:
         raise ValueError("the q-variation check needs a 1D field on a full mask")
     sweep = bbm_sweep(u, q, eps_list, "constant", kappa=kappa)
     lhs = max(sweep.values)
     rhs = 4.0 * q_variation_pow(u.values, q)
+    if not np.isfinite(rhs):
+        raise ValueError("the q-variation bound 4 V_q overflows float64")
     return leq(
         lhs,
         rhs,

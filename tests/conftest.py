@@ -55,6 +55,34 @@ def random_block_field(mask: DomainMask, seed: int, blocks: int = 6, lo=0.0, hi=
     return SampledField(mask, vals[tuple(idx)][..., None])
 
 
+def translated(u: SampledField, offset_cells) -> SampledField:
+    """``u`` with mask and values shifted by whole cells (for equivariance checks)."""
+    vals = np.zeros_like(u.values)
+    ins = np.zeros_like(u.mask.inside)
+    src, dst = [], []
+    for o, e in zip(offset_cells, u.grid.extents):
+        assert abs(o) < e, "translation exceeds grid extents"
+        src.append(slice(max(0, -o), e - max(0, o)))
+        dst.append(slice(max(0, o), e - max(0, -o)))
+    vals[tuple(dst)] = u.values[tuple(src)]
+    ins[tuple(dst)] = u.mask.inside[tuple(src)]
+    return SampledField(DomainMask(u.grid, ins), vals, u.d)
+
+
+def sup_norm(u: SampledField) -> float:
+    """L-infinity norm of |u| (Euclidean norm over components) inside."""
+    ss = np.einsum("...k,...k->...", u.values, u.values)
+    return float(np.sqrt(np.max(ss[u.mask.inside])))
+
+
+class SmoothRationalPairCost:
+    """W(a, b) = |a - b|^2 / (1 + |a - b|^2): bounded, symmetric, C^1."""
+
+    def from_sq(self, ss: np.ndarray) -> np.ndarray:
+        """W from squared differences ss = |a - b|^2; may overwrite ss."""
+        return ss / (1.0 + ss)
+
+
 # --------------------------------------------------------------------------
 # The shifted-difference sums as plain numpy expressions, frozen: fresh
 # temporaries per window, a boolean gather per masked window, no count path.
@@ -239,7 +267,7 @@ def q_monotonicity_holds(
         raise ValueError("need q2 > q1 >= 1")
     lhs = bbm_value(u, q2, eps, kappa=kappa)
     rhs = bbm_value(u, q1, eps, kappa=kappa)
-    factor = (2.0 * u.sup_norm()) ** (q2 - q1)
+    factor = (2.0 * sup_norm(u)) ** (q2 - q1)
     return lhs, factor * rhs, bool(lhs <= factor * rhs)
 
 

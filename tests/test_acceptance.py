@@ -16,10 +16,10 @@ from bvqlab import (
     DomainMask,
     Grid,
     GridRadius,
+    ag_chain_reports,
     bbm_sweep,
     bbm_value,
     build_mollifier,
-    check_ag_chain,
     check_b_bound,
     check_vq_embedding,
     cube_functional,
@@ -233,7 +233,7 @@ def test_criterion_11_eikonal_energy_chain():
     grad = sample_gradient(spec, mask)
     eta = build_mollifier("polynomial-bump", 2, k=2)
     ladder = [GridRadius.from_cells(m) for m in (36, 24, 18, 12)]
-    chain = check_ag_chain(grad, eta, ladder)
+    chain = ag_chain_reports(grad, eta, ladder)[0]
     assert chain.tolerance == 0.10, "criterion 11: chain slack"
     d = chain.details
     assert d["young_exact_ok"], "criterion 11: Young step not exact"

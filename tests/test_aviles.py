@@ -11,11 +11,9 @@ from bvqlab import (
     ag_energy,
     bbm_value,
     build_mollifier,
-    check_ag_chain,
     check_ag_upper_bound,
     gamma_limit_value,
     make_field,
-    mollifier_d_eta,
     mollify,
     sample_analytic,
     sample_gradient,
@@ -23,6 +21,7 @@ from bvqlab import (
 )
 from bvqlab.aviles import YOUNG_CONSTANT, _moment_bound
 from bvqlab.errors import RegimeError
+from bvqlab.mollifier import energy_bound_coefficients
 from conftest import _oracle
 
 
@@ -31,7 +30,7 @@ def roof_setup():
     g = Grid.for_box([-1.0], [1.0], [1024])
     mask = DomainMask.full(g)
     spec = make_field("pyramid-eikonal", lo=(-1.0,), hi=(1.0,))
-    eta = build_mollifier("polynomial-bump", 1, k=2, resolution=512)
+    eta = build_mollifier("polynomial-bump", 1, k=2)
     return g, mask, sample_gradient(spec, mask), eta
 
 
@@ -196,7 +195,7 @@ def test_upper_bound_pyramid(pyramid_setup):
 def test_chain_roof(roof_setup):
     g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in (64, 48, 32, 16)]
-    rep = check_ag_chain(grad, eta, ladder)
+    rep = ag_chain_reports(grad, eta, ladder)[0]
     assert rep.passed
     assert rep.details["young_exact_ok"]
     assert rep.lhs <= rep.mid  # Young step in the aggregate too
@@ -205,7 +204,7 @@ def test_chain_roof(roof_setup):
 def test_chain_pyramid_and_upper_bound_bit_identity(pyramid_setup):
     g, mask, grad, eta = pyramid_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 16, 12)]
-    chain = check_ag_chain(grad, eta, ladder)
+    chain = ag_chain_reports(grad, eta, ladder)[0]
     upper = check_ag_upper_bound(grad, eta, 3.0, 3.0, ladder)
     assert chain.passed
     # same code path, bit for bit
@@ -226,7 +225,7 @@ def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(kernels, "pair_power_sums", counted)
-    rep = check_ag_chain(grad, eta, ladder)
+    rep = ag_chain_reports(grad, eta, ladder)[0]
     assert calls == [len(kernels.lattice_offsets(1, 64 * 64)[0])]
     monkeypatch.undo()
     inner = mask.erode(64 * g.spacing)
@@ -254,7 +253,7 @@ def test_chain_reports_share_one_pass_and_equal_the_separate_checks(pyramid_setu
     # the masked chain sweep and, with a jump, the unmasked ridge sweep
     assert passes == [[False, True] if with_jump else [False]]
     monkeypatch.undo()
-    separate = [check_ag_chain(grad, eta, ladder)]
+    separate = [ag_chain_reports(grad, eta, ladder)[0]]
     if with_jump:
         separate.append(verify_gamma_consistency(grad, jump, ladder, 0.05))
     assert [vars(r) for r in reports] == [vars(r) for r in separate]
@@ -263,7 +262,7 @@ def test_chain_reports_share_one_pass_and_equal_the_separate_checks(pyramid_setu
 def test_chain_rejects_bad_ladder(roof_setup):
     g, mask, grad, eta = roof_setup
     with pytest.raises(ValueError, match="strictly decreasing"):
-        check_ag_chain(grad, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
+        ag_chain_reports(grad, eta, [GridRadius.from_cells(m) for m in (16, 32, 24)])
 
 
 BAD_LADDERS = [
@@ -286,7 +285,7 @@ def test_ag_checks_refuse_a_bad_ladder_before_any_mollify(roof_setup, monkeypatc
     g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in cells]
     with pytest.raises(ValueError, match=message):
-        check_ag_chain(grad, eta, ladder, fit_model=fit_model)
+        ag_chain_reports(grad, eta, ladder, fit_model=fit_model)
     with pytest.raises(ValueError, match=message):
         check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder, fit_model=fit_model)
 
@@ -301,7 +300,7 @@ def test_ag_checks_refuse_a_rung_below_kappa_h_before_any_mollify(roof_setup, mo
     g, mask, grad, eta = roof_setup
     ladder = [GridRadius.from_cells(m) for m in (32, 24, 4)]  # 4 cells < kappa = 8 cells
     with pytest.raises(RegimeError, match="below kappa"):
-        check_ag_chain(grad, eta, ladder)
+        ag_chain_reports(grad, eta, ladder)
     with pytest.raises(RegimeError, match="below kappa"):
         check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder)
 
@@ -333,7 +332,7 @@ def test_ag_checks_hold_one_mollified_rung_at_a_time(pyramid_setup, monkeypatch,
     monkeypatch.setattr(aviles, "mollify", mollify_one)
     monkeypatch.setattr(aviles, "bbm_sweep", sweep)
     if check == "chain":
-        rep = check_ag_chain(grad, eta, ladder)
+        rep = ag_chain_reports(grad, eta, ladder)[0]
     else:
         rep = check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder)
     assert rep.passed
@@ -371,7 +370,7 @@ def test_chain_rejects_3d():
     grad = sample_gradient(make_field("constant", value=(1.0,), dim=3), mask)
     eta = build_mollifier("polynomial-bump", 3, k=2)
     with pytest.raises(ValueError):
-        check_ag_chain(grad, eta, [GridRadius.from_cells(4)])
+        ag_chain_reports(grad, eta, [GridRadius.from_cells(4)])
 
 
 def test_young_constant_value():
@@ -410,7 +409,7 @@ def test_moment_bound_shares_d_eta(pyramid_setup):
     g, mask, grad, eta = pyramid_setup
     a = 1.2345
     assert _moment_bound(eta, 3.0, 3.0, a, a) == pytest.approx(
-        mollifier_d_eta(eta) * a, rel=1e-12
+        sum(energy_bound_coefficients(eta, 3.0, 3.0)) * a, rel=1e-12
     )
 
 

@@ -204,7 +204,7 @@ def test_every_experiment_runs_without_lapack(tmp_path):
         "from bvqlab import build_mollifier\n"
         "from bvqlab.cli import main\n"
         f"print([main(['run', p]) for p in {paths!r}])\n"
-        "print(len(build_mollifier('polynomial-bump', 3, resolution=64).ball_rule()[1]))\n"
+        "print(len(build_mollifier('polynomial-bump', 3).ball_rule()[1]))\n"
         "print(sorted(m for m, mod in sys.modules.items() if m.startswith('numpy.polynomial') and mod))\n"
     )
     codes, ball_nodes, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
@@ -250,14 +250,12 @@ DEFAULTS = {
     ("fit_model",): "linear-in-eps", ("directions",): 2, ("out_dir",): "out",
     ("eps_ladder", "ratio"): 0.5, ("eps_ladder", "count"): 4, ("field", "params"): {},
     ("mollifier", "profile"): "polynomial-bump", ("mollifier", "k"): 2,
-    ("mollifier", "resolution"): 64,
 }
 OUT_OF_RANGE = {
     ("experiment",): "jump-sweep", ("fit_model",): "quadratic", ("kappa",): 0,
     ("tolerance",): -0.03, ("directions",): 0, ("grid", "n"): [0],
     ("eps_ladder", "start_cells"): 0, ("eps_ladder", "ratio"): 1.0, ("eps_ladder", "count"): 0,
     ("mollifier", "profile"): "gaussian-bump", ("mollifier", "k"): 1,
-    ("mollifier", "resolution"): 32,
 }
 _OUTCOMES: dict[str, tuple] = {}
 _DROP = object()
@@ -268,7 +266,7 @@ def _kind_config(experiment, field, grid, extra) -> dict:
         "experiment": experiment, "field": field, "grid": grid, "q": 2.0, "p": 3.0,
         "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 3}, "kappa": 8,
         "tolerance": 0.03, "directions": 2, "out_dir": "out",
-        "mollifier": {"profile": "polynomial-bump", "k": 2, "resolution": 64}, **extra,
+        "mollifier": {"profile": "polynomial-bump", "k": 2}, **extra,
     }
 
 
@@ -454,28 +452,28 @@ def test_vq_sweeps_the_config_grid(tmp_path, grid):
         assert swept == [0.03125, 0.015625, 0.0078125, 0.00390625]
 
 
-def test_vq_row_keeps_a_q_variation_whose_bound_overflows(tmp_path):
-    import math
-
-    from bvqlab import DomainMask, Grid, make_field, sample_analytic
-    from bvqlab.variation import q_variation_pow
-
-    # slope 1.23e152 over 64 unit cells: the q = 2 variation, (63 * slope)^2,
-    # is near 6e307, finite, and the bound 4 * vq is inf
+@pytest.mark.parametrize("grid, slope, message", [
+    # the q = 2 variation (8191 * slope)^2 is inf, where the swept pair sums
+    # stay finite
+    ({"lo": [0.0], "hi": [8192.0], "n": [8192]}, 1e151, "the q-variation overflows float64"),
+    # the variation is finite and the bound 4 V_q is inf
+    ({"lo": [0.0], "hi": [8192.0], "n": [8192]}, 1e150,
+     "the q-variation bound 4 V_q overflows float64"),
+    ({"lo": [0.0], "hi": [64.0], "n": [64]}, 1.23e152,
+     "the q-variation bound 4 V_q overflows float64"),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_vq_refuses_an_infinite_q_variation_or_bound(tmp_path, capsys, grid, slope, message):
+    # each passed with an inf bound and exit 0, the first after a numpy warning
     cfg = write_config(
         tmp_path, "vq.json", experiment="vq",
-        field={"kind": "linear", "params": {"slope": [1.23e152]}},
-        grid={"lo": [0.0], "hi": [64.0], "n": [64]},
+        field={"kind": "linear", "params": {"slope": [slope]}}, grid=grid,
         eps_ladder={"start_cells": 8, "ratio": 0.5, "count": 1},
         out_dir=str(tmp_path / "out_vq"),
     )
-    assert main(["run", str(cfg)]) == EXIT_OK
-    row = (tmp_path / "out_vq" / "sweep.csv").read_text().splitlines()[1].split(",")
-    g = Grid.for_box([0.0], [64.0], [64])
-    u = sample_analytic(make_field("linear", slope=[1.23e152]), DomainMask.full(g))
-    vq = q_variation_pow(u.values, 2.0)
-    assert math.isfinite(vq) and not math.isfinite(4.0 * vq)
-    assert float(row[0]) == vq and float(row[2]) == math.inf
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out_vq").exists()
 
 
 def test_repeated_runs_bit_identical_across_processes(tmp_path):
@@ -524,17 +522,23 @@ def test_report_of_a_directory_is_config_error(tmp_path, capsys):
     assert err.startswith(f"unreadable report file: {tmp_path}") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("out", ["taken", "taken/sub"])
-def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, out):
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "taken/sub/deeper"])
+def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch, out):
     # an existing file, or a path under one, was a FileExistsError or
-    # NotADirectoryError traceback with exit 5
+    # NotADirectoryError traceback with exit 5, and then a refusal that came
+    # only after the whole experiment had run
+    def body(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(EXPERIMENTS, "jump-verify", body)
     (tmp_path / "taken").write_text("a file")
-    cfg = write_config(tmp_path, "cfg.json", grid={"lo": [-1.0], "hi": [1.0], "n": [256]},
-                       eps_ladder={"start_cells": 16, "ratio": 0.5, "count": 3})
+    cfg = write_config(tmp_path, "cfg.json")
     assert main(["run", str(cfg), "--out", str(tmp_path / out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot create out_dir {tmp_path / out}: ")
-    assert "Traceback" not in err
+    assert err == (
+        f"config error: cannot create out_dir {tmp_path / out}: "
+        f"{tmp_path / 'taken'} is not a directory\n"
+    )
 
 
 @pytest.mark.parametrize("override,key", [
@@ -701,12 +705,11 @@ def test_internal_error_is_exit_5_with_traceback(tmp_path, capsys, monkeypatch, 
     ({"k": True}, "mollifier.k"),
     ({"k": 1}, "mollifier.k"),
     ({"profile": "exponential-bump", "k": 2}, "mollifier.k"),
-    ({"resolution": 64.9}, "mollifier.resolution"),
-    ({"resolution": 32}, "mollifier.resolution"),
-    ({"resolution": True}, "mollifier.resolution"),
+    # the radial node count is a module constant, no longer a config key
+    ({"resolution": 64}, "mollifier key 'resolution'"),
     ({"resolutoin": 128}, "mollifier key 'resolutoin'"),
 ], ids=["profile-unknown", "k-float", "k-string", "k-bool", "k-below-2", "k-for-exponential",
-        "resolution-float", "resolution-below-64", "resolution-bool", "key-unknown"])
+        "resolution-removed", "key-unknown"])
 def test_mollifier_config_rejected_at_load(tmp_path, capsys, mollifier, key):
     # jump-verify builds no mollifier, so only load_config can refuse these
     cfg = write_config(tmp_path, "moll.json", mollifier=mollifier)
@@ -719,11 +722,9 @@ def test_mollifier_config_rejected_at_load(tmp_path, capsys, mollifier, key):
 def test_mollifier_config_accepted(tmp_path):
     # the config holds the resolved values build_mollifier takes
     for mollifier, resolved in (
-        ({"profile": "exponential-bump", "resolution": 128},
-         {"profile": "exponential-bump", "k": None, "resolution": 128}),
-        ({"profile": "polynomial-bump", "k": 3},
-         {"profile": "polynomial-bump", "k": 3, "resolution": 64}),
-        ({}, {"profile": "polynomial-bump", "k": 2, "resolution": 64}),
+        ({"profile": "exponential-bump"}, {"profile": "exponential-bump", "k": None}),
+        ({"profile": "polynomial-bump", "k": 3}, {"profile": "polynomial-bump", "k": 3}),
+        ({}, {"profile": "polynomial-bump", "k": 2}),
     ):
         cfg = load_config(write_config(tmp_path, "moll.json", mollifier=mollifier))
         assert cfg.mollifier == resolved

@@ -210,10 +210,3 @@ def test_field_requires_finite(line_mask):
     with pytest.raises(ValueError):
         SampledField(line_mask, vals)
 
-
-def test_translation_helper(line_mask):
-    vals = np.arange(1024.0)
-    f = SampledField(line_mask, vals)
-    t = f.translated([5])
-    assert t.values[5 + 10, 0] == vals[10]
-    assert not t.mask.inside[:5].any()

@@ -11,7 +11,6 @@ from bvqlab import (
     PowerPairCost,
     RegimeError,
     SampledField,
-    SmoothRationalPairCost,
     bbm_sweep,
     dimensional_constant,
     dimensional_constant_closed_form,
@@ -26,7 +25,7 @@ from bvqlab import (
     verify_two_sided,
     w_limit_rhs,
 )
-from conftest import random_block_field
+from conftest import SmoothRationalPairCost, random_block_field
 
 
 def test_dimensional_constants_exact_values():

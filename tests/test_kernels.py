@@ -27,6 +27,7 @@ from conftest import (
     random_block_field,
     single_pair_sum,
     splitting_inequality_holds,
+    translated,
 )
 
 
@@ -102,7 +103,7 @@ def test_translation_equivariance_bit_identical():
     rng = np.random.default_rng(5)
     vals = np.where(inside, rng.normal(size=512), 0.0)
     u = SampledField(DomainMask(g, inside), vals)
-    shifted = u.translated([100])
+    shifted = translated(u, [100])
     h = g.spacing
     for q in (1.5, 2.0):
         assert bbm_value(u, q, 16 * h) == bbm_value(shifted, q, 16 * h)

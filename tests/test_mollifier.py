@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from bvqlab import Mollifier, build_mollifier, mollifier_d_eta
+from bvqlab import build_mollifier
+from bvqlab._special import gauss_jacobi
 from bvqlab.mollifier import (
+    _NODES,
+    _ball_rule_cached,
+    _radial_rule,
     defect_moment,
     energy_bound_coefficients,
     polynomial_moment_closed_form,
@@ -12,9 +16,12 @@ from bvqlab.mollifier import (
 )
 
 
-def _at_resolution(eta, resolution):
-    """``eta`` with the same profile and normalization at another resolution."""
-    return Mollifier(eta.profile, eta.dim, eta.k, eta.normalization, resolution)
+def _d_eta(eta, nodes=_NODES):
+    """The cubic chain's bound constant
+    (int |z|^{1/2} |grad eta|^{3/2} dz)^2 + (int |z|^2 eta^3 dz)^{1/2}."""
+    m1 = eta.radial_moment(0.5, 1.5, True, nodes)
+    m2 = eta.radial_moment(2.0, 3.0, False, nodes)
+    return m1 * m1 + math.sqrt(m2)
 
 
 def test_polynomial_normalization_closed_form():
@@ -31,14 +38,14 @@ def test_polynomial_normalization_closed_form():
 ])
 def test_unit_mass_double_resolution(profile, dim, k):
     eta = build_mollifier(profile, dim, k=k)
-    doubled = _at_resolution(eta, 2 * eta.resolution)
-    assert abs(doubled.mass() - 1.0) < 1e-10
-    assert abs(doubled.mass() - eta.mass()) < 1e-9 * 1.0
+    doubled = eta.radial_moment(0.0, 1.0, False, 2 * _NODES)
+    assert abs(doubled - 1.0) < 1e-10
+    assert abs(doubled - eta.mass()) < 1e-9 * 1.0
 
 
 def test_exponential_2d_normalization_vs_double_resolution():
     eta = build_mollifier("exponential-bump", 2)
-    c_double = 1.0 / (_at_resolution(eta, 128).mass() / eta.normalization)
+    c_double = 1.0 / (eta.radial_moment(0.0, 1.0, False, 128) / eta.normalization)
     assert abs(c_double - eta.normalization) < 1e-10
 
 
@@ -52,11 +59,6 @@ def test_polynomial_k_must_be_an_integer(k):
 def test_polynomial_k_takes_numpy_integers():
     eta = build_mollifier("polynomial-bump", 2, k=np.int64(3))
     assert type(eta.k) is int and eta.normalization == build_mollifier("polynomial-bump", 2, k=3).normalization
-
-
-def test_resolution_floor():
-    with pytest.raises(ValueError):
-        build_mollifier("polynomial-bump", 1, resolution=32)
 
 
 def test_support_and_sign():
@@ -92,8 +94,8 @@ def test_d_eta_stable_under_resolution_doubling():
     for profile, k in [("polynomial-bump", 2), ("exponential-bump", None)]:
         for dim in (1, 2):
             eta = build_mollifier(profile, dim, k=k)
-            d1 = mollifier_d_eta(eta)
-            d2 = mollifier_d_eta(_at_resolution(eta, 2 * eta.resolution))
+            d1 = _d_eta(eta)
+            d2 = _d_eta(eta, 2 * _NODES)
             assert d1 > 0
             assert abs(d1 - d2) < 1e-8
 
@@ -102,7 +104,8 @@ def test_d_eta_matches_beta_closed_form():
     eta = build_mollifier("polynomial-bump", 2, k=2)
     m1 = polynomial_moment_closed_form(eta, 0.5, 1.5, of_gradient=True)
     m2 = polynomial_moment_closed_form(eta, 2.0, 3.0, of_gradient=False)
-    assert mollifier_d_eta(eta) == pytest.approx(m1 * m1 + math.sqrt(m2), rel=1e-12)
+    d_eta = sum(energy_bound_coefficients(eta, 3.0, 3.0))
+    assert d_eta == pytest.approx(m1 * m1 + math.sqrt(m2), rel=1e-12)
 
 
 def test_d_eta_monte_carlo_oracle():
@@ -119,7 +122,7 @@ def test_d_eta_monte_carlo_oracle():
     d_mc = m1 * m1 + math.sqrt(m2)
     # delta method for the combined standard error
     sigma = math.sqrt((2 * m1 * s1) ** 2 + (s2 / (2 * math.sqrt(m2))) ** 2)
-    assert abs(mollifier_d_eta(eta) - d_mc) < 3.0 * sigma
+    assert abs(sum(energy_bound_coefficients(eta, 3.0, 3.0)) - d_mc) < 3.0 * sigma
 
 
 def test_defect_moment_rejects_p2():
@@ -132,7 +135,7 @@ def test_bound_coefficients_positive():
     eta = build_mollifier("exponential-bump", 2)
     cq, cp = energy_bound_coefficients(eta, 3.0, 3.0)
     assert cq > 0 and cp > 0
-    assert cq + cp == pytest.approx(mollifier_d_eta(eta), rel=1e-12)
+    assert cq + cp == pytest.approx(_d_eta(eta), rel=1e-12)
 
 
 def test_ball_rule_volume():
@@ -142,6 +145,29 @@ def test_ball_rule_volume():
         vol = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
         assert w.sum() == pytest.approx(vol, rel=1e-12)
     assert sphere_surface(2) == pytest.approx(2 * math.pi)
+
+
+@pytest.mark.parametrize("n", [64, 65, 128])
+def test_3d_ball_rule_equals_the_node_loop(n):
+    # the nodes in the order and to the bit of a loop over radius, then mu,
+    # then theta
+    r, wr = _radial_rule(n, 2.0, 0.0)
+    mu, wmu = gauss_jacobi(n, 0.0, 0.0)
+    smu = np.sqrt(1.0 - mu * mu)
+    na = n + (n % 2)
+    theta = 2.0 * math.pi * (np.arange(na) + 0.5) / na
+    wa = 2.0 * math.pi / na
+    xs, ys, zs, ws = [], [], [], []
+    for ri, wri in zip(r, wr):
+        for mi, wi, si in zip(mu, wmu, smu):
+            xs.append(ri * si * np.cos(theta))
+            ys.append(ri * si * np.sin(theta))
+            zs.append(np.full_like(theta, ri * mi))
+            ws.append(np.full_like(theta, wri * wi * wa))
+    nodes, weights = _ball_rule_cached(3, n)
+    expect = np.stack([np.concatenate(xs), np.concatenate(ys), np.concatenate(zs)], axis=-1)
+    assert nodes.tobytes() == expect.tobytes()
+    assert weights.tobytes() == np.concatenate(ws).tobytes()
 
 
 JACOBI_EXPONENTS = [0.0, 0.5, 1.0, 1.5, 3.0, 7.5, 22.0, 44.0]

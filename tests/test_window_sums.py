@@ -24,7 +24,6 @@ from bvqlab import (
     PowerPairCost,
     RegimeError,
     SampledField,
-    SmoothRationalPairCost,
     ag_chain_reports,
     bbm_ladder,
     bbm_ladders,
@@ -41,6 +40,7 @@ from bvqlab import (
 from bvqlab import _correlation, kernels
 from bvqlab.kernels import lattice_offsets, pair_power_sums
 from conftest import (
+    SmoothRationalPairCost,
     reference_directional,
     reference_pair_power_sums,
     reference_power,
