@@ -185,20 +185,19 @@ def mollify(
     return MollifiedField(inner, eps_len, out[..., :n], out[..., n:].reshape(ext + (n, n)))
 
 
-def _ladder_measures(grad, eta, eps_list, kappa, measure):
+def _ladder_measures(grad, eta, eps_list, eps_lens, kappa, measure):
     """(inner mask, [measure(mollified field) for each eps]).
 
-    Every rung's kappa*h guard runs first.  Every rung shares the mask
+    Every rung's kappa*h guard runs first, on ``eps_lens`` (the lengths
+    ``_check_sweep_ladder`` returns).  Every rung shares the mask
     eroded by the largest eps, so the energies of a sweep are integrated
     over one region.  ``measure`` reduces a rung to numbers, and nothing
     holds the rung's field or its per-sample arrays once it returns, so only
     one rung is alive while the next is mollified.
     """
-    h = grad.grid.spacing
-    lengths = [resolve_radius(e, h)[1] for e in eps_list]
-    for e_len in lengths:
-        _check_kappa_h(e_len, h, kappa)
-    inner = grad.mask.erode(max(lengths))
+    for e_len in eps_lens:
+        _check_kappa_h(e_len, grad.grid.spacing, kappa)
+    inner = grad.mask.erode(max(eps_lens))
     return inner, [measure(mollify(grad, eta, e, inner, kappa=kappa)) for e in eps_list]
 
 
@@ -217,14 +216,8 @@ def ag_energy(mf: MollifiedField, p: float) -> tuple[float, float]:
     Defect exponent p/(p-1); the sum of the pair is the energy itself.
     """
     if not p > 1:
-        raise ValueError("p must exceed 1")
+        raise ValueError("the energy I_p needs p > 1")
     return _energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), p, p / (p - 1.0))
-
-
-def _moment_bound(eta: Mollifier, q: float, p: float, a_q: float, a_p: float) -> float:
-    """Moment-weighted combination that dominates the smoothed energies."""
-    coef_q, coef_p = energy_bound_coefficients(eta, q, p)
-    return coef_q * a_q + coef_p * a_p
 
 
 def check_ag_upper_bound(
@@ -243,33 +236,28 @@ def check_ag_upper_bound(
     checked at finite scale: at the smallest eps it must stay under the
     bound built from the kernel sweeps of ``grad`` with ``defaults.AG_SLACK``
     slack, and it must not increase along the sweep (within
-    ``defaults.TREND_SLACK``).  p = 2 is rejected: the defect-moment exponent
-    degenerates there.  The ladder (``_check_sweep_ladder``) and every rung's
-    kappa*h guard are checked before any rung is mollified.
+    ``defaults.TREND_SLACK``).  The bound's coefficients
+    (``energy_bound_coefficients``, which refuses q <= 1, p <= 2 and a
+    coefficient that overflows float64), the ladder (``_check_sweep_ladder``)
+    and every rung's kappa*h guard are checked before any rung is mollified.
     """
-    if not q > 1:
-        raise ValueError("q must exceed 1")
-    if not p > 2:
-        raise ValueError(
-            "p must exceed 2: the defect moment exponent p/(p-2) degenerates at p = 2"
-        )
+    coef_q, coef_p = energy_bound_coefficients(eta, q, p)
     eps_lens = _check_sweep_ladder(eps_list, grad.grid.spacing, fit_model)
 
     def lhs(mf):
         return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
 
-    inner, lhs_vals = _ladder_measures(grad, eta, eps_list, kappa, lhs)
+    inner, lhs_vals = _ladder_measures(grad, eta, eps_list, eps_lens, kappa, lhs)
     requests = [(q, inner)] if p == q else [(q, inner), (p, inner)]
     sweeps = bbm_sweeps(grad, requests, eps_list, fit_model, kappa=kappa)
     sweep_q, sweep_p = sweeps[0], sweeps[-1]
-    rhs = _moment_bound(eta, q, p, sweep_q.limit, sweep_p.limit)
     trend_ok = all(
         b <= a * (1.0 + defaults.TREND_SLACK) + ZERO_ATOL
         for a, b in zip(lhs_vals, lhs_vals[1:])
     )
     rep = leq(
         lhs_vals[-1],
-        rhs,
+        coef_q * sweep_q.limit + coef_p * sweep_p.limit,
         f"smoothed-energy upper bound (q={q:g}, p={p:g})",
         slack=defaults.AG_SLACK,
         atol=ZERO_ATOL,
@@ -281,11 +269,8 @@ def check_ag_upper_bound(
         gradient_limit_p=sweep_p.limit,
         trend_ok=trend_ok,
     )
-    if trend_ok:
-        return rep
-    return ComparisonReport(
-        rep.lhs, rep.rhs, rep.relation, rep.tolerance, False, rep.provenance, rep.mid, rep.details
-    )
+    rep.passed = rep.passed and trend_ok
+    return rep
 
 
 def ag_chain_reports(
@@ -311,13 +296,14 @@ def ag_chain_reports(
     scale (two smallest eps) and against the bound built from the
     extrapolated sweep of ``grad``.  The energies and the q = p = 3 bound
     values come from the same code path as ``check_ag_upper_bound``, so the
-    two instances agree bit for bit.  As there, the ladder and every rung's
-    kappa*h guard are checked before any rung is mollified.  The chain's
-    sweep over the inner mask and the ridge energy's unmasked one share one
-    pair pass, each bit for bit its own ``bbm_sweep``.
+    two instances agree bit for bit.  As there, the coefficients, the ladder
+    and every rung's kappa*h guard are checked before any rung is mollified.
+    The chain's sweep over the inner mask and the ridge energy's unmasked one
+    share one pair pass, each bit for bit its own ``bbm_sweep``.
     """
     if grad.grid.dim not in (1, 2):
         raise ValueError("the cubic chain check runs in dimension 1 or 2")
+    coef_q, coef_p = energy_bound_coefficients(eta, 3.0, 3.0)
     eps_lens = _check_sweep_ladder(eps_list, grad.grid.spacing, fit_model)
     slack = defaults.AG_SLACK
     cell = grad.grid.spacing**grad.grid.dim
@@ -334,13 +320,13 @@ def ag_chain_reports(
             bool((lhs_pt >= rhs_pt).all()),
         )
 
-    inner, rungs = _ladder_measures(grad, eta, eps_list, kappa, young_and_middle)
+    inner, rungs = _ladder_measures(grad, eta, eps_list, eps_lens, kappa, young_and_middle)
     young_lhs, mids, young_oks = (list(column) for column in zip(*rungs))
     young_ok = all(young_oks)
     requests = [(3.0, inner)] + ([(3.0, None)] if jump is not None else [])
     sweep3, *full = bbm_sweeps(grad, requests, eps_list, fit_model, kappa=kappa)
-    matched_bounds = [_moment_bound(eta, 3.0, 3.0, a3, a3) for a3 in sweep3.values]
-    limit_bound = _moment_bound(eta, 3.0, 3.0, sweep3.limit, sweep3.limit)
+    matched_bounds = [coef_q * a3 + coef_p * a3 for a3 in sweep3.values]
+    limit_bound = coef_q * sweep3.limit + coef_p * sweep3.limit
     matched_ok = all(
         m <= b * (1.0 + slack) + ZERO_ATOL for m, b in list(zip(mids, matched_bounds))[-2:]
     )

@@ -157,8 +157,7 @@ def _write_reports(out: Path, reports: list[ComparisonReport]):
 
 
 def _sample(cfg: ExperimentConfig):
-    mask = DomainMask.full(cfg.grid)
-    return cfg.field, mask, sample_analytic(cfg.field, mask)
+    return sample_analytic(cfg.field, DomainMask.full(cfg.grid))
 
 
 def _exp_constants(cfg):
@@ -174,7 +173,7 @@ def _exp_constants(cfg):
 
 
 def _exp_bbm_sweep(cfg):
-    spec, mask, u = _sample(cfg)
+    u = _sample(cfg)
     sweep = bbm_sweep(u, cfg.q, cfg.ladder, cfg.fit_model, kappa=cfg.kappa)
     rows = list(zip(sweep.eps, sweep.values))
     rows.append((0.0, sweep.limit))
@@ -193,28 +192,27 @@ def _exp_bbm_sweep(cfg):
 
 
 def _exp_jump_verify(cfg):
-    spec, mask = cfg.field, DomainMask.full(cfg.grid)
-    rep = verify_jump_formula(
-        spec, mask, cfg.q, cfg.ladder, fit_model=cfg.fit_model,
+    return _sweep_rows(verify_jump_formula(
+        cfg.field, DomainMask.full(cfg.grid), cfg.q, cfg.ladder, fit_model=cfg.fit_model,
         tolerance=cfg.tolerance, kappa=cfg.kappa,
-    )
-    rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
-    return ["eps", "value"], rows, [rep]
+    ))
 
 
 def _exp_q1_bv(cfg):
-    spec, mask = cfg.field, DomainMask.full(cfg.grid)
-    rep = verify_q1_full_bv(
-        spec, mask, cfg.ladder, fit_model=cfg.fit_model,
+    return _sweep_rows(verify_q1_full_bv(
+        cfg.field, DomainMask.full(cfg.grid), cfg.ladder, fit_model=cfg.fit_model,
         tolerance=cfg.tolerance, kappa=cfg.kappa,
-    )
+    ))
+
+
+def _sweep_rows(rep):
     rows = list(zip(rep.details["sweep_eps"], rep.details["sweep_values"]))
     return ["eps", "value"], rows, [rep]
 
 
 def _exp_two_sided(cfg):
-    spec, mask, u = _sample(cfg)
-    h = mask.grid.spacing
+    u = _sample(cfg)
+    h = u.grid.spacing
     rows, reports = [], []
     for eps in cfg.ladder:
         rep = verify_two_sided(u, cfg.q, eps, kappa=cfg.kappa)
@@ -224,11 +222,11 @@ def _exp_two_sided(cfg):
 
 
 def _exp_besov(cfg):
-    spec, mask, u = _sample(cfg)
+    u = _sample(cfg)
     rows = []
     for eps in cfg.ladder:
         rows.append(
-            (eps.length(mask.grid.spacing),
+            (eps.length(u.grid.spacing),
              directional_sup(u, cfg.q, eps, cfg.directions, kappa=cfg.kappa))
         )
     value = besov_seminorm_pow(u, cfg.q, cfg.ladder, cfg.directions, kappa=cfg.kappa)
@@ -237,22 +235,22 @@ def _exp_besov(cfg):
 
 
 def _exp_gagliardo(cfg):
-    spec, mask, u = _sample(cfg)
+    u = _sample(cfg)
     rows, reports = [], []
     triples = gagliardo_dominates_bbm(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
     for eps, (bbm, gag, ok) in zip(cfg.ladder, triples):
-        rows.append((eps.length(mask.grid.spacing), bbm, gag))
+        rows.append((eps.length(u.grid.spacing), bbm, gag))
         reports.append(
             ComparisonReport(
                 bbm, gag, "leq", 0.0, ok,
-                f"kernel sum dominated by fractional seminorm (eps={eps.length(mask.grid.spacing):g})",
+                f"kernel sum dominated by fractional seminorm (eps={eps.length(u.grid.spacing):g})",
             )
         )
     return ["eps", "bbm", "gagliardo"], rows, reports
 
 
 def _exp_vq(cfg):
-    spec, mask, u = _sample(cfg)
+    u = _sample(cfg)
     rep = check_vq_embedding(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
     # rep.rhs is 4 * q_variation_pow(u.values, q), finite, so this is that float
     rows = [(rep.rhs / 4.0, rep.lhs, rep.rhs)]
@@ -260,19 +258,22 @@ def _exp_vq(cfg):
 
 
 def _exp_b_space(cfg):
-    spec, mask, u = _sample(cfg)
+    u = _sample(cfg)
     reports = check_b_bound(u, cfg.q, cfg.ladder, kappa=cfg.kappa)
     rows = [
-        (eps.length(mask.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"])
+        (eps.length(u.grid.spacing), rep.lhs, rep.rhs, rep.details["cubes"])
         for eps, rep in zip(cfg.ladder, reports)
     ]
     return ["eps", "cube_value", "bound", "cubes"], rows, reports
 
 
+def _gradient_and_mollifier(cfg: ExperimentConfig):
+    grad = sample_gradient(cfg.field, DomainMask.full(cfg.grid))
+    return grad, build_mollifier(dim=cfg.grid.dim, **cfg.mollifier)
+
+
 def _exp_ag_upper(cfg):
-    mask = DomainMask.full(cfg.grid)
-    grad = sample_gradient(cfg.field, mask)
-    eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
+    grad, eta = _gradient_and_mollifier(cfg)
     rep = check_ag_upper_bound(
         grad, eta, cfg.q, cfg.p, cfg.ladder, kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
@@ -281,12 +282,10 @@ def _exp_ag_upper(cfg):
 
 
 def _exp_ag_chain(cfg):
-    mask = DomainMask.full(cfg.grid)
-    grad = sample_gradient(cfg.field, mask)
-    eta = build_mollifier(dim=mask.grid.dim, **cfg.mollifier)
+    grad, eta = _gradient_and_mollifier(cfg)
     # the chain's masked sweep and the ridge energy's unmasked one share a pass
     reports = ag_chain_reports(
-        grad, eta, cfg.ladder, cfg.field.jump_spec(mask.grid), cfg.tolerance,
+        grad, eta, cfg.ladder, cfg.field.jump_spec(cfg.grid), cfg.tolerance,
         kappa=cfg.kappa, fit_model=cfg.fit_model,
     )
     d = reports[0].details
@@ -492,8 +491,8 @@ def main(argv=None) -> int:
 
     if args.command == "constants":
         print("N,quadrature,closed_form")
-        for n in (1, 2, 3):
-            print(f"{n},{_FMT % dimensional_constant(n)},{_FMT % dimensional_constant_closed_form(n)}")
+        for n, quad, closed, _ in _exp_constants(None)[1]:
+            print(f"{n},{_FMT % quad},{_FMT % closed}")
         return EXIT_OK
     if args.command == "list-fields":
         for name, params in sorted(list_fields().items()):

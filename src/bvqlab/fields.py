@@ -426,7 +426,8 @@ class HoelderField(AnalyticField):
     """Finite lacunary cosine sum with Hoelder exponent ``s``.
 
     u(x) = sum_{j<=J} 2^{-j s} cos(2^j pi x + phase_j).  The number of terms
-    defaults to ceil(log2(1/h)) at sampling time; ``terms`` pins it.
+    defaults to ceil(log2(1/h)) at sampling time; ``terms`` (>= 0) pins it.
+    Points where 2^J pi x is not a finite float are refused.
     """
 
     s: float = 0.75
@@ -439,6 +440,8 @@ class HoelderField(AnalyticField):
             raise ValueError("Hoelder exponent must lie in (0, 1]")
         if self.seed < 0:
             raise ValueError(f"hoelder needs seed >= 0, got {self.seed}")
+        if self.terms is not None and self.terms < 0:
+            raise ValueError(f"hoelder needs terms >= 0, got {self.terms}")
 
     def _n_terms(self, h: float | None) -> int:
         if self.terms is not None:
@@ -450,6 +453,8 @@ class HoelderField(AnalyticField):
     def evaluate(self, pts, h=None):
         p = _pts(pts, 1)[..., 0]
         n = self._n_terms(h)
+        if n > 1023 or not math.isfinite(2.0**n * math.pi * float(np.abs(p).max(initial=0.0))):
+            raise ValueError(f"hoelder terms = {n} overflows float64: 2^terms pi x is not finite")
         if self.seed:
             phases = _rng.uniform(self.seed, 0.0, 2 * math.pi, n + 1)
         else:
@@ -629,9 +634,6 @@ class ConeField(AnalyticField):
             g = np.where(r > 0, g, -e)
         return g
 
-    def jump_spec(self, grid):
-        return None
-
     def ridge_distance(self, pts):
         p = _pts(pts, self.dim)
         return np.linalg.norm(p - np.asarray(self.center), axis=-1)
@@ -763,24 +765,22 @@ def sample_analytic(spec: AnalyticField, mask: DomainMask) -> SampledField:
     the values plus one block of centers; every evaluation acts point by
     point, so the values are those of one evaluation at all centers.
     """
-    if spec.dim != mask.grid.dim:
-        raise ValueError(
-            f"field dimension {spec.dim} does not match grid dimension {mask.grid.dim}"
-        )
     h = mask.grid.spacing
-    vals = _sample_rows(mask.grid, lambda pts: spec.evaluate(pts, h=h), (spec.d,), np.float64)
-    return SampledField(mask, vals, d=spec.d)
+    return _sampled(spec, mask, lambda pts: spec.evaluate(pts, h=h), spec.d)
 
 
 def sample_gradient(spec: AnalyticField, mask: DomainMask) -> SampledField:
     """Sample the exact gradient of a catalog field as a d = dim field, over
     blocks of whole grid rows like ``sample_analytic``."""
+    return _sampled(spec, mask, spec.gradient, spec.dim)
+
+
+def _sampled(spec: AnalyticField, mask: DomainMask, evaluate, d: int) -> SampledField:
     if spec.dim != mask.grid.dim:
         raise ValueError(
             f"field dimension {spec.dim} does not match grid dimension {mask.grid.dim}"
         )
-    g = _sample_rows(mask.grid, spec.gradient, (spec.dim,), np.float64)
-    return SampledField(mask, g, d=spec.dim)
+    return SampledField(mask, _sample_rows(mask.grid, evaluate, (d,), np.float64), d=d)
 
 
 def warn_if_jump_free(spec: JumpSpec | None) -> bool:

@@ -53,8 +53,7 @@ def dimensional_constant(dim: int) -> float:
     Split at the kinks of |z_1| so each panel is smooth; the result must
     agree with the closed form to 1e-10 or construction fails.
     """
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2 or 3")
+    closed = dimensional_constant_closed_form(dim)  # refuses dim outside 1, 2, 3
     if dim == 1:
         val = 2.0  # S^0 = {-1, +1}, |z_1| = 1 at both points
     else:
@@ -68,7 +67,6 @@ def dimensional_constant(dim: int) -> float:
             phi = 0.25 * math.pi * (t + 1.0)
             integrand = np.cos(phi) * np.sin(phi)
             val = (1.0 / 3.0) * 2.0 * math.pi * 2.0 * float(w @ integrand) * 0.25 * math.pi
-    closed = dimensional_constant_closed_form(dim)
     if abs(val - closed) > 1e-10:
         raise AssertionError(
             f"sphere quadrature {val!r} disagrees with closed form {closed!r}"
@@ -102,18 +100,11 @@ def verify_jump_formula(
     """
     if not q > 1:
         raise ValueError("the jump-energy identity needs q > 1")
-    u = sample_analytic(spec, mask)
-    sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa)
-    rhs = jump_energy_rhs(spec.jump_spec(mask.grid), q, mask.grid.dim)
-    return equal_within(
-        sweep.limit,
-        rhs,
-        tolerance,
+    return _sweep_against(
+        spec, mask, q, eps_list, fit_model, tolerance, kappa,
+        lambda: jump_energy_rhs(spec.jump_spec(mask.grid), q, mask.grid.dim),
         f"jump-energy identity (q={q:g}, kind={spec.kind})",
-        sweep_eps=list(sweep.eps),
-        sweep_values=list(sweep.values),
-        fit_model=sweep.fit_model,
-        monotone=sweep.monotone,
+        with_monotone=True,
     )
 
 
@@ -134,17 +125,29 @@ def verify_q1_full_bv(
             f"field kind {spec.kind!r} has no analytic gradient mass; "
             "pick a smooth catalog entry"
         )
+    return _sweep_against(
+        spec, mask, 1.0, eps_list, fit_model, tolerance, kappa,
+        lambda: dimensional_constant(mask.grid.dim) * mass,
+        f"q=1 full-gradient recovery (kind={spec.kind})",
+    )
+
+
+def _sweep_against(
+    spec, mask, q, eps_list, fit_model, tolerance, kappa, rhs, provenance, with_monotone=False
+) -> ComparisonReport:
+    """The fitted limit of the sampled field's sweep against ``rhs()``, which
+    runs once the field has sampled (and its dimension matched) and swept."""
     u = sample_analytic(spec, mask)
-    sweep = bbm_sweep(u, 1.0, eps_list, fit_model, kappa=kappa)
-    rhs = dimensional_constant(mask.grid.dim) * mass
+    sweep = bbm_sweep(u, q, eps_list, fit_model, kappa=kappa)
     return equal_within(
         sweep.limit,
-        rhs,
+        rhs(),
         tolerance,
-        f"q=1 full-gradient recovery (kind={spec.kind})",
+        provenance,
         sweep_eps=list(sweep.eps),
         sweep_values=list(sweep.values),
         fit_model=sweep.fit_model,
+        **({"monotone": sweep.monotone} if with_monotone else {}),
     )
 
 

@@ -650,11 +650,9 @@ def directional_sup(
     normalised by |v| h.  The max is a lower bound for the true supremum
     over all shifts; callers treat it as such.
     """
-    if n_directions is not None and n_directions < 1:
-        raise ValueError("n_directions must be at least 1")
     count = defaults.direction_count(u.grid.dim) if n_directions is None else n_directions
-    if count < 2 * u.grid.dim and u.grid.dim > 1:
-        raise ValueError("need at least the 2*dim axis directions")
+    if count < 2 * u.grid.dim:
+        raise ValueError(f"n_directions must be at least 2*dim = {2 * u.grid.dim}, got {count}")
     best = 0.0
     for k in direction_set(u.grid.dim, count):
         best = max(best, directional_value(u, q, eps, k, kappa=kappa))

@@ -209,9 +209,10 @@ def build_mollifier(profile: str, dim: int, *, k: int | None = None) -> Mollifie
         k = _POLY_DEFAULT_K if k is None else _whole(k, "k")
         if k < 2:
             raise ValueError("polynomial-bump needs k >= 2 for a C^1 profile")
-        raw_mass = float(
-            math.pi ** (dim / 2.0) * gamma_fn(k + 1) / gamma_fn(dim / 2.0 + k + 1)
-        )
+        try:
+            raw_mass = float(math.pi ** (dim / 2.0) * gamma_fn(k + 1) / gamma_fn(dim / 2.0 + k + 1))
+        except OverflowError:
+            raise ValueError(f"polynomial-bump k = {k} is too large: its mass overflows float64") from None
     elif profile == "exponential-bump":
         if k is not None:
             raise ValueError("exponential-bump takes no k parameter")
@@ -262,15 +263,26 @@ def defect_moment(eta: Mollifier, p: float) -> float:
     approximated.
     """
     if not p > 2:
-        raise ValueError(
-            "the defect moment is defined for p > 2 only; p = 2 is unsupported"
-        )
+        raise ValueError("the defect moment needs p > 2")
     return eta.radial_moment(2.0 / (p - 2.0), p / (p - 2.0), of_gradient=False)
 
 
 def energy_bound_coefficients(eta: Mollifier, q: float, p: float) -> tuple[float, float]:
-    """(hessian_moment^(q-1), defect_moment^((p-2)/2)) for the upper bound."""
+    """(hessian_moment^(q-1), defect_moment^((p-2)/2)) for the upper bound;
+    refuses q <= 1, p <= 2 and a coefficient that overflows float64."""
     return (
-        hessian_moment(eta, q) ** (q - 1.0),
-        defect_moment(eta, p) ** ((p - 2.0) / 2.0),
+        _coefficient(hessian_moment, eta, "q", q, q - 1.0),
+        _coefficient(defect_moment, eta, "p", p, (p - 2.0) / 2.0),
     )
+
+
+def _coefficient(moment, eta: Mollifier, name: str, exponent: float, power: float) -> float:
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            value = moment(eta, exponent) ** power
+        if math.isfinite(value):
+            return value
+    except (OverflowError, FloatingPointError):
+        pass
+    what = moment.__name__.replace("_", " ")
+    raise ValueError(f"the {what} coefficient overflows float64 at {name} = {float(exponent)!r}")

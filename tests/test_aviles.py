@@ -19,7 +19,7 @@ from bvqlab import (
     sample_gradient,
     verify_gamma_consistency,
 )
-from bvqlab.aviles import YOUNG_CONSTANT, _moment_bound
+from bvqlab.aviles import YOUNG_CONSTANT
 from bvqlab.errors import RegimeError
 from bvqlab.mollifier import energy_bound_coefficients
 from conftest import _oracle
@@ -166,10 +166,51 @@ def test_ag_energy_requires_p_above_one(roof_setup):
         ag_energy(mf, 1.0)
 
 
-def test_upper_bound_rejects_p2(pyramid_setup):
+@pytest.mark.parametrize("q, p, message", [
+    (3.0, 2.0, "needs p > 2"),
+    (3.0, 1.5, "needs p > 2"),
+    (1.0, 3.0, "needs q > 1"),
+    (3.0, 2.001, "the defect moment coefficient overflows float64 at p = 2.001"),
+    (1.0001, 3.0, "the hessian moment coefficient overflows float64 at q = 1.0001"),
+], ids=["p-2", "p-below-2", "q-1", "p-overflow", "q-overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_upper_bound_refuses_q_and_p_before_any_mollify(pyramid_setup, monkeypatch, q, p, message):
+    from bvqlab import aviles
+
+    def boom(*args, **kwargs):
+        raise AssertionError("mollify ran before q and p were checked")
+
+    monkeypatch.setattr(aviles, "mollify", boom)
     g, mask, grad, eta = pyramid_setup
-    with pytest.raises(ValueError):
-        check_ag_upper_bound(grad, eta, 3.0, 2.0, [GridRadius.from_cells(16)])
+    ladder = [GridRadius.from_cells(m) for m in (16, 12, 8)]
+    with pytest.raises(ValueError, match=message):
+        check_ag_upper_bound(grad, eta, q, p, ladder)
+
+
+@pytest.mark.parametrize("check", ["chain", "upper"])
+def test_ag_checks_evaluate_the_coefficients_once_before_any_mollify(roof_setup, monkeypatch, check):
+    from bvqlab import aviles
+
+    events = []
+    real_coefficients, real_mollify = aviles.energy_bound_coefficients, aviles.mollify
+
+    def coefficients(*args, **kwargs):
+        events.append("coefficients")
+        return real_coefficients(*args, **kwargs)
+
+    def mollify(*args, **kwargs):
+        events.append("mollify")
+        return real_mollify(*args, **kwargs)
+
+    monkeypatch.setattr(aviles, "energy_bound_coefficients", coefficients)
+    monkeypatch.setattr(aviles, "mollify", mollify)
+    g, mask, grad, eta = roof_setup
+    ladder = [GridRadius.from_cells(m) for m in (64, 48, 32)]
+    if check == "chain":
+        ag_chain_reports(grad, eta, ladder)
+    else:
+        check_ag_upper_bound(grad, eta, 3.0, 4.0, ladder)
+    assert events == ["coefficients"] + ["mollify"] * len(ladder)
 
 
 def test_upper_bound_linear_field(square_mask):
@@ -231,7 +272,8 @@ def test_chain_gradient_ladder_is_one_pass(roof_setup, monkeypatch):
     inner = mask.erode(64 * g.spacing)
     per_rung = [bbm_value(grad, 3.0, e, inner) for e in ladder]
     assert rep.details["gradient_sweep"] == per_rung
-    assert rep.details["matched_bounds"] == [_moment_bound(eta, 3.0, 3.0, a, a) for a in per_rung]
+    coef_q, coef_p = energy_bound_coefficients(eta, 3.0, 3.0)
+    assert rep.details["matched_bounds"] == [coef_q * a + coef_p * a for a in per_rung]
 
 
 @pytest.mark.parametrize("with_jump", [True, False])
@@ -408,9 +450,8 @@ def test_gamma_consistency_pyramid(pyramid_setup):
 def test_moment_bound_shares_d_eta(pyramid_setup):
     g, mask, grad, eta = pyramid_setup
     a = 1.2345
-    assert _moment_bound(eta, 3.0, 3.0, a, a) == pytest.approx(
-        sum(energy_bound_coefficients(eta, 3.0, 3.0)) * a, rel=1e-12
-    )
+    coef_q, coef_p = energy_bound_coefficients(eta, 3.0, 3.0)
+    assert coef_q * a + coef_p * a == pytest.approx((coef_q + coef_p) * a, rel=1e-12)
 
 
 def test_mollify_rejects_shallow_inner_mask(roof_setup):

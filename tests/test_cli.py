@@ -609,6 +609,26 @@ def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypat
     *(({"field": {"kind": kind, "params": {"dim": 1}}}, f"field {kind} takes no parameter 'dim'")
       for kind in ("step-1d", "piecewise-constant-multi", "half-plane-indicator",
                    "polygon-indicator", "hoelder", "ramp", "sine-1d")),
+    # admitted Aviles-Giga values whose mollifier normalization or moment
+    # coefficient overflows were an OverflowError traceback (exit 5)
+    *(({"experiment": experiment, "field": {"kind": kind, "params": {}},
+        "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+        "eps_ladder": {"start_cells": 16, "ratio": 0.75, "count": 3}, **values}, key)
+      for experiment, kind, values, key in [
+          ("ag-chain", "pyramid-eikonal", {"mollifier": {"k": 170}}, "k = 170"),
+          ("ag-upper", "cone-eikonal", {"q": 3.0, "p": 2.001}, "p = 2.001"),
+          ("ag-upper", "cone-eikonal", {"q": 1.0001}, "q = 1.0001"),
+      ]),
+    # hoelder terms: -1 sampled an all-zero field (exit 0), -5 was numpy's
+    # "negative dimensions", 1023 a RuntimeWarning and a non-finite field,
+    # 1024 an OverflowError (exit 5), and 1021 overflows on [0, 8]
+    *(({"experiment": "bbm-sweep", "field": {"kind": "hoelder", "params": {"terms": terms}},
+        "grid": {"lo": [0.0], "hi": [hi], "n": [256]},
+        "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 3}}, "terms")
+      for terms, hi in [(-1, 1.0), (-5, 1.0), (1023, 1.0), (1024, 1.0), (1021, 8.0)]),
+    # one direction in 1D evaluated +-e1 anyway
+    ({"experiment": "besov", "field": {"kind": "step-1d", "params": {"position": 0.0}},
+      "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 2}, "directions": 1}, "directions"),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
         "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
@@ -619,7 +639,9 @@ def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypat
         "gagliardo-term-overflow", "vq-2d",
         "ball-leaves-box", "step-1d-dim", "piecewise-constant-multi-dim",
         "half-plane-indicator-dim", "polygon-indicator-dim", "hoelder-dim", "ramp-dim",
-        "sine-1d-dim"])
+        "sine-1d-dim", "ag-chain-k-overflow", "ag-upper-p-overflow", "ag-upper-q-overflow",
+        "hoelder-terms-minus-1", "hoelder-terms-minus-5", "hoelder-terms-1023",
+        "hoelder-terms-1024", "hoelder-terms-1021-wide-box", "besov-1d-one-direction"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
