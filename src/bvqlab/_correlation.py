@@ -7,16 +7,19 @@ its module docstring states why they equal those sums bit for bit.
 Memory: a correlation is built in column blocks of the last (``rfft``) axis
 of its padded half spectrum (the whole line in 1D).  A half spectrum of S
 complex values is cut into about sqrt(S / ``grid._BLOCK_CELLS``) blocks of
-about sqrt(S * ``grid._BLOCK_CELLS``) values each, and into twice as many,
-half as wide, once that is three blocks or more.  For each column block the
-cells are ``rfft``-ed again in blocks of whole axis-0 rows and that block's
-columns kept; the leading axes are then transformed, multiplied and inverted
-in place, and the result is cut to the lags -reach..reach into one small lag
-table.  An autocorrelation is even, so its table keeps only the lags
-0..reach of axis 0.  One ``irfft`` along the last axis finishes.  So a pass
-holds one or two column blocks, one row block and the lag table (half of one
-for an autocorrelation), never a full padded spectrum, and runs the row
-``rfft``s once per column block.
+about sqrt(S * ``grid._BLOCK_CELLS``) values each; once that is three blocks
+or more, into twice as many per filler, so the two blocks of a cross
+correlation hold what the one block of an autocorrelation holds.  For each
+column block the cells are ``rfft``-ed again in blocks of whole axis-0 rows
+(the cells and their row ``rfft``s about ``grid._BLOCK_CELLS`` floats) and
+that block's columns kept; the leading axes are then transformed, multiplied
+and inverted in place and cut to the lags -reach..reach, and the block adds
+its columns' terms of the last axis's inverse transform at the lags
+-reach..reach into one small lag table (one ``irfft`` when a single block
+holds every column).  An autocorrelation is even, so its table keeps only
+the lags 0..reach of axis 0.  So a pass holds one or two column blocks, one
+row block and the lag table, never a full padded spectrum or a table of
+every last-axis frequency, and runs the row ``rfft``s once per column block.
 """
 
 from __future__ import annotations
@@ -132,9 +135,7 @@ def _correlation_values(shape, reach: np.ndarray, offsets: np.ndarray, fills) ->
     if len(fills) == 1:
         low[0] = 0
         offsets = np.where(offsets[:, :1] < 0, -offsets, offsets)
-    table = _lag_table(shape, reach, low, fills)
-    lags = np.arange(low[-1], reach[-1] + 1) % shape[-1]
-    corr = np.fft.irfft(table, n=shape[-1], axis=-1).take(lags, axis=-1)
+    corr = _lag_table(shape, reach, low, fills)
     values = np.zeros(len(offsets))
     near = (np.abs(offsets) <= reach).all(axis=1)
     values[near] = corr[tuple((offsets[near] - low).T)]
@@ -142,30 +143,37 @@ def _correlation_values(shape, reach: np.ndarray, offsets: np.ndarray, fills) ->
 
 
 def _lag_table(shape, reach: np.ndarray, low: np.ndarray, fills) -> np.ndarray:
-    """The half spectrum of the correlation of ``fills``, inverted along
-    every axis but the last and cut there to the lags low..reach.
+    """The correlation of ``fills`` at the lags low..reach of every axis.
 
     Built one column block of the last axis at a time (the module docstring
     gives the memory model): each filler's block of the padded spectrum,
     then |A|^2 (one filler) or conj(A) B (two) in place, then the in-place
-    inverse and cut of each leading axis in turn.
+    inverse and cut of each leading axis in turn.  A block of every column
+    is finished by one ``irfft``; a narrower one adds its columns' terms of
+    the inverse transform at the kept lags of the last axis.
     """
     ext = [p - r for p, r in zip(shape, reach.tolist())]
-    lead, half = shape[:-1], shape[-1] // 2 + 1
+    lead, n_last = shape[:-1], shape[-1]
+    half = n_last // 2 + 1
     lead_cells = math.prod(lead)
     lags = [np.arange(lo, r + 1) % p for lo, r, p in zip(low, reach, lead)]
+    last = np.arange(low[-1], reach[-1] + 1) % n_last
     # sqrt(S / _BLOCK_CELLS) column blocks balance block memory against the
     # row rffts rerun per block for a half spectrum of S complex values
     # (blocks of _BLOCK_CELLS each made a 1024^2 pass 7x slower).  Past
     # 4 _BLOCK_CELLS values, where that is three blocks or more, twice as
-    # many: a block, which sets a 512^2 pass's peak, holds half as much for
-    # twice the row rffts.  Smaller spectra keep the balance, as halving
-    # their blocks made a 192^2 two-sided check slower and no peak lower.
+    # many per filler: the blocks, which set a 512^2 pass's peak, then hold
+    # half of one such block in all, for twice the row rffts (four times
+    # for a cross correlation).  Smaller spectra keep the balance, as
+    # halving their blocks made a 192^2 two-sided check slower and no peak
+    # lower.
     count = math.ceil(math.sqrt(half * lead_cells / _BLOCK_CELLS)) if lead else 1
     if count > 2:
-        count *= 2
+        count *= 2 * len(fills)
     width = -(-half // count)
-    rows = max(1, _BLOCK_CELLS // math.prod(ext[1:])) if lead else ext[0]
+    # a row block's cells and their staged row rffts hold about
+    # _BLOCK_CELLS floats together
+    rows = max(1, _BLOCK_CELLS // (2 * math.prod(ext[1:]))) if lead else ext[0]
     cells = np.empty([min(rows, ext[0])] + ext[1:])
     # a block of every column takes each row block's rfft straight; a
     # narrower one copies its columns from the staged row rffts
@@ -173,12 +181,12 @@ def _lag_table(shape, reach: np.ndarray, low: np.ndarray, fills) -> np.ndarray:
     # flat, so that every column block is a contiguous array: numpy buffers
     # an in-place ufunc on a strided view, 128 KiB per complex operand
     flats = [np.empty(lead_cells * width, dtype=complex) for _ in fills]
-    table = np.empty([len(g) for g in lags] + [half], dtype=complex)
+    table = np.zeros([len(g) for g in lags] + [len(last)])
     for c0 in range(0, half, width):
         cols = slice(c0, min(c0 + width, half))
         spectra = [flat[: lead_cells * (cols.stop - c0)].reshape(lead + [-1]) for flat in flats]
         for fill, block in zip(fills, spectra):
-            _spectrum_block(fill, ext, shape[-1], cols, cells, staged, block)
+            _spectrum_block(fill, ext, n_last, cols, cells, staged, block)
         acc = spectra[0]
         if len(spectra) == 1:
             parts = acc.view(np.float64)
@@ -193,7 +201,16 @@ def _lag_table(shape, reach: np.ndarray, low: np.ndarray, fills) -> np.ndarray:
         for ax, keep in enumerate(lags):
             np.fft.ifft(acc, axis=ax, out=acc)
             acc = acc.take(keep, axis=ax)
-        table[..., cols] = acc
+        if width == half:  # one block holds every column, as in every 1D pass
+            return np.fft.irfft(acc, n=n_last, axis=-1).take(last, axis=-1)
+        # this block's terms of that irfft at the kept lags, weighted 1 for
+        # the mean and the Nyquist column and 2 for the others; einsum, not
+        # matmul, whose first BLAS call grew a 512^2 pass's peak RSS 0.12 MiB
+        k = np.arange(cols.start, cols.stop)
+        angle = np.outer(k, last) % n_last * (2 * np.pi / n_last)
+        weight = np.where((k == 0) | (2 * k == n_last), 1.0, 2.0)[:, None] / n_last
+        table += np.einsum("...k,kl->...l", acc.real, weight * np.cos(angle))
+        table -= np.einsum("...k,kl->...l", acc.imag, weight * np.sin(angle))
     return table
 
 

@@ -240,24 +240,38 @@ def check_ag_upper_bound(
     (``energy_bound_coefficients``, which refuses q <= 1, p <= 2 and a
     coefficient that overflows float64), the ladder (``_check_sweep_ladder``)
     and every rung's kappa*h guard are checked before any rung is mollified.
+    An energy that is not finite, or a bound that is not finite or lies
+    below -``ZERO_ATOL`` (a q-sweep extrapolated below zero), is refused
+    with a ``ValueError`` naming q and p.
     """
     coef_q, coef_p = energy_bound_coefficients(eta, q, p)
     eps_lens = _check_sweep_ladder(eps_list, grad.grid.spacing, fit_model)
 
     def lhs(mf):
-        return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            try:
+                return sum(_energy(mf, mf.hessian_frobenius(), mf.eikonal_defect(), q, p / 2.0))
+            except OverflowError:  # finite terms whose fsum passes float64
+                return math.inf
 
     inner, lhs_vals = _ladder_measures(grad, eta, eps_list, eps_lens, kappa, lhs)
+    if not all(map(math.isfinite, lhs_vals)):
+        raise ValueError(f"the smoothed energy is not finite at q = {q:g}, p = {p:g}")
     requests = [(q, inner)] if p == q else [(q, inner), (p, inner)]
     sweeps = bbm_sweeps(grad, requests, eps_list, fit_model, kappa=kappa)
     sweep_q, sweep_p = sweeps[0], sweeps[-1]
+    bound = coef_q * sweep_q.limit + coef_p * sweep_p.limit
+    if not (math.isfinite(bound) and bound >= -ZERO_ATOL):
+        raise ValueError(
+            f"the energy bound {bound:g} at q = {q:g}, p = {p:g} is not a finite nonnegative number"
+        )
     trend_ok = all(
         b <= a * (1.0 + defaults.TREND_SLACK) + ZERO_ATOL
         for a, b in zip(lhs_vals, lhs_vals[1:])
     )
     rep = leq(
         lhs_vals[-1],
-        coef_q * sweep_q.limit + coef_p * sweep_p.limit,
+        bound,
         f"smoothed-energy upper bound (q={q:g}, p={p:g})",
         slack=defaults.AG_SLACK,
         atol=ZERO_ATOL,

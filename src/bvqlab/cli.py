@@ -16,7 +16,8 @@ Experiments are described by a JSON config file:
     }
 
 Every key, with its JSON type, range and default, is a row of ``_SCHEMA``;
-``load_config`` reads each once and refuses unknown keys at every level.
+``load_config`` reads each once, refuses unknown keys at every level, and
+returns one record of the undotted keys and the objects built from the rest.
 The eps ladder is geometric, its rungs ``start_cells * ratio**i`` rounded to
 whole cells, so pair-inclusion radii stay exact.  ``run`` writes a
 manifest (config echo + versions), a CSV sweep table at full double
@@ -32,6 +33,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from . import defaults
 from .cubes import check_b_bound
 from .errors import ConfigError, EmptyMaskError, RegimeError, UnknownFieldError
 from .fields import (
-    AnalyticField, list_fields, make_field, sample_analytic, sample_gradient, typed_value,
+    list_fields, make_field, sample_analytic, sample_gradient, typed_value,
 )
 from .grid import DomainMask, Grid
 from .jumps import (
@@ -72,43 +74,6 @@ EXIT_INTERNAL = 5
 _FMT = "%.17g"
 
 
-class ExperimentConfig:
-    """A config with every key checked and resolved (``raw`` is the parsed JSON).
-
-    ``mollifier`` holds build_mollifier's profile and k.
-    """
-
-    def __init__(
-        self,
-        experiment: str,
-        field: AnalyticField | None,
-        grid: Grid,
-        q: float,
-        p: float,
-        ladder: list[GridRadius],
-        kappa: float,
-        tolerance: float,
-        fit_model: str,
-        mollifier: dict,
-        directions: int | None,
-        out_dir: Path,
-        raw: dict,
-    ):
-        self.experiment = experiment
-        self.field = field
-        self.grid = grid
-        self.q = q
-        self.p = p
-        self.ladder = ladder
-        self.kappa = kappa
-        self.tolerance = tolerance
-        self.fit_model = fit_model
-        self.mollifier = mollifier
-        self.directions = directions
-        self.out_dir = out_dir
-        self.raw = raw
-
-
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
@@ -119,7 +84,7 @@ def _require(cond, msg):
 # --------------------------------------------------------------------------
 
 
-def _write_manifest(cfg: ExperimentConfig, out: Path):
+def _write_manifest(cfg: SimpleNamespace, out: Path):
     from . import __version__
 
     manifest = {
@@ -156,7 +121,7 @@ def _write_reports(out: Path, reports: list[ComparisonReport]):
 # --------------------------------------------------------------------------
 
 
-def _sample(cfg: ExperimentConfig):
+def _sample(cfg: SimpleNamespace):
     return sample_analytic(cfg.field, DomainMask.full(cfg.grid))
 
 
@@ -267,7 +232,7 @@ def _exp_b_space(cfg):
     return ["eps", "cube_value", "bound", "cubes"], rows, reports
 
 
-def _gradient_and_mollifier(cfg: ExperimentConfig):
+def _gradient_and_mollifier(cfg: SimpleNamespace):
     grad = sample_gradient(cfg.field, DomainMask.full(cfg.grid))
     return grad, build_mollifier(dim=cfg.grid.dim, **cfg.mollifier)
 
@@ -375,7 +340,10 @@ def _read(raw: dict) -> dict:
     return values
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path) -> SimpleNamespace:
+    """The checked config: ``_read``'s undotted keys, plus the derived
+    ``field``, ``grid``, ``ladder``, ``mollifier`` (build_mollifier's profile
+    and k), ``out_dir`` as a ``Path`` and ``raw``, the parsed JSON."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -401,24 +369,18 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
     kind = v["field.kind"]
     _require(kind is not None or v["experiment"] == "constants", "field.kind is required")
-    return ExperimentConfig(
-        experiment=v["experiment"],
+    undotted = {key: value for key, value in v.items() if "." not in key}
+    return SimpleNamespace(**undotted | dict(
         field=None if kind is None else make_field(kind, **v["field.params"]),
         grid=grid,
-        q=v["q"],
-        p=v["p"],
         ladder=ladder,
-        kappa=v["kappa"],
-        tolerance=v["tolerance"],
-        fit_model=v["fit_model"],
         mollifier={"profile": profile, "k": k},
-        directions=v["directions"],
         out_dir=Path(v["out_dir"]),
         raw=raw,
-    )
+    ))
 
 
-def run_experiment(cfg: ExperimentConfig) -> int:
+def run_experiment(cfg: SimpleNamespace) -> int:
     out = cfg.out_dir
     # a file where out_dir or an ancestor should be is refused before the run
     for path in (out, *out.parents):

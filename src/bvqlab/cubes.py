@@ -30,15 +30,12 @@ candidates (a cube larger than the budget is its own chunk):
   prefix coefficients (``np.vecdot``, which rounds as ``row @ coef`` does):
   the operations ``cube_score`` applies to one cube.  (One matrix-vector
   product over the chunk would be faster but rounds differently.)
-- Vector fields score one cube at a time, and never build its k x k pair
-  norms.  The reference is the ``.sum()`` of those dense contiguous norms
-  (the loop oracle of the tests), which numpy adds along a fixed pairwise
-  tree (split at n//2 rounded down to a multiple of 8, leaves of at most
-  128).  ``_tree_sum`` walks that tree from the top over the flat pair
-  index i * k + j; only a node that fits the budget builds the rows of pair
-  differences it touches, and it is summed with ``ndarray.sum()``.  The
-  node sums are added as the tree adds them, so the result is the dense
-  sum bit for bit; a test pins ``_tree_sum`` against ``ndarray.sum()``.
+- Vector fields score one cube at a time, and never hold its k x k pair
+  norms at once: they are built a chunk of whole rows at a time, at most
+  one budget of differences and norms, and each row's ``.sum()`` is kept.
+  The score is the ``math.fsum`` of the k row sums, so it does not depend
+  on the chunking (the loop oracle of the tests sums the dense norms'
+  ``.sum(axis=1)`` the same way).
 
 ``check_b_bound`` takes an eps ladder and gets the kernel side of every rung
 from one ``kernels.bbm_ladder`` pass at the radii eps*sqrt(N).
@@ -63,7 +60,7 @@ from .kernels import (
 from .reports import ComparisonReport, leq
 
 # Floats live at once while scoring (256 KiB of float64): the values of a
-# chunk of whole scalar cubes, or one tree node of a vector cube's pair sum.
+# chunk of whole scalar cubes, or one row chunk of a vector cube's pair norms.
 _CHUNK_FLOATS = 1 << 15
 
 
@@ -106,27 +103,6 @@ def packing_cap(eps: float, dim: int) -> int:
     return int(math.floor(eps ** (-(dim - 1)) + 1e-12)) if dim > 1 else 1
 
 
-def _tree_sum(n: int, node_sum, cap: int, start: int = 0) -> float:
-    """Sum of n float64 values, rounded as numpy's ``a.sum()`` of a contiguous
-    array rounds them, though at most ``cap`` of them are ever built.
-
-    numpy adds a contiguous run pairwise: a run of at most 128 values is one
-    leaf (eight accumulators), a longer one splits at n//2 rounded down to a
-    multiple of 8 and adds the sums of its two halves.  This walks that tree
-    from the top and asks ``node_sum(start, stop)`` for the ``.sum()`` of
-    each node of at most max(cap, 128) values, then adds the node sums as the
-    tree adds them.  (``.sum()`` starts from the identity 0.0, which changes
-    no sum of values that are not all -0.0.)
-    """
-    if n <= max(cap, 128):
-        return node_sum(start, start + n)
-    half = n // 2
-    half -= half % 8
-    return _tree_sum(half, node_sum, cap, start) + _tree_sum(
-        n - half, node_sum, cap, start + half
-    )
-
-
 def _pair_abs_sums(blocks: np.ndarray) -> np.ndarray:
     """sum over ordered pairs (i, j) of |v_i - v_j| for each (k, d) value block.
 
@@ -134,11 +110,11 @@ def _pair_abs_sums(blocks: np.ndarray) -> np.ndarray:
     in one call, in place, so the caller's ``blocks`` comes back sorted; each
     row then takes the sorted prefix trick
     sum_{i<j} (s_j - s_i) = sum_j s_j (2j - (k-1)) as its own dot product.
-    Vector blocks are summed one at a time along the tree of the ``.sum()``
-    of their dense k x k pair norms, flat pair index i * k + j: a node builds
-    the norms of the rows it touches, each as the dense einsum makes it, and
-    sums its own stretch of them, so it holds the differences and norms of
-    about ``_CHUNK_FLOATS`` floats plus two partial rows.
+    Vector blocks are scored one at a time from a contiguous copy: their
+    k x k pair norms are built ``max(1, _CHUNK_FLOATS // (k (d + 1)))`` rows
+    at a time, each row summed with ``.sum()`` into one k-float array, and
+    the chunk released before the next is built; the score is the
+    ``math.fsum`` of the k row sums.
     """
     k, d = blocks.shape[1:]
     if d == 1:
@@ -147,17 +123,17 @@ def _pair_abs_sums(blocks: np.ndarray) -> np.ndarray:
         coef = 2.0 * np.arange(k) - (k - 1.0)
         return 2.0 * np.vecdot(s, coef)
     out = np.empty(len(blocks))
+    rows = max(1, _CHUNK_FLOATS // (k * (d + 1)))
+    row_sums = np.empty(k)
     for i, vals in enumerate(blocks):
         vals = np.ascontiguousarray(vals)
-
-        def node_sum(start, stop):
-            r0, r1 = start // k, -(-stop // k)
-            diff = vals[r0:r1, None, :] - vals[None, :, :]
+        for r0 in range(0, k, rows):
+            diff = vals[r0 : r0 + rows, None, :] - vals[None, :, :]
             norms = np.einsum("ijk,ijk->ij", diff, diff)
             np.sqrt(norms, out=norms)
-            return norms.reshape(-1)[start - r0 * k : stop - r0 * k].sum()
-
-        out[i] = _tree_sum(k * k, node_sum, _CHUNK_FLOATS // (d + 1))
+            norms.sum(axis=1, out=row_sums[r0 : r0 + rows])
+            del diff, norms  # so the next chunk is built in their place
+        out[i] = math.fsum(row_sums)
     return out
 
 
@@ -179,7 +155,7 @@ def _cube_scores(u: SampledField, origins: np.ndarray, side: int) -> np.ndarray:
     h2n = h ** (2 * g.dim)
     windows = sliding_window_view(u.values, (side,) * g.dim, axis=tuple(range(g.dim)))
     k = side**g.dim
-    # a vector cube's pair sum holds one tree node of its own beside the cube
+    # a vector cube's pair sum holds one row chunk of its own beside the cube
     per_chunk = max(1, _CHUNK_FLOATS // k) if u.d == 1 else 1
     for start in range(0, len(origins), per_chunk):
         chunk = windows[tuple(origins[start : start + per_chunk].T)]

@@ -103,6 +103,8 @@ class AnalyticField:
     kind = "?"
     dim = 1
     d = 1
+    # an eikonal kind's jump_spec describes the jumps of its gradient
+    eikonal = False
 
     def __init__(self, **params):
         """Bind each parameter of the class (its annotated class attributes)
@@ -531,12 +533,15 @@ class PyramidField(AnalyticField):
     """Distance to the boundary of a square box (a roof profile in dim 1).
 
     The gradient is piecewise constant with jumps of size sqrt(2) across the
-    square's diagonals (size 2 across the midpoint in dim 1).
+    square's diagonals (size 2 across the midpoint in dim 1).  ``jump_spec``
+    describes them on the pyramid's own box only, and refuses any other
+    grid box.
     """
 
     lo: tuple[float, ...] = (0.0, 0.0)
     hi: tuple[float, ...] = (1.0, 1.0)
     kind = "pyramid-eikonal"
+    eikonal = True
 
     def _check(self):
         sides = [b - a for a, b in zip(self.lo, self.hi)]
@@ -580,9 +585,16 @@ class PyramidField(AnalyticField):
         return dists.min(axis=-1)[..., None], self._dirs()[dists.argmin(axis=-1)]
 
     def jump_spec(self, grid):
+        # the ridges are those of the pyramid's own box: a smaller grid box
+        # cuts them, and a larger one adds ridges beyond the corners
+        side = self.hi[0] - self.lo[0]
+        own = tuple(self.lo) + tuple(self.hi)
+        if grid.dim != self.dim or not np.allclose(
+            grid.origin + grid.upper, own, rtol=0.0, atol=1e-12 * side
+        ):
+            raise ValueError("pyramid box must be the grid box")
         if self.dim == 1:
             return JumpSpec((JumpPiece(1.0, (-1.0,), (1.0,), (1.0,)),))
-        side = self.hi[0] - self.lo[0]
         halfdiag = side * math.sqrt(2.0) / 2.0
         r = math.sqrt(2.0) / 2.0
         # one piece per corner-to-center ridge segment
@@ -612,6 +624,7 @@ class ConeField(AnalyticField):
     center: tuple[float, ...] = (0.5 + _IRR1, 0.5 + _IRR2)
     radius0: float = 0.5
     kind = "cone-eikonal"
+    eikonal = True
 
     @property
     def dim(self) -> int:  # type: ignore[override]
@@ -648,6 +661,7 @@ class ZigzagField(AnalyticField):
     offset: float = _IRR1
     dim: int = 2
     kind = "zigzag-eikonal"
+    eikonal = True
 
     def _check(self):
         if not self.halfwidth > 0:

@@ -189,17 +189,6 @@ class Grid:
     def diameter(self) -> float:
         return math.sqrt(sum((e * self.spacing) ** 2 for e in self.extents))
 
-    def face_distance(self) -> np.ndarray:
-        """Distance from every cell center to the grid box boundary."""
-        dist = np.full(self.extents, np.inf)
-        for a in range(self.dim):
-            c = self.axis_centers(a)
-            d = np.minimum(c - self.origin[a], self.upper[a] - c)
-            shape = [1] * self.dim
-            shape[a] = self.extents[a]
-            dist = np.minimum(dist, d.reshape(shape))
-        return dist
-
 
 class DomainMask:
     """A grid plus a boolean inside/outside flag per cell."""
@@ -240,8 +229,10 @@ class DomainMask:
     def _farther_than(self, delta: float) -> np.ndarray:
         """Inside cells whose distance to the domain boundary exceeds ``delta``.
 
+        The face test runs first, one axis at a time: a cell is kept when
+        min(c - origin, upper - c) > delta for its centre c on every axis.
         Face distances are half-integer multiples of h, so they never tie
-        with a snapped radius and compare as floats; that test runs first.
+        with a snapped radius and compare as floats.
         On the bounding box of the cells it keeps, and only when the mask
         has outside cells, distances to outside cells compare as exact
         integers (``_clear_of``): d^2 > m^2 with m^2 =
@@ -250,7 +241,12 @@ class DomainMask:
         """
         if not delta >= 0:
             raise ValueError(f"erosion distance must be nonnegative, got {delta!r}")
-        kept = self.inside & (self.grid.face_distance() > delta)
+        g = self.grid
+        kept = self.inside.copy()
+        for a in range(g.dim):
+            c = g.axis_centers(a)
+            far = np.minimum(c - g.origin[a], g.upper[a] - c) > delta
+            kept &= far.reshape([-1 if b == a else 1 for b in range(g.dim)])
         if not self.all_inside and kept.any():
             box = _bounding_box(kept)
             at = tuple(slice(lo, hi) for lo, hi in box)

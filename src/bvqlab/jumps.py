@@ -96,8 +96,15 @@ def verify_jump_formula(
 
     The sweep is ``bbm_sweep(u, q, eps_list, fit_model)`` of the sampled
     field, bit for bit at every q, and its fitted limit is compared with
-    the right-hand side at ``tolerance``.
+    the right-hand side at ``tolerance``.  An eikonal kind is refused: its
+    jump description is that of its gradient, while the Lipschitz field
+    itself has limit 0.
     """
+    if spec.eikonal:
+        raise ValueError(
+            f"jump-verify does not apply to {spec.kind}: its jump description is "
+            "that of its gradient; check it with ag-chain"
+        )
     if not q > 1:
         raise ValueError("the jump-energy identity needs q > 1")
     return _sweep_against(

@@ -8,7 +8,7 @@ class ComparisonReport:
 
     relation is one of
       - "equal-within": |lhs - rhs| <= tolerance * max(|lhs|, |rhs|)
-      - "leq" / "geq":  one-sided, with optional multiplicative slack in
+      - "leq":          one-sided, with optional multiplicative slack in
         ``tolerance`` (0 means untoleranced comparison)
       - "between":      lhs <= mid <= rhs, untoleranced unless stated
     ``provenance`` names the claim the row checks; ``details`` carries

@@ -156,63 +156,6 @@ def test_worker_override_bit_identical(tmp_path):
     assert a == b
 
 
-def test_every_experiment_runs_without_lapack(tmp_path):
-    # no LAPACK at run time: with numpy.polynomial blocked and numpy's
-    # eigen-solvers, least squares, solves, inverses and polyfit made to
-    # raise, one small config of each experiment kind runs to exit 0 (an
-    # internal error is exit 5), among them every linear-in-eps fit, the 2D
-    # sphere constant, a sine mass by quadrature (a non-integer count of half
-    # periods) and the mollifier's Gauss-Jacobi rules; so does a 3D ball rule
-    ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
-    configs = [
-        dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)
-        for experiment, field, grid, extra in KIND_CASES
-    ] + [
-        dict(experiment="jump-verify"),
-        dict(experiment="constants"),
-        dict(experiment="q1-bv", field={"kind": "sine-1d", "params": {"cycles": 3}},
-             grid={"lo": [0.0], "hi": [0.9], "n": [2048]}, eps_ladder=ladder,
-             fit_model="linear-in-eps", tolerance=0.1),
-        dict(experiment="two-sided",
-             field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
-             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
-             eps_ladder={"start_cells": 9, "ratio": 0.9, "count": 2}),
-        dict(experiment="ag-upper",
-             field={"kind": "cone-eikonal", "params": {}},
-             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
-             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
-        dict(experiment="ag-chain",
-             field={"kind": "pyramid-eikonal", "params": {}},
-             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
-             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}),
-    ]
-    assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
-    paths = [
-        str(write_config(tmp_path, f"c{i}.json", out_dir=str(tmp_path / f"out{i}"), **c))
-        for i, c in enumerate(configs)
-    ]
-    code = (
-        "import sys; sys.modules['numpy.polynomial'] = None\n"
-        "import numpy\n"
-        "def refuse(name):\n"
-        "    def call(*args, **kwargs):\n"
-        "        raise AssertionError(name + ' called')\n"
-        "    return call\n"
-        "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig', 'lstsq', 'svd', 'solve', 'inv'):\n"
-        "    setattr(numpy.linalg, name, refuse('numpy.linalg.' + name))\n"
-        "numpy.polyfit = refuse('numpy.polyfit')\n"
-        "from bvqlab import build_mollifier\n"
-        "from bvqlab.cli import main\n"
-        f"print([main(['run', p]) for p in {paths!r}])\n"
-        "print(len(build_mollifier('polynomial-bump', 3).ball_rule()[1]))\n"
-        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('numpy.polynomial') and mod))\n"
-    )
-    codes, ball_nodes, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
-    assert codes == str([EXIT_OK] * len(configs))
-    assert ball_nodes == str(64 * 64 * 64)
-    assert loaded == "[]"
-
-
 KIND_CASES = [
     ("bbm-sweep", {"kind": "step-1d", "params": {"position": 0.0}},
      {"lo": [-1.0], "hi": [1.0], "n": [1024]}, {}),
@@ -629,6 +572,31 @@ def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypat
     # one direction in 1D evaluated +-e1 anyway
     ({"experiment": "besov", "field": {"kind": "step-1d", "params": {"position": 0.0}},
       "eps_ladder": {"start_cells": 32, "ratio": 0.5, "count": 2}, "directions": 1}, "directions"),
+    # a pyramid on a smaller or a larger grid box was checked against the
+    # ridges of its own box: FAIL with lhs = 8/3 on [0, 0.5]^2 (exit 1)
+    *(({"experiment": "ag-chain", "field": {"kind": "pyramid-eikonal", "params": {}},
+        "grid": {"lo": [lo, lo], "hi": [hi, hi], "n": [64, 64]},
+        "eps_ladder": {"start_cells": 16, "ratio": 0.75, "count": 3}}, "pyramid box must be the grid box")
+      for lo, hi in [(0.0, 0.5), (-0.5, 1.5)]),
+    # jump-verify compared an eikonal field with the jumps of its gradient
+    # (FAIL, exit 1)
+    *(({"experiment": "jump-verify", "field": {"kind": kind, "params": {}},
+        "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+        "eps_ladder": {"start_cells": 16, "ratio": 0.75, "count": 3}},
+       f"jump-verify does not apply to {kind}: its jump description is that of its "
+       "gradient; check it with ag-chain")
+      for kind in ("zigzag-eikonal", "pyramid-eikonal")),
+    # ag-upper at large q: a bound extrapolated below zero (FAIL, exit 1),
+    # an energy that overflows with a numpy RuntimeWarning (nan lhs), and
+    # finite energy terms whose fsum overflows (OverflowError, exit 5)
+    *(({"experiment": "ag-upper", "field": {"kind": "cone-eikonal", "params": {}},
+        "grid": {"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+        "eps_ladder": {"start_cells": 16, "ratio": 0.75, "count": 3}, "q": q, "p": 3.0}, key)
+      for q, key in [
+          (200.0, "the energy bound -1.13745e+157 at q = 200, p = 3 is not a finite nonnegative number"),
+          (400.0, "the smoothed energy is not finite at q = 400, p = 3"),
+          (380.0, "the smoothed energy is not finite at q = 380, p = 3"),
+      ]),
 ], ids=["field", "field-params", "grid", "eps-ladder", "mollifier", "fit-model",
         "directions-zero", "directions-float", "field-param-unknown", "directions-below-2d",
         "count-float", "kappa-bool", "q-string", "n-float", "key-unknown", "ladder-start",
@@ -641,7 +609,10 @@ def test_out_dir_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypat
         "half-plane-indicator-dim", "polygon-indicator-dim", "hoelder-dim", "ramp-dim",
         "sine-1d-dim", "ag-chain-k-overflow", "ag-upper-p-overflow", "ag-upper-q-overflow",
         "hoelder-terms-minus-1", "hoelder-terms-minus-5", "hoelder-terms-1023",
-        "hoelder-terms-1024", "hoelder-terms-1021-wide-box", "besov-1d-one-direction"])
+        "hoelder-terms-1024", "hoelder-terms-1021-wide-box", "besov-1d-one-direction",
+        "pyramid-box-smaller", "pyramid-box-larger", "jump-verify-zigzag-eikonal",
+        "jump-verify-pyramid-eikonal", "ag-upper-bound-below-zero", "ag-upper-energy-overflow",
+        "ag-upper-energy-sum-overflow"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_malformed_config_is_config_error(tmp_path, capsys, override, key):
     cfg = write_config(tmp_path, "malformed.json", **override)
@@ -825,64 +796,33 @@ def test_run_without_mollifier_does_not_load_scipy_special(tmp_path, experiment)
     assert (tmp_path / "out_cold" / "report.json").exists()
 
 
-def test_every_experiment_runs_without_scipy(tmp_path):
-    # the runtime is numpy-only: with every scipy import blocked, one small
-    # config of each experiment kind runs to exit 0, and so does erosion of
-    # a disc mask (the exact integer erosion test) with a mollifier built on
-    # the library side
-    ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
-    configs = [
-        dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)
-        for experiment, field, grid, extra in KIND_CASES
-    ] + [
-        dict(experiment="jump-verify"),
-        dict(experiment="constants"),
-        dict(experiment="two-sided",
-             field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
-             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
-             eps_ladder={"start_cells": 9, "ratio": 0.9, "count": 2}),
-        dict(experiment="ag-upper",
-             field={"kind": "cone-eikonal", "params": {}},
-             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
-             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
-    ]
-    assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
-    paths = [
-        str(write_config(tmp_path, f"c{i}.json", out_dir=str(tmp_path / f"out{i}"), **c))
-        for i, c in enumerate(configs)
-    ]
-    code = (
-        "import sys; sys.modules['scipy'] = None\n"
-        "from bvqlab import DomainMask, Grid, GridRadius, build_mollifier\n"
-        "from bvqlab.cli import main\n"
-        f"print([main(['run', p]) for p in {paths!r}])\n"
-        "g = Grid.for_box([-1.0, -1.0], [1.0, 1.0], [96, 96])\n"
-        "disc = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.8)\n"
-        "build_mollifier('exponential-bump', 2)\n"
-        "print(disc.erode(GridRadius.from_cells(5).length(g.spacing)).count)\n"
-        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod))\n"
-    )
-    codes, eroded, loaded = _run_python(code, cwd=tmp_path).splitlines()[-3:]
-    assert codes == str([EXIT_OK] * len(configs))
-    assert eroded == "4548"
-    assert loaded == "[]"
-
-
-def test_every_experiment_runs_without_numpy_random(tmp_path):
-    # seeded fields draw from bvqlab._rng: with numpy.random blocked, one
-    # small config of each experiment kind runs to exit 0, every seeded
-    # field kind among them, and no numpy.random module loads
+def test_every_experiment_runs_numpy_only(tmp_path):
+    # the runtime is numpy-only and needs no LAPACK: with scipy, numpy.random
+    # and numpy.polynomial imports blocked and numpy's eigen-solvers, least
+    # squares, solves, inverses and polyfit made to raise, one small config
+    # of each experiment kind runs to exit 0 (an internal error is exit 5),
+    # and so does every seeded field kind (they draw from bvqlab._rng), every
+    # linear-in-eps fit, the 2D sphere constant, a sine mass by quadrature (a
+    # non-integer count of half periods) and the mollifier's Gauss-Jacobi
+    # rules; so do a 3D ball rule, an exponential bump built on the library
+    # side and the exact integer erosion of a disc mask, and none of the
+    # blocked modules loads
     ladder = {"start_cells": 32, "ratio": 0.5, "count": 3}
     hoelder = {"kind": "hoelder", "params": {"s": 0.75, "seed": 11}}
     blocks = {"kind": "block-random", "params": {"seed": 4, "dim": 1, "blocks": 16}}
     seeded = {"bbm-sweep": hoelder, "gagliardo": hoelder, "vq": blocks, "b-space": blocks}
     configs = [
-        dict(experiment=experiment, field=seeded.get(experiment, field), grid=grid,
-             eps_ladder=ladder, **extra)
+        dict(experiment=experiment, field=field, grid=grid, eps_ladder=ladder, **extra)
         for experiment, field, grid, extra in KIND_CASES
+    ] + [
+        dict(experiment=experiment, field=seeded[experiment], grid=grid, eps_ladder=ladder, **extra)
+        for experiment, _, grid, extra in KIND_CASES if experiment in seeded
     ] + [
         dict(experiment="jump-verify"),
         dict(experiment="constants"),
+        dict(experiment="q1-bv", field={"kind": "sine-1d", "params": {"cycles": 3}},
+             grid={"lo": [0.0], "hi": [0.9], "n": [2048]}, eps_ladder=ladder,
+             fit_model="linear-in-eps", tolerance=0.1),
         dict(experiment="two-sided",
              field={"kind": "block-random", "params": {"seed": 4, "dim": 2}},
              grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [40, 40]},
@@ -891,6 +831,10 @@ def test_every_experiment_runs_without_numpy_random(tmp_path):
              field={"kind": "cone-eikonal", "params": {}},
              grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
              eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}, q=3.0, p=4.0),
+        dict(experiment="ag-chain",
+             field={"kind": "pyramid-eikonal", "params": {}},
+             grid={"lo": [0.0, 0.0], "hi": [1.0, 1.0], "n": [64, 64]},
+             eps_ladder={"start_cells": 16, "ratio": 0.75, "count": 3}),
     ]
     assert sorted({c["experiment"] for c in configs}) == sorted(EXPERIMENTS)
     paths = [
@@ -898,13 +842,32 @@ def test_every_experiment_runs_without_numpy_random(tmp_path):
         for i, c in enumerate(configs)
     ]
     code = (
-        "import sys; sys.modules['numpy.random'] = None\n"
+        "import sys\n"
+        "sys.modules['scipy'] = sys.modules['numpy.random'] = sys.modules['numpy.polynomial'] = None\n"
+        "import numpy\n"
+        "def refuse(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(name + ' called')\n"
+        "    return call\n"
+        "for name in ('eigvalsh', 'eigh', 'eigvals', 'eig', 'lstsq', 'svd', 'solve', 'inv'):\n"
+        "    setattr(numpy.linalg, name, refuse('numpy.linalg.' + name))\n"
+        "numpy.polyfit = refuse('numpy.polyfit')\n"
+        "from bvqlab import DomainMask, Grid, GridRadius, build_mollifier\n"
         "from bvqlab.cli import main\n"
         f"print([main(['run', p]) for p in {paths!r}])\n"
-        "print(sorted(m for m, mod in sys.modules.items() if m.startswith('numpy.random') and mod))\n"
+        "print(len(build_mollifier('polynomial-bump', 3).ball_rule()[1]))\n"
+        "build_mollifier('exponential-bump', 2)\n"
+        "g = Grid.for_box([-1.0, -1.0], [1.0, 1.0], [96, 96])\n"
+        "disc = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.8)\n"
+        "print(disc.erode(GridRadius.from_cells(5).length(g.spacing)).count)\n"
+        "blocked = ('scipy', 'numpy.random', 'numpy.polynomial')\n"
+        "print(sorted(m for m, mod in sys.modules.items() if mod and any(\n"
+        "    m == b or m.startswith(b + '.') for b in blocked)))\n"
     )
-    codes, loaded = _run_python(code, cwd=tmp_path).splitlines()[-2:]
+    codes, ball_nodes, eroded, loaded = _run_python(code, cwd=tmp_path).splitlines()[-4:]
     assert codes == str([EXIT_OK] * len(configs))
+    assert ball_nodes == str(64 * 64 * 64)
+    assert eroded == "4548"
     assert loaded == "[]"
 
 

@@ -181,7 +181,7 @@ def _loop_score(u, origin, side):
         pair = 2.0 * float(s @ coef)
     else:
         diff = vals[:, None, :] - vals[None, :, :]
-        pair = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum())
+        pair = math.fsum(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).sum(axis=1))
     h = u.grid.spacing
     eps = side * h
     n = u.grid.dim
@@ -244,10 +244,9 @@ def test_batched_scores_span_several_chunks(monkeypatch):
 
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("budget", [1, 300, 1000])
-def test_vector_cubes_split_into_tree_nodes_score_as_the_loop(monkeypatch, d, budget):
-    # sides 11 and 23 give 121^2 and 529^2 pairs: one cube sums as hundreds
-    # of tree nodes, down to single leaves of up to 128 values, some across
-    # row ends
+def test_vector_cubes_split_into_row_chunks_score_as_the_loop(monkeypatch, d, budget):
+    # sides 11 and 23 give 121 and 529 pair-norm rows: one cube sums as
+    # hundreds of row chunks, down to a single row per chunk
     from bvqlab import cubes
 
     u = _scoring_field((40, 36), d, "holed", seed=d)
@@ -256,28 +255,6 @@ def test_vector_cubes_split_into_tree_nodes_score_as_the_loop(monkeypatch, d, bu
         origins = cubes._candidates(u.mask, side, side // 2)
         expect = [_loop_score(u, o, side) for o in origins.tolist()]
         assert cubes._cube_scores(u, origins, side).tolist() == expect, side
-
-
-def test_tree_sum_rounds_as_ndarray_sum_bit_for_bit():
-    # the vector cube pair sum rests on numpy adding a contiguous array along
-    # the pairwise tree that _tree_sum walks; a numpy that adds otherwise
-    # fails here instead of moving a score
-    from bvqlab.cubes import _tree_sum
-
-    rng = np.random.default_rng(22)
-    lengths = list(range(1101)) + sorted(rng.integers(1101, 2 * 10**6, 6).tolist()) + [2 * 10**6]
-    budgets = [1, 128, 129, 1000, 5000]  # below 128 a node is still one leaf
-    x = rng.choice([-1.0, 1.0], lengths[-1]) * 10.0 ** rng.uniform(-6.0, 6.0, lengths[-1])
-    for n in lengths:
-        for budget in budgets if n < 10**5 else budgets[:1] + budgets[-1:]:
-            nodes = []
-
-            def node_sum(start, stop):
-                nodes.append(stop - start)
-                return x[start:stop].sum()
-
-            assert _tree_sum(n, node_sum, budget) == x[:n].sum(), (n, budget)
-            assert sum(nodes) == n and max(nodes) <= max(budget, 128), (n, budget)
 
 
 def test_scoring_never_writes_the_field():
@@ -306,9 +283,9 @@ def _traced_peak(call):
 @pytest.mark.parametrize("side", [32, 48])
 def test_vector_cube_score_memory_is_set_by_the_budget_not_the_side(side):
     # the dense k x k x d differences took 32 and 162 MiB here.  Live now:
-    # the gathered cube and its contiguous copy (2kd floats) and one tree
-    # node's differences and norms (the budget, plus two partial rows of
-    # k(d + 1) floats each), so 8 (budget + (4d + 2) k) bytes at d = 2
+    # the gathered cube and its contiguous copy (2kd floats), one row
+    # chunk's differences and norms (at most the budget) and the k row
+    # sums, so 8 (budget + (2d + 1) k) bytes, under 8 (budget + 10 k)
     from bvqlab import cubes
 
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [128, 128])

@@ -132,19 +132,33 @@ def test_clear_of_matches_brute_force(shape, density):
             assert np.array_equal(clear, d2[at] > m2), (box, m2)
 
 
+def _face_distance(g: Grid) -> np.ndarray:
+    """Distance from every cell centre to the grid box, the min over axes."""
+    dist = np.full(g.extents, np.inf)
+    for a in range(g.dim):
+        c = g.axis_centers(a)
+        d = np.minimum(c - g.origin[a], g.upper[a] - c)
+        dist = np.minimum(dist, d.reshape([-1 if b == a else 1 for b in range(g.dim)]))
+    return dist
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["holed", "full"])
 @pytest.mark.parametrize("shape", [(64,), (24, 20), (10, 12, 9)])
-def test_erosion_at_exact_cell_radii_matches_integer_rule(shape):
+def test_erosion_at_exact_cell_radii_matches_integer_rule(shape, full):
     # delta at an exact cell distance ties in floating point; the integer
     # rule keeps a cell iff its squared distance to every outside cell
-    # exceeds m2 and its face distance exceeds delta
+    # exceeds m2 and its face distance exceeds delta.  At a half-integer
+    # multiple of h it is a face distance that ties with delta
     rng = np.random.default_rng(sum(shape))
     g = Grid.for_box([0.0] * len(shape), [float(e) / 96 for e in shape], list(shape))
-    inside = rng.random(shape) < 0.97
+    inside = np.ones(shape, dtype=bool) if full else rng.random(shape) < 0.97
     m = DomainMask(g, inside)
     d2 = _brute_sq_cells(~inside)
-    for m2 in (1, 2, 4, 5, 8, 9):
-        delta = GridRadius(m2).length(g.spacing)
-        expect = inside & (d2 > m2) & (g.face_distance() > delta)
+    face = _face_distance(g)
+    cases = [(m2, GridRadius(m2).length(g.spacing)) for m2 in (1, 2, 4, 5, 8, 9)]
+    cases += [((j + 0.5) ** 2, (j + 0.5) * g.spacing) for j in range(4)]
+    for m2, delta in cases:
+        expect = inside & (d2 > m2) & (face > delta)
         if expect.any():
             assert np.array_equal(m.erode(delta).inside, expect), m2
 
@@ -168,7 +182,7 @@ def test_boundary_distance_matches_scipy_edt(n):
     g = Grid.for_box([-1.0] * n, [1.0] * n, [48 if n < 3 else 20] * n)
     ball = DomainMask.from_predicate(g, lambda p: (p * p).sum(axis=1) < 0.6)
     edt = ndimage.distance_transform_edt(ball.inside, sampling=[g.spacing] * n)
-    distance = np.minimum(g.face_distance(), edt)
+    distance = np.minimum(_face_distance(g), edt)
     for m in (1, 3, 5):
         delta = (m + 0.25) * g.spacing  # between cell radii: no distance ties
         assert np.array_equal(ball.erode(delta).inside, ball.inside & (distance > delta)), m

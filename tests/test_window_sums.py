@@ -584,8 +584,8 @@ def test_count_path_memory_is_bounded_by_the_padded_grid():
             peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask))
             # one column block per side (the whole half spectrum at m = 4,
             # half of it at m = 8 and 32), one row block of cells and its
-            # staged rfft: 2.23-2.65 padded grids with the x mask (two
-            # sides), 1.62-1.81 without.  Two full half spectra took
+            # staged rfft: 1.69-2.39 padded grids with the x mask (two
+            # sides), 1.17-1.59 without.  Two full half spectra took
             # 2.45-2.65, and a full-size float grid of the cells and its
             # boolean masks 3.3-3.5.
             assert peak < 2.9 * padded_bytes, (m, x_mask is None, peak / padded_bytes)
@@ -593,12 +593,14 @@ def test_count_path_memory_is_bounded_by_the_padded_grid():
 
 @pytest.mark.parametrize("mask_kind", ["full", "disc"])
 def test_count_pass_memory_at_scale_is_blocks_and_a_lag_table(mask_kind):
-    # on 512^2 a half spectrum is cut into 6 or 8 column blocks, so the pass
-    # holds about a third of a padded grid without an x mask (one block, a
-    # row block with its staged rffts, and half a lag table: 0.34-0.35 here)
-    # and about half of one with it (both sides' blocks and a whole lag
-    # table: 0.52-0.55); each bound is the largest of these plus 0.06.
-    # Blocks twice as wide and a whole lag table took 0.53-0.56 and
+    # on 512^2 a half spectrum is cut into 6 or 8 column blocks (12 or 16
+    # with an x mask), so the pass holds about a quarter of a padded grid
+    # with or without an x mask (one block, or both sides' blocks of half
+    # the width, a row block with its staged rffts, and a table of the kept
+    # lags: 0.24-0.28 here);
+    # the bound is the largest of these plus 0.06.  A table of every
+    # last-axis frequency took 0.34-0.35 and, with cross blocks as wide as
+    # an autocorrelation's, 0.52-0.55; blocks twice as wide 0.53-0.56 and
     # 0.78-0.89, and two full padded half spectra 2.25
     g = Grid.for_box([0.0, 0.0], [1.0, 1.0], [512, 512])
     mask = DomainMask.full(g) if mask_kind == "full" else _mask(g, "disc")
@@ -606,6 +608,6 @@ def test_count_pass_memory_at_scale_is_blocks_and_a_lag_table(mask_kind):
     pair_power_sums(u, lattice_offsets(2, 4)[0], 2.0)  # first-call imports and FFT set-up
     for m in (18, 32):
         offs, _ = lattice_offsets(2, m * m)
-        for x_mask, bound in ((None, 0.41), (mask.erode(m * g.spacing), 0.61)):
+        for x_mask in (None, mask.erode(m * g.spacing)):
             peak = _peak(lambda: pair_power_sums(u, offs, 2.0, x_mask)) / (8 * (512 + m) ** 2)
-            assert peak < bound, (m, x_mask is None, peak)
+            assert peak < 0.34, (m, x_mask is None, peak)
